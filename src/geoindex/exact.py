@@ -358,11 +358,8 @@ def near_vertex(x: CertifiedReal, eps: Rationalish) -> Optional[int]:
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("eps must lie in (0, 1/2]")
     f = frac_part(x)
-    try:
-        if f.lt(eps):
-            return 0
-    except PrecisionInsufficient:
-        raise
+    if f.lt(eps):
+        return 0
     one_minus = CertifiedReal.rational(1) - f
     if one_minus.lt(eps):
         return 1

@@ -14,19 +14,46 @@ angles are irrational.  The deviation of i(m) from m*mean is trapped in
 [-(S+ + C), C - S+], attained at the left end and strict on the right
 whenever C > 0; that bound is what turns the "for all m" conditions
 below into finite checks.
+
+Every index and nullity evaluation runs on one integer kernel.  A germ
+is compiled once into plain integers: the slope i1 + S+ - C, the shift
+S+ + C, S+ and C; per weighted angle (2w, p, 2q) for an exact angle p/q,
+or (2w, lo*d, hi*d, 2d, irrational) for an interval angle [lo, hi] over
+a common denominator d; the nullity as (period, weight) pairs, one per
+shear block or closing rational angle, plus a flag for an undeclared
+decimal angle, whose nullity is never certified; and the rational
+spectrum rows (S-, p, q) that the Q count of the jump identities reads.
+
+An exact ceiling is one integer division.  For an interval angle, with
+L = m*lo/2 and H = m*hi/2, the only possible certified ceiling is
+k = floor(L) + 1, the least integer above L.  It is certified when
+H <= k and the value cannot be L itself.  A value declared irrational is
+never an endpoint (the endpoint exclusion of ``exact.floor_int``); any
+other value rules out L only when L is no integer, i.e. when
+m*lo*d mod 2d != 0.  Everything else raises ``PrecisionInsufficient``,
+exactly where the certified ceiling of ``exact`` is undecided.
+
+The compiled kernels and the results of ``mean_index``, ``germ_mbar``
+and ``bott_positive`` live in LRU caches of fixed size keyed by the
+germ, so a long-lived process holds a bounded number of them.  A germ
+hashes its fields once, at construction: hashing every Fraction of every
+block on each lookup would cost more than the evaluation itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .exact import CertifiedReal, PrecisionInsufficient, ceil_int
 from .normal_forms import (BasicBlock, N1, N2, R, big_C, mean_shift,
-                           nullity_contribution, s_plus_at_one, total_dim,
-                           weighted_angles)
+                           s_plus_at_one, total_dim, weighted_angles)
+
+# Germs per cache: enough for every germ of a system under evaluation.
+CACHE_SIZE = 128
 
 
 class Unbounded(ValueError):
@@ -41,46 +68,111 @@ class IndexGerm:
     i1: int
     blocks: Tuple[BasicBlock, ...]
     n: int = 3
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if total_dim(self.blocks) != 2 * self.n - 2:
             raise ValueError(
                 f"germ {self.name!r}: blocks span dimension "
                 f"{total_dim(self.blocks)}, expected {2 * self.n - 2}")
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.i1, self.blocks, self.n)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy it
+        return IndexGerm, (self.name, self.i1, self.blocks, self.n)
 
 
-@lru_cache(maxsize=None)
-def _germ_data(germ: IndexGerm):
+class _Kernel(NamedTuple):
+    """A germ compiled to integers; the module docstring has the layout."""
+
+    slope: int
+    shift: int
+    s_plus: int
+    c: int
+    exact: Tuple[Tuple[int, int, int], ...]
+    interval: Tuple[Tuple[int, int, int, int, bool], ...]
+    closing: Tuple[Tuple[int, int], ...]
+    undeclared: bool
+    q_rows: Tuple[Tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel(germ: IndexGerm) -> _Kernel:
     s_plus = s_plus_at_one(germ.blocks)
     c = big_C(germ.blocks)
-    angles = tuple(weighted_angles(germ.blocks))
-    return s_plus, c, angles
+    exact, interval, q_rows = [], [], []
+    for t, w in weighted_angles(germ.blocks):
+        lo, hi = t.lo, t.hi
+        if lo == hi:  # exact, or a zero-width interval: m*t/2 is exact
+            exact.append((2 * w, lo.numerator, 2 * lo.denominator))
+            if t.exact:
+                q_rows.append((w, lo.numerator, lo.denominator))
+        else:
+            d = lcm(lo.denominator, hi.denominator)
+            interval.append((2 * w, lo.numerator * (d // lo.denominator),
+                             hi.numerator * (d // hi.denominator), 2 * d,
+                             t.irrational))
+    closing, undeclared = [], False
+    for b in germ.blocks:
+        if isinstance(b, N1):
+            closing.append((1 if b.eigenvalue == 1 else 2, 1))
+        elif isinstance(b, (R, N2)):
+            if b.t.exact:
+                p, q2 = b.t.lo.numerator, 2 * b.t.lo.denominator
+                closing.append((q2 // gcd(p, q2), 2))
+            elif not b.t.irrational:
+                undeclared = True
+    return _Kernel(germ.i1 + s_plus - c, s_plus + c, s_plus, c,
+                   tuple(exact), tuple(interval), tuple(closing),
+                   undeclared, tuple(q_rows))
+
+
+def _index(k: _Kernel, m: int) -> int:
+    if m < 1:
+        raise ValueError("iterate must be positive")
+    total = m * k.slope - k.shift
+    for w2, p, q2 in k.exact:
+        total -= w2 * (-m * p // q2)
+    for w2, lo, hi, d2, irrational in k.interval:
+        low = m * lo
+        ceil = low // d2 + 1
+        if m * hi > ceil * d2 or not (irrational or low % d2):
+            raise PrecisionInsufficient(
+                f"ceiling of an interval angle undecided at iterate {m}")
+        total += w2 * ceil
+    return total
+
+
+def _nullity(k: _Kernel, m: int) -> int:
+    if m < 1:
+        raise ValueError("iterate must be positive")
+    if k.undeclared:
+        raise PrecisionInsufficient("nullity of an undeclared decimal angle")
+    return sum(w for period, w in k.closing if m % period == 0)
 
 
 def index_at(germ: IndexGerm, m: int) -> int:
     """Certified index of the m-th iterate."""
-    if m < 1:
-        raise ValueError("iterate must be positive")
-    s_plus, c, angles = _germ_data(germ)
-    total = m * (germ.i1 + s_plus - c) - (s_plus + c)
-    for t, weight in angles:
-        total += 2 * weight * ceil_int(t * Fraction(m, 2))
-    return total
+    return _index(_kernel(germ), m)
 
 
 def nullity_at(germ: IndexGerm, m: int) -> int:
     """Certified nullity of the m-th iterate (spectral count)."""
-    return sum(nullity_contribution(b, m) for b in germ.blocks)
+    return _nullity(_kernel(germ), m)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def mean_index(germ: IndexGerm) -> CertifiedReal:
     """Average index growth per iterate.
 
     Exact whenever it mathematically is: block-internal conjugate angle
     pairs cancel before any interval arithmetic happens.
     """
-    s_plus, c, _ = _germ_data(germ)
-    total: CertifiedReal = CertifiedReal.rational(germ.i1 + s_plus - c)
+    total: CertifiedReal = CertifiedReal.rational(_kernel(germ).slope)
     for b in germ.blocks:
         total = total + mean_shift(b)
     return total
@@ -92,8 +184,8 @@ def deviation_bounds(germ: IndexGerm) -> Tuple[int, int]:
     i(m) - m*mean lies in [-lower, upper]; the upper end is strict
     whenever C > 0 and is attained exactly when C = 0.
     """
-    s_plus, c, _ = _germ_data(germ)
-    return s_plus + c, c - s_plus
+    k = _kernel(germ)
+    return k.shift, k.c - k.s_plus
 
 
 def gamma_invariant(i1: int, i2: int) -> Fraction:
@@ -117,16 +209,15 @@ def is_bumpy(germ: IndexGerm) -> bool:
 
 def _growth_horizon(germ: IndexGerm, target: int) -> int:
     """Smallest certified H with i(m) >= target for every m >= H."""
-    s_plus, c, _ = _germ_data(germ)
     mean = mean_index(germ)
     if not mean.gt(0):
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
     # m*mean - (S+ + C) >= target suffices
-    bound = (CertifiedReal.rational(target + s_plus + c)) / mean
+    bound = CertifiedReal.rational(target + _kernel(germ).shift) / mean
     return max(1, ceil_int(bound))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def germ_mbar(germ: IndexGerm) -> int:
     """Least m0 with i(m + m0) >= i(1) + 4 for every m >= 1.
 
@@ -150,7 +241,7 @@ def mbar(germs: Sequence[IndexGerm]) -> int:
     return max(germ_mbar(g) for g in germs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def bott_positive(germ: IndexGerm) -> bool:
     """Certified i(m) >= i(1) for all m >= 1 (finite check + growth bound).
 
@@ -170,10 +261,8 @@ def bott_positive(germ: IndexGerm) -> bool:
 class IndexProfile:
     """Memoized (index, nullity) table over a range of iterates.
 
-    The inner loop avoids CertifiedReal objects: each weighted angle is
-    reduced once to integer data, and the per-iterate ceiling becomes an
-    integer division (pair of divisions for interval angles, certified
-    to agree using the declared-irrational endpoint exclusion).
+    The profile holds its germ's compiled kernel for its own lifetime,
+    so a table of any length costs one cache lookup.
     """
 
     def __init__(self, germ: IndexGerm, m_max: int):
@@ -181,52 +270,16 @@ class IndexProfile:
             raise ValueError("m_max must be positive")
         self.germ = germ
         self.m_max = m_max
-        s_plus, c, angles = _germ_data(germ)
-        self._slope = germ.i1 + s_plus - c
-        self._shift = s_plus + c
-        rational_terms: List[Tuple[int, int, int]] = []   # (weight, p, 2q)
-        interval_terms: List[Tuple[int, int, int, int]] = []
-        for t, w in angles:
-            if t.exact:
-                f = t.lo
-                rational_terms.append((w, f.numerator, 2 * f.denominator))
-            else:
-                if not t.irrational:
-                    raise ValueError("undeclared decimal angle in profile")
-                lo, hi = t.lo, t.hi
-                den = lo.denominator * hi.denominator
-                interval_terms.append((w, lo.numerator * hi.denominator,
-                                       hi.numerator * lo.denominator, 2 * den))
-        self._rational_terms = rational_terms
-        self._interval_terms = interval_terms
+        self._kernel = _kernel(germ)
         self._table: Dict[int, Tuple[int, int]] = {}
-
-    @staticmethod
-    def _ceil_div(num: int, den: int) -> int:
-        return -((-num) // den)
 
     def entry(self, m: int) -> Tuple[int, int]:
         if not 1 <= m <= self.m_max:
             raise ValueError(f"iterate {m} outside profile range")
-        cached = self._table.get(m)
-        if cached is not None:
-            return cached
-        total = m * self._slope - self._shift
-        for w, p, q2 in self._rational_terms:
-            total += 2 * w * self._ceil_div(m * p, q2)
-        for w, plo, phi_, q2 in self._interval_terms:
-            lo_c = self._ceil_div(m * plo, q2)
-            hi_c = self._ceil_div(m * phi_, q2)
-            if lo_c != hi_c:
-                # endpoints may sit on the integer; irrationality excludes it
-                if m * plo % q2 == 0:
-                    lo_c += 1
-                if lo_c != hi_c:
-                    raise ArithmeticError(
-                        f"interval angle too wide at iterate {m}")
-            total += 2 * w * lo_c
-        pair = (total, nullity_at(self.germ, m))
-        self._table[m] = pair
+        pair = self._table.get(m)
+        if pair is None:
+            pair = self._table[m] = (_index(self._kernel, m),
+                                     _nullity(self._kernel, m))
         return pair
 
     def index(self, m: int) -> int:

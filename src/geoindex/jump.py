@@ -40,15 +40,14 @@ undivided delta).  All three relations are checked, never assumed.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
                     floor_int, near_vertex)
-from .iteration import IndexGerm, index_at, mean_index, nullity_at
-from .normal_forms import spectrum_rows, weighted_angles, s_plus_at_one, big_C
+from .iteration import IndexGerm, _kernel, index_at, mean_index, nullity_at
+from .normal_forms import spectrum_rows, weighted_angles
 
 log = logging.getLogger("geoindex.jump")
 
@@ -157,7 +156,7 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
         if sign == 0:
             raise ZeroMeanIndex(f"germ {germ.name!r} has mean index 0")
         rho = 1 if sign > 0 else -1
-        beta = germ.i1 + s_plus_at_one(germ.blocks) - big_C(germ.blocks)
+        beta = _kernel(germ).slope
         alphas = []
         for t, w in weighted_angles(germ.blocks):
             alphas.extend([t] * w)
@@ -225,16 +224,14 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     return count
 
 
-def _q_value(curve: CurveProblem, m_i: int, m: int) -> int:
-    """Weighted count of rational spectrum points closed by m_i and m."""
-    total = 0
-    for row in spectrum_rows(curve.germ.blocks):
-        if row.s_minus == 0 or not row.t.exact or row.t.lo == 0:
-            continue
-        t = row.t.lo
-        if (m_i * t).denominator == 1 and (Fraction(m, 2) * t).denominator == 1:
-            total += row.s_minus
-    return total
+def _q_value(q_rows: Tuple[Tuple[int, int, int], ...], m_i: int,
+             m: int) -> int:
+    """Weighted count of rational spectrum points p/q closed by m_i and m.
+
+    The rows (S-, p, q) come from the germ's compiled kernel.
+    """
+    return sum(w for w, p, q in q_rows
+               if m_i * p % q == 0 and m * p % (2 * q) == 0)
 
 
 @dataclass
@@ -318,8 +315,8 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
     for i, curve in enumerate(problem.curves):
         germ = curve.germ
         m_i, rho = cert.m[i], curve.rho
-        s_plus = s_plus_at_one(germ.blocks)
-        c_val = big_C(germ.blocks)
+        kernel = _kernel(germ)
+        s_plus, c_val = kernel.s_plus, kernel.c
         if 2 * m_i <= m_bar:
             record("horizon-room", False, germ.name, m_bar, m_i=m_i)
             continue
@@ -334,7 +331,7 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
             down = index_at(germ, 2 * m_i - m)
             record("jump-up", up == 2 * rho * cert.N + base, germ.name, m,
                    got=up, want=2 * rho * cert.N + base)
-            q = _q_value(curve, m_i, m)
+            q = _q_value(kernel.q_rows, m_i, m)
             want_down = 2 * rho * cert.N - base - 2 * (s_plus + q)
             record("jump-down", down == want_down, germ.name, m,
                    got=down, want=want_down)
@@ -480,6 +477,8 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
         chunk = (n_max - n_min + workers) // workers
         spans = [(n_min + k * chunk, min(n_max, n_min + (k + 1) * chunk - 1))
                  for k in range(workers)]
+        # imported here: loading the process pool costs 2 MB per process
+        from concurrent.futures import ProcessPoolExecutor
         found = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_scan_range, problem, a, b, m_bar)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-import mpmath
-
 from .exact import (CertifiedReal, PrecisionBudget, PrecisionInsufficient,
                     default_budget, sqrt_of_fraction)
 
@@ -337,6 +335,7 @@ def classify_2x2(matrix: Matrix2,
         t: CertifiedReal = CertifiedReal.rational(_NIVEN_ANGLES[half])
     else:
         # Niven: any other rational cosine forces theta/pi irrational
+        import mpmath  # only this branch needs it; it costs 4 MB to load
         digits = budget.max_digits
         scale = 10 ** digits
         with mpmath.workdps(digits + 20):

@@ -18,14 +18,6 @@ from .normal_forms import (BasicBlock, D, KIND_NONTRIVIAL, KIND_TRIVIAL,
                            N1, N2, R)
 
 
-def fraction_to_str(f: Fraction) -> str:
-    return str(f)
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def number_to_str(x: CertifiedReal) -> str:
     if x.exact:
         return str(x.lo)

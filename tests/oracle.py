@@ -1,0 +1,48 @@
+"""Certified-ceiling evaluation of the iteration formula, kept as a test oracle.
+
+The library evaluates every index and nullity on a compiled integer
+kernel.  This module evaluates the same formula the slow, obviously
+correct way: one ``CertifiedReal`` per angle and iterate, rounded by
+``exact.ceil_int``, and the nullity block by block through
+``normal_forms.nullity_contribution``.
+"""
+
+from fractions import Fraction
+
+from geoindex.exact import PrecisionInsufficient, ceil_int
+from geoindex.normal_forms import (big_C, nullity_contribution,
+                                   s_plus_at_one, weighted_angles)
+
+
+def index_oracle(germ, m: int) -> int:
+    """i(m) by certified ceilings; PrecisionInsufficient where undecided."""
+    if m < 1:
+        raise ValueError("iterate must be positive")
+    s_plus, c = s_plus_at_one(germ.blocks), big_C(germ.blocks)
+    total = m * (germ.i1 + s_plus - c) - (s_plus + c)
+    for t, weight in weighted_angles(germ.blocks):
+        total += 2 * weight * half_ceiling(t, m)
+    return total
+
+
+def half_ceiling(t, m: int) -> int:
+    """Certified ceil(m*t/2).
+
+    Once m*width(t)/2 reaches 1 the product is no ``CertifiedReal`` (its
+    width must stay below 1) and ``ceil_int`` cannot be asked.  Such an
+    interval [L, H] holds an integer strictly inside unless H = L + 1
+    with L an integer, and only a value declared irrational then avoids
+    both endpoints: its ceiling is H.  Everything else is undecided.
+    """
+    half = Fraction(m, 2)
+    if (t.hi - t.lo) * half < 1:
+        return ceil_int(t * half)
+    low, high = t.lo * half, t.hi * half
+    if t.irrational and low.denominator == 1 and high == low + 1:
+        return int(high)
+    raise PrecisionInsufficient(f"ceiling of {t.describe()} * {half} "
+                                f"undecided")
+
+
+def nullity_oracle(germ, m: int) -> int:
+    return sum(nullity_contribution(b, m) for b in germ.blocks)

@@ -14,6 +14,7 @@ from geoindex.normal_forms import D, N1, R
 from geoindex.samples import (perturbed, worked_example_A, worked_example_B)
 
 from .corpus import iteration_corpus, random_germ
+from .oracle import index_oracle, nullity_oracle
 
 CR = CertifiedReal
 
@@ -137,8 +138,10 @@ def test_profile_matches_pointwise_evaluation():
         germ = random_germ(rng, "x")
         profile = IndexProfile(germ, 60)
         for m in range(1, 61):
-            assert profile.index(m) == index_at(germ, m)
-            assert profile.nullity(m) == nullity_at(germ, m)
+            assert (profile.index(m) == index_at(germ, m)
+                    == index_oracle(germ, m))
+            assert (profile.nullity(m) == nullity_at(germ, m)
+                    == nullity_oracle(germ, m))
 
 
 def test_bumpy_means_no_degenerate_iterates():
