@@ -9,7 +9,7 @@ from geoindex.anosov import (AdmissibilityError, GeodesicSystem,
                              run_pipeline, verify_index_window)
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm, germ_mbar, index_at
-from geoindex.jump import build_problem, search
+from geoindex.jump import JumpCertificate, build_problem, search
 from geoindex.normal_forms import D, N1, R
 from geoindex.samples import (all_odd_system, forced_top_system,
                               gamma_window_system, hyperbolic_germ,
@@ -175,3 +175,22 @@ def test_serialized_report_roundtrip():
     assert serialize.dumps(parsed) == blob
     germs = serialize.system_from_dict(parsed["system"])
     assert [g.name for g in germs] == ["c1", "c2", "c3"]
+
+
+def test_window_reports_every_failing_iterate_below():
+    # the deviation bound skips iterates; arbitrary (N, m) put failures
+    # right at the edge of the skipped range
+    germs = (mod4_system(16, 29).germs + forced_top_system().germs
+             + gamma_window_system().germs)
+    for germ in germs:
+        for n in (3, 7, 20, 41):
+            for m_k in (2, 5, 17, 40):
+                cert = JumpCertificate(n, (m_k,), (), (0,), (1,),
+                                       Fraction(1, 64), Fraction(1, 64),
+                                       1, 1, (germ.name,))
+                report = verify_index_window([germ], cert, 1)
+                got = [f["iterate"] for f in report.failures
+                       if f["side"] == "below"]
+                want = [j for j in range(1, 2 * m_k)
+                        if index_at(germ, j) > 2 * n - germ.i1]
+                assert got == want, (germ.name, n, m_k)

@@ -1,8 +1,12 @@
 """The integer iteration kernel against the certified-ceiling oracle."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +90,7 @@ def _wide(germ, m):
 def test_kernel_matches_certified_oracle():
     rng = random.Random(2024)
     seen = {"value": 0, "undecided": 0, "wide": 0, "wide-certified": 0}
-    for k in range(120):
+    for k in range(100):
         germ = _germ(rng, k)
         profile = IndexProfile(germ, 60)
         iterates = list(range(1, 61)) + [rng.randint(61, 10 ** 7)
@@ -146,8 +150,14 @@ def test_germ_caches_are_bounded():
         assert callable(cache.cache_clear)
 
 
-def test_germ_hash_survives_pickling():
+def test_unpickled_germ_hashes_again():
+    # str hashes are salted per process, so a stored hash must not travel
     germ = _germ(random.Random(5), 0)
-    again = pickle.loads(pickle.dumps(germ))
-    assert again == germ and hash(again) == hash(germ)
+    code = ("import pickle, sys\n"
+            "g = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(g) == hash((g.name, g.i1, g.blocks, g.n))\n")
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": str(Path(iteration.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], input=pickle.dumps(germ),
+                   env=env, check=True, timeout=60)
     assert "_hash" not in repr(germ)
