@@ -10,10 +10,11 @@ from .normal_forms import (BasicBlock, D, N1, N2, R, SplittingPair,
 from .iteration import (IndexGerm, IndexProfile, Unbounded, deviation_bounds,
                         gamma_invariant, germ_mbar, index_at, is_bumpy, mbar,
                         mean_index, nullity_at)
-from .jump import (IdentityViolation, JumpCertificate, JumpProblem, NotFound,
-                   ScaleMismatch, ScaledCertificate, ZeroMeanIndex,
-                   build_problem, delta_invariance, scale, search,
-                   verify_jump, verify_rounding)
+from .jump import (CertificateMismatch, IdentityViolation, JumpCertificate,
+                   JumpProblem, NotFound, ScaleMismatch, ScaledCertificate,
+                   ZeroMeanIndex, build_problem, check_certificate,
+                   delta_invariance, scale, search, verify_jump,
+                   verify_rounding)
 from .morse import (DegenerateIterate, MorseCounts, TruncationUnsound,
                     alternating_sums, betti, betti_alternating, critical_dim,
                     euler_block_identity, morse_numbers_up_to, parity_counts)

@@ -66,7 +66,6 @@ class PipelineConfig:
     n_min: int = 2
     n_max: int = 10_000_000
     M0: int = 1
-    workers: int = 1
     mbar_override: Optional[int] = None
 
 
@@ -147,8 +146,7 @@ def screen_parities(system: GeodesicSystem,
         problem = build_problem([g3], config.delta, config.epsilon,
                                 config.M0)
         m_bar = germ_mbar(g3)
-        cert = search(problem, config.n_min, config.n_max,
-                      m_bar=m_bar, workers=config.workers)
+        cert = search(problem, config.n_min, config.n_max, m_bar=m_bar)
         window = verify_index_window([g3], cert, m_bar)
         top = index_at(g3, 2 * cert.m[0])
         m_2n = 1 if top == 2 * cert.N else 0
@@ -394,8 +392,7 @@ def run_pipeline(system: GeodesicSystem,
                             config.delta / config.p_hat,
                             config.epsilon / config.p_hat,
                             config.M0)
-    cert = search(problem, config.n_min, config.n_max,
-                  m_bar=m_bar, workers=config.workers)
+    cert = search(problem, config.n_min, config.n_max, m_bar=m_bar)
     stages.append(StageRecord("jump-search", "pass",
                               serialize.certificate_to_dict(cert)))
 
@@ -433,11 +430,11 @@ def run_pipeline(system: GeodesicSystem,
     stages.append(StageRecord("scaling", "pass",
                               serialize.scaled_to_dict(scaled)))
 
-    scaled_window = verify_index_window(system.germs,
-                                        _as_cert(scaled), m_bar)
-    scaled_forced = forced_top_indices(system, _as_cert(scaled),
+    scaled_cert = scaled.certificate
+    scaled_window = verify_index_window(system.germs, scaled_cert, m_bar)
+    scaled_forced = forced_top_indices(system, scaled_cert,
                                        n_scale=config.p_hat)
-    s_scaled, _, scaled_squeeze = sandwich(system, _as_cert(scaled))
+    _, _, scaled_squeeze = sandwich(system, scaled_cert)
     stages.append(StageRecord(
         "scaled-window", "pass",
         {"window_ok": scaled_window.ok,
@@ -449,16 +446,6 @@ def run_pipeline(system: GeodesicSystem,
     if clash.verdict == "contradiction":
         return finish("CONTRADICTION(mod4-clash)")
     return finish("INCONCLUSIVE(no-stage-failed)")
-
-
-def _as_cert(scaled: ScaledCertificate) -> JumpCertificate:
-    base = scaled.base
-    return JumpCertificate(
-        N=scaled.N_hat, m=scaled.m_hat, chi=scaled.chi_hat,
-        Delta=scaled.Delta_hat, rho=base.rho,
-        delta=base.delta * scaled.p_hat,
-        epsilon=min(Fraction(1, 2), base.epsilon * scaled.p_hat),
-        M=base.M, M0=base.M0, names=base.names)
 
 
 # -- replay ---------------------------------------------------------------
@@ -491,17 +478,17 @@ def replay(report: ImpossibilityReport) -> bool:
     by_name = {g.name: g for g in germs}
     if stage_name == "forced-top":
         two_n = int(w["two_N"])
+        cert = _search_certificate(report)
+        m_of = dict(zip(cert.names, cert.m))
         for name in w["mismatched"]:
-            germ = by_name[name]
-            m_k = _m_from_report(report, name)
-            if index_at(germ, 2 * m_k) == two_n:
+            if index_at(by_name[name], 2 * m_of[name]) == two_n:
                 return False
         return bool(w["mismatched"])
 
     if stage_name == "gamma-window":
+        cert = _search_certificate(report)
         s_val = Fraction(0)
-        for name, m_k in zip(_names_from_report(report),
-                             _ms_from_report(report)):
+        for name, m_k in zip(cert.names, cert.m):
             germ = by_name[name]
             s_val += 2 * m_k * gamma_invariant(germ.i1, index_at(germ, 2))
         if str(s_val) != w["S"]:
@@ -519,20 +506,6 @@ def replay(report: ImpossibilityReport) -> bool:
     return False
 
 
-def _search_stage(report: ImpossibilityReport) -> Dict[str, object]:
-    return next(s for s in report.stages if s.name == "jump-search").witness
-
-
-def _names_from_report(report: ImpossibilityReport) -> List[str]:
-    return [c["name"] for c in _search_stage(report)["curves"]]
-
-
-def _ms_from_report(report: ImpossibilityReport) -> List[int]:
-    return [int(c["m"]) for c in _search_stage(report)["curves"]]
-
-
-def _m_from_report(report: ImpossibilityReport, name: str) -> int:
-    for c in _search_stage(report)["curves"]:
-        if c["name"] == name:
-            return int(c["m"])
-    raise KeyError(name)
+def _search_certificate(report: ImpossibilityReport) -> JumpCertificate:
+    witness = next(s for s in report.stages if s.name == "jump-search").witness
+    return serialize.certificate_from_dict(witness)

@@ -6,7 +6,8 @@ and verification, certificate scaling, Morse count tables, and the full
 three-curve impossibility pipeline.  All persisted artifacts are JSON
 with rationals as "p/q" strings; output is deterministic.
 
-Exit codes: 0 computed, 1 error, 2 contradiction certified (anosov).
+Exit codes: 0 computed, 1 error (usage errors and malformed input
+included), 2 contradiction certified (anosov).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .anosov import (AdmissibilityError, GeodesicSystem, PipelineConfig,
 from .exact import PrecisionInsufficient
 from .iteration import (IndexGerm, IndexProfile, Unbounded, gamma_invariant,
                         index_at, germ_mbar, mbar, mean_index)
-from .jump import (NotFound, ScaleMismatch, build_problem, scale, search,
-                   verify_jump, verify_rounding)
-from .morse import betti, morse_numbers_up_to
+from .jump import (NotFound, ScaleMismatch, build_problem, check_certificate,
+                   scale, search, verify_jump, verify_rounding)
+from .morse import TruncationUnsound, betti, morse_numbers_up_to
 from .serialize import SchemaError
 
 
@@ -77,8 +78,17 @@ def _emit(payload: Dict[str, object], fmt: str, table_rows: List[str],
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other error: 2 is reserved for a
+    certified contradiction."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="geoindex",
         description="Certified index iteration and jump certificates for "
                     "symplectic path germs")
@@ -104,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="require N to be a multiple of this")
             p.add_argument("--mbar", type=int, default=None,
                            help="verification horizon override")
-            p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("index", help="iterate index/nullity table")
     common(p, curve=True)
@@ -199,8 +208,7 @@ def _cmd_jump_search(args) -> int:
     germs = parse_system(args.system)
     problem = build_problem(germs, args.delta, args.epsilon, args.m0)
     horizon = _horizon(germs, args.mbar)
-    cert = search(problem, args.n_min, args.n_max,
-                  m_bar=horizon, workers=args.workers)
+    cert = search(problem, args.n_min, args.n_max, m_bar=horizon)
     payload = serialize.certificate_to_dict(cert)
     table = [f"N = {cert.N}", f"M = {cert.M}", f"chi = {list(cert.chi)}"]
     table += [f"{name}: m = {m}, Delta = {d}, rho = {r}"
@@ -210,16 +218,19 @@ def _cmd_jump_search(args) -> int:
     return 0
 
 
-def _load_certificate(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return serialize.certificate_from_dict(json.load(fh))
+def _load_certificate(args):
+    """Certificate, problem and horizon of a certificate subcommand; the
+    certificate must fit the system."""
+    germs = parse_system(args.system)
+    with open(args.certificate, "r", encoding="utf-8") as fh:
+        cert = serialize.certificate_from_dict(json.load(fh))
+    problem = build_problem(germs, cert.delta, cert.epsilon, cert.M0)
+    check_certificate(problem, cert)
+    return cert, problem, _horizon(germs, args.mbar)
 
 
 def _cmd_verify_jump(args) -> int:
-    germs = parse_system(args.system)
-    cert = _load_certificate(args.certificate)
-    problem = build_problem(germs, cert.delta, cert.epsilon, cert.M0)
-    horizon = _horizon(germs, args.mbar)
+    cert, problem, horizon = _load_certificate(args)
     rounding = verify_rounding(problem, cert)
     identities = verify_jump(problem, cert, horizon)
     ok = rounding.ok and identities.ok
@@ -238,10 +249,7 @@ def _cmd_verify_jump(args) -> int:
 
 
 def _cmd_scale_jump(args) -> int:
-    germs = parse_system(args.system)
-    cert = _load_certificate(args.certificate)
-    problem = build_problem(germs, cert.delta, cert.epsilon, cert.M0)
-    horizon = _horizon(germs, args.mbar)
+    cert, problem, horizon = _load_certificate(args)
     scaled = scale(problem, cert, args.p_hat, horizon)
     payload = serialize.scaled_to_dict(scaled)
     table = [f"N_hat = {scaled.N_hat}",
@@ -255,11 +263,9 @@ def _cmd_scale_jump(args) -> int:
 
 
 def _cmd_morse(args) -> int:
-    germs = parse_system(args.system)
-    cert = _load_certificate(args.certificate)
-    problem = build_problem(germs, cert.delta, cert.epsilon, cert.M0)
-    horizon = _horizon(germs, args.mbar)
-    counts = morse_numbers_up_to(germs, problem, cert, 2 * cert.N, horizon)
+    cert, problem, horizon = _load_certificate(args)
+    counts = morse_numbers_up_to(problem.germs, problem, cert, 2 * cert.N,
+                                 horizon)
     rows = [(q, counts.counts.get(q, 0), betti(q))
             for q in range(0, 2 * cert.N + 1)]
     payload = {"N": cert.N,
@@ -276,7 +282,7 @@ def _cmd_anosov(args) -> int:
         delta=args.delta,
         epsilon=args.epsilon if args.epsilon is not None else args.delta,
         p_hat=args.p_hat, n_min=max(2, args.n_min), n_max=args.n_max,
-        M0=args.m0, workers=args.workers, mbar_override=args.mbar)
+        M0=args.m0, mbar_override=args.mbar)
     report = run_pipeline(GeodesicSystem(tuple(germs)), config)
     payload = report.to_dict()
     table = [f"{s.name}: {s.verdict}" for s in report.stages]
@@ -307,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotFound, Unbounded, AdmissibilityError, ScaleMismatch,
-            PrecisionInsufficient) as exc:
+            PrecisionInsufficient, TruncationUnsound) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

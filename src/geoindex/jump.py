@@ -77,6 +77,10 @@ class ScaleMismatch(AssertionError):
     """A scaling relation failed; tolerance preconditions were violated."""
 
 
+class CertificateMismatch(ValueError):
+    """A certificate does not fit the system it is checked against."""
+
+
 @dataclass(frozen=True)
 class CurveProblem:
     germ: IndexGerm
@@ -124,6 +128,36 @@ class ScaledCertificate:
     chi_hat: Tuple[int, ...]
     Delta_hat: Tuple[int, ...]
     checks: Tuple[Tuple[str, bool], ...]
+
+    @property
+    def certificate(self) -> JumpCertificate:
+        """The scaled tuple as a certificate at the scaled tolerances."""
+        base = self.base
+        delta_hat, eps_hat = _scaled_tolerances(base, self.p_hat)
+        return JumpCertificate(
+            N=self.N_hat, m=self.m_hat, chi=self.chi_hat,
+            Delta=self.Delta_hat, rho=base.rho, delta=delta_hat,
+            epsilon=eps_hat, M=base.M, M0=base.M0, names=base.names)
+
+
+def _scaled_tolerances(cert: JumpCertificate,
+                       p_hat: int) -> Tuple[Fraction, Fraction]:
+    """(delta, epsilon) scaled by p_hat, epsilon capped at 1/2."""
+    return p_hat * cert.delta, min(Fraction(1, 2), p_hat * cert.epsilon)
+
+
+def check_certificate(problem: JumpProblem, cert: JumpCertificate) -> None:
+    """Reject a certificate that does not fit the problem: its curve
+    names, rho and M must be the problem's, with one chi entry per
+    vertex coordinate."""
+    want = (tuple(c.germ.name for c in problem.curves),
+            tuple(c.rho for c in problem.curves), problem.M, len(problem.v))
+    got = (cert.names, cert.rho, cert.M, len(cert.chi))
+    for field, g, w in zip(("curve names", "rho", "M", "chi length"),
+                           got, want):
+        if g != w:
+            raise CertificateMismatch(f"certificate does not fit the "
+                                      f"system: {field} {g}, want {w}")
 
 
 def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
@@ -388,21 +422,6 @@ def _coord_tester(v: CertifiedReal, eps: Fraction):
     return side_interval
 
 
-def _candidate(problem: JumpProblem, N: int, m_bar: int) -> Optional[JumpCertificate]:
-    """Assemble and fully verify one candidate N; None if it fails."""
-    chi: List[int] = []
-    for vj in problem.v:
-        try:
-            side = near_vertex(vj * N, problem.epsilon)
-        except PrecisionInsufficient as exc:
-            log.info("skipping N=%d: %s", N, exc)
-            return None
-        if side is None:
-            return None
-        chi.append(side)
-    return _assemble(problem, N, chi, m_bar)
-
-
 def _assemble(problem: JumpProblem, N: int, chi: List[int],
               m_bar: int) -> Optional[JumpCertificate]:
     m_vec: List[int] = []
@@ -437,12 +456,20 @@ def _assemble(problem: JumpProblem, N: int, chi: List[int],
     return cert
 
 
-def _scan_range(problem: JumpProblem, start: int, stop: int,
-                m_bar: int) -> Optional[JumpCertificate]:
+def search(problem: JumpProblem, n_min: int, n_max: int, *,
+           m_bar: int = 1) -> JumpCertificate:
+    """Smallest N in [n_min, n_max] whose certificate fully verifies.
+
+    Deterministic: the scan runs over multiples of M0 in increasing
+    order, and a candidate is only returned once every rounding and jump
+    clause has been recomputed and passed.
+    """
+    if n_min > n_max:
+        raise ValueError("empty search range")
     testers = [_coord_tester(vj, problem.epsilon) for vj in problem.v]
     M0 = problem.M0
-    first = ((max(start, 1) + M0 - 1) // M0) * M0
-    for N in range(first, stop + 1, M0):
+    first = ((max(n_min, 1) + M0 - 1) // M0) * M0
+    for N in range(first, n_max + 1, M0):
         chi: List[int] = []
         for tester in testers:
             side = tester(N)
@@ -457,39 +484,7 @@ def _scan_range(problem: JumpProblem, start: int, stop: int,
             cert = _assemble(problem, N, chi, m_bar)
             if cert is not None:
                 return cert
-    return None
-
-
-def search(problem: JumpProblem, n_min: int, n_max: int, *,
-           m_bar: int = 1, workers: int = 1) -> JumpCertificate:
-    """Smallest N in [n_min, n_max] whose certificate fully verifies.
-
-    Deterministic: the scan runs over multiples of M0 in increasing
-    order (range partitions across workers still reduce to the minimum),
-    and a candidate is only returned once every rounding and jump clause
-    has been recomputed and passed.
-    """
-    if n_min > n_max:
-        raise ValueError("empty search range")
-    if workers <= 1 or n_max - n_min < 4 * workers:
-        found = _scan_range(problem, n_min, n_max, m_bar)
-    else:
-        chunk = (n_max - n_min + workers) // workers
-        spans = [(n_min + k * chunk, min(n_max, n_min + (k + 1) * chunk - 1))
-                 for k in range(workers)]
-        # imported here: loading the process pool costs 2 MB per process
-        from concurrent.futures import ProcessPoolExecutor
-        found = None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_range, problem, a, b, m_bar)
-                       for a, b in spans if a <= b]
-            hits = [f.result() for f in futures]
-        hits = [h for h in hits if h is not None]
-        if hits:
-            found = min(hits, key=lambda c: c.N)
-    if found is None:
-        raise NotFound(n_max)
-    return found
+    raise NotFound(n_max)
 
 
 def scale(problem: JumpProblem, cert: JumpCertificate,
@@ -509,8 +504,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     if p_hat * cert.delta * mu_max >= Fraction(1, 2):
         raise ValueError("scaled delta violates the smallness hypothesis")
     N_hat = p_hat * cert.N
-    eps_hat = min(Fraction(1, 2), p_hat * cert.epsilon)
-    delta_hat = p_hat * cert.delta
+    delta_hat, eps_hat = _scaled_tolerances(cert, p_hat)
 
     checks: List[Tuple[str, bool]] = []
     chi_hat: List[int] = []
@@ -547,21 +541,17 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
             raise ScaleMismatch(f"scaling relation {name} fails "
                                 f"(p_hat={p_hat}, N={cert.N})")
 
-    scaled_cert = JumpCertificate(
-        N=N_hat, m=tuple(m_hat), chi=tuple(chi_hat),
-        Delta=tuple(delta_hat_counts),
-        rho=cert.rho, delta=delta_hat, epsilon=eps_hat,
-        M=cert.M, M0=cert.M0, names=cert.names)
-    ident = verify_jump(problem, scaled_cert, m_bar)
-    checks.append(("scaled-identities", ident.ok))
+    scaled = ScaledCertificate(
+        base=cert, p_hat=p_hat, N_hat=N_hat, m_hat=tuple(m_hat),
+        chi_hat=tuple(chi_hat), Delta_hat=tuple(delta_hat_counts),
+        # recorded as passed: a failure raises below
+        checks=tuple(checks) + (("scaled-identities", True),))
+    ident = verify_jump(problem, scaled.certificate, m_bar)
     if not ident.ok:
         fail = ident.first_failure()
         raise ScaleMismatch(f"scaled identity fails: {fail.name} "
                             f"{fail.witness}")
-    return ScaledCertificate(
-        base=cert, p_hat=p_hat, N_hat=N_hat, m_hat=tuple(m_hat),
-        chi_hat=tuple(chi_hat), Delta_hat=tuple(delta_hat_counts),
-        checks=tuple(checks))
+    return scaled
 
 
 def delta_invariance(problem: JumpProblem, cert: JumpCertificate,

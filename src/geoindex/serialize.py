@@ -87,6 +87,18 @@ class SchemaError(ValueError):
     """A system or certificate document violates the expected schema."""
 
 
+def _fields(d: object, fields: Tuple[str, ...], what: str) -> None:
+    """Require an object with exactly these keys."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be an object")
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise SchemaError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [k for k in fields if k not in d]
+    if missing:
+        raise SchemaError(f"{what} is missing {missing}")
+
+
 def block_from_dict(d: Dict[str, object],
                     budget: PrecisionBudget | None = None) -> BasicBlock:
     kind = d.get("type")
@@ -117,12 +129,7 @@ def germ_to_dict(germ: IndexGerm) -> Dict[str, object]:
 
 def germ_from_dict(d: Dict[str, object], n: int = 3,
                    budget: PrecisionBudget | None = None) -> IndexGerm:
-    unknown = set(d) - {"name", "initial_index", "blocks"}
-    if unknown:
-        raise SchemaError(f"unknown fields on curve: {sorted(unknown)}")
-    for key in ("name", "initial_index", "blocks"):
-        if key not in d:
-            raise SchemaError(f"curve is missing {key!r}")
+    _fields(d, ("name", "initial_index", "blocks"), "curve")
     blocks = tuple(block_from_dict(b, budget) for b in d["blocks"])  # type: ignore
     return IndexGerm(str(d["name"]), int(d["initial_index"]), blocks, n=n)
 
@@ -173,20 +180,39 @@ def certificate_to_dict(cert: JumpCertificate) -> Dict[str, object]:
 
 
 def certificate_from_dict(d: Dict[str, object]) -> JumpCertificate:
-    unknown = set(d) - {"N", "M", "M0", "delta", "epsilon", "chi", "curves"}
-    if unknown:
-        raise SchemaError(f"unknown certificate fields: {sorted(unknown)}")
-    curves = d["curves"]
+    _fields(d, ("N", "M", "M0", "delta", "epsilon", "chi", "curves"),
+            "certificate")
+    curves, chi = d["curves"], d["chi"]
+    if not (isinstance(curves, list) and isinstance(chi, list)):
+        raise SchemaError("certificate 'curves' and 'chi' must be lists")
+    for c in curves:
+        _fields(c, ("name", "m", "Delta", "rho"), "certificate curve")
     return JumpCertificate(
-        N=int(d["N"]),
-        m=tuple(int(c["m"]) for c in curves),
-        chi=tuple(int(x) for x in d["chi"]),
-        Delta=tuple(int(c["Delta"]) for c in curves),
-        rho=tuple(int(c["rho"]) for c in curves),
-        delta=Fraction(str(d["delta"])),
-        epsilon=Fraction(str(d["epsilon"])),
-        M=int(d["M"]), M0=int(d["M0"]),
+        N=_int(d["N"], "N"),
+        m=tuple(_int(c["m"], "m") for c in curves),
+        chi=tuple(_int(x, "chi") for x in chi),
+        Delta=tuple(_int(c["Delta"], "Delta") for c in curves),
+        rho=tuple(_int(c["rho"], "rho") for c in curves),
+        delta=_rational(d["delta"], "delta"),
+        epsilon=_rational(d["epsilon"], "epsilon"),
+        M=_int(d["M"], "M"), M0=_int(d["M0"], "M0"),
         names=tuple(str(c["name"]) for c in curves))
+
+
+def _int(x: object, key: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"certificate {key!r} must be an integer, got {x!r}")
+    return x
+
+
+def _rational(x: object, key: str) -> Fraction:
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"certificate {key!r} must be a rational string "
+                      f"\"p/q\", got {x!r}")
 
 
 def scaled_to_dict(sc: ScaledCertificate) -> Dict[str, object]:

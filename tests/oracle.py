@@ -1,15 +1,19 @@
-"""Certified-ceiling evaluation of the iteration formula, kept as a test oracle.
+"""Slow, obviously correct library computations, kept as test oracles.
 
 The library evaluates every index and nullity on a compiled integer
 kernel.  This module evaluates the same formula the slow, obviously
 correct way: one ``CertifiedReal`` per angle and iterate, rounded by
 ``exact.ceil_int``, and the nullity block by block through
 ``normal_forms.nullity_contribution``.
+
+The jump search places each coordinate of N*v with integer testers;
+``candidate_oracle`` places them with ``exact.near_vertex`` instead.
 """
 
 from fractions import Fraction
 
-from geoindex.exact import PrecisionInsufficient, ceil_int
+from geoindex.exact import PrecisionInsufficient, ceil_int, near_vertex
+from geoindex.jump import _assemble
 from geoindex.normal_forms import (big_C, nullity_contribution,
                                    s_plus_at_one, weighted_angles)
 
@@ -46,3 +50,18 @@ def half_ceiling(t, m: int) -> int:
 
 def nullity_oracle(germ, m: int) -> int:
     return sum(nullity_contribution(b, m) for b in germ.blocks)
+
+
+def candidate_oracle(problem, N: int, m_bar: int):
+    """The fully verified certificate at N by certified vertex sides, or
+    None where a side is far or undecided."""
+    chi = []
+    for vj in problem.v:
+        try:
+            side = near_vertex(vj * N, problem.epsilon)
+        except PrecisionInsufficient:
+            return None
+        if side is None:
+            return None
+        chi.append(side)
+    return _assemble(problem, N, chi, m_bar)

@@ -17,7 +17,7 @@ from geoindex.exact import CertifiedReal
 from geoindex.iteration import (IndexProfile, deviation_bounds, germ_mbar,
                                 index_at, mean_index)
 from geoindex.jump import (build_problem, scale, search, verify_jump,
-                           verify_rounding, _candidate)
+                           verify_rounding)
 from geoindex.morse import (alternating_sums, betti_alternating,
                             euler_block_identity, morse_numbers_up_to,
                             parity_counts)
@@ -25,6 +25,7 @@ from geoindex.samples import hyperbolic_germ
 
 from .corpus import (anosov_corpus, iteration_corpus, jump_corpus,
                      screen_corpus)
+from .oracle import candidate_oracle
 
 CR = CertifiedReal
 DELTA64 = Fraction(1, 64)
@@ -208,7 +209,7 @@ def test_criterion_8_negative_controls():
     prob = build_problem([h], DELTA64, DELTA64, 1)
     m_bar = germ_mbar(h)
     for n in range(3, 120):
-        cert = _candidate(prob, n, m_bar)
+        cert = candidate_oracle(prob, n, m_bar)
         assert cert is not None and cert.m == (n,)
     four = GeodesicSystem.of(
         hyperbolic_germ("a", 1), hyperbolic_germ("b", 2, (2, 5)),

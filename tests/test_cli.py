@@ -6,6 +6,9 @@ import pytest
 
 from geoindex import serialize
 from geoindex.cli import main, parse_system
+from geoindex.exact import CertifiedReal
+from geoindex.iteration import IndexGerm
+from geoindex.normal_forms import D
 from geoindex.samples import mod4_system, worked_example_B
 
 
@@ -146,6 +149,67 @@ def test_missing_file_is_an_error():
 def test_tolerance_validation(system_b, capsys):
     with pytest.raises(SystemExit):
         main(["jump-search", "--system", system_b, "--delta", "3/4"])
+
+
+def test_unknown_flag_exits_1(system_b, capsys):
+    # exit 2 would read as a certified contradiction
+    with pytest.raises(SystemExit) as stop:
+        main(["anosov", "--system", system_b, "--workers", "2"])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "geoindex: error: unrecognized arguments: --workers 2"
+    assert sum("error:" in line for line in err) == 1
+    with pytest.raises(SystemExit) as stop:
+        main(["anosov", "--help"])
+    assert stop.value.code == 0
+
+
+HN = IndexGerm("HN", -1, (D(CertifiedReal.rational(2)),
+                          D(CertifiedReal.rational(3))))
+
+# case: (system, subcommand, change made to the searched certificate)
+BAD_CERTIFICATES = {
+    "curves-missing": ([worked_example_B()], "verify-jump",
+                       lambda c: c.pop("curves")),
+    "m-missing": ([worked_example_B()], "verify-jump",
+                  lambda c: c["curves"][0].pop("m")),
+    "chi-cut": ([worked_example_B()], "verify-jump",
+                lambda c: c.update(chi=c["chi"][:1])),
+    "curve-renamed": ([worked_example_B()], "verify-jump",
+                      lambda c: c["curves"][0].update(name="Z")),
+    "curves-doubled": ([worked_example_B()], "verify-jump",
+                       lambda c: c.update(curves=c["curves"] * 2)),
+    "rho-flipped": ([worked_example_B()], "verify-jump",
+                    lambda c: c["curves"][0].update(rho=-1)),
+    "M-changed": ([worked_example_B()], "scale-jump",
+                  lambda c: c.update(M=7)),
+    "N-not-integer": ([worked_example_B()], "scale-jump",
+                      lambda c: c.update(N="5")),
+    "delta-not-rational": ([worked_example_B()], "scale-jump",
+                           lambda c: c.update(delta=0.01)),
+    "morse-negative-index": ([HN], "morse", lambda c: None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CERTIFICATES))
+def test_bad_certificate_is_one_error_line(case, tmp_path, capsys):
+    germs, command, tamper = BAD_CERTIFICATES[case]
+    system = tmp_path / "system.json"
+    system.write_text(serialize.dumps(serialize.system_to_dict(germs)),
+                      encoding="utf-8")
+    cert = tmp_path / "cert.json"
+    assert main(["jump-search", "--system", str(system), "--delta", "1/100",
+                 "--epsilon", "1/100", "--n-max", "100", "--mbar", "6",
+                 "--format", "json", "--output", str(cert)]) == 0
+    doc = json.loads(cert.read_text(encoding="utf-8"))
+    tamper(doc)
+    cert.write_text(json.dumps(doc), encoding="utf-8")
+    extra = ["--p-hat", "2"] if command == "scale-jump" else []
+    capsys.readouterr()
+    assert main([command, "--system", str(system), "--certificate",
+                 str(cert), "--mbar", "6"] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_precision_settings_influence_parsing(tmp_path):
