@@ -13,6 +13,7 @@ included), 2 contradiction certified (anosov).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -87,6 +88,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # one parser per process: each parse gets a new Namespace
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="geoindex",

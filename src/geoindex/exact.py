@@ -357,13 +357,16 @@ def near_vertex(x: CertifiedReal, eps: Rationalish) -> Optional[int]:
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("eps must lie in (0, 1/2]")
-    f = frac_part(x)
-    if f.lt(eps):
+    fl = floor_int(x)
+    lo, hi = x.lo - fl, x.hi - fl  # the ends of {x}; a point is exact
+    if hi < eps:
         return 0
-    one_minus = CertifiedReal.rational(1) - f
-    if one_minus.lt(eps):
+    if 1 - lo < eps:  # then lo > eps too, as eps <= 1/2
         return 1
-    return None
+    if lo == hi or (lo > eps and 1 - hi > eps):
+        return None
+    raise PrecisionInsufficient(f"fractional part of {x.describe()} "
+                                f"unresolved against {eps}")
 
 
 def sqrt_interval(n: int, digits: int = 80) -> CertifiedReal:

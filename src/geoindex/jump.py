@@ -42,14 +42,18 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
-                    floor_int, near_vertex)
+from .exact import CertifiedReal, PrecisionInsufficient, ceil_int, floor_int
 from .iteration import IndexGerm, _kernel, index_at, mean_index, nullity_at
 from .normal_forms import spectrum_rows, weighted_angles
 
 log = logging.getLogger("geoindex.jump")
+
+# [lo, hi] as (lo*d, hi*d, d, exact, irrational), d the least common
+# denominator of its ends; _row builds one per angle and coordinate.
+_Row = Tuple[int, int, int, bool, bool]
 
 
 class ZeroMeanIndex(ValueError):
@@ -89,6 +93,7 @@ class CurveProblem:
     mean: CertifiedReal
     rho: int
     abs_mean: CertifiedReal
+    rows: Tuple[_Row, ...]                # alphas on integers (_row)
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,7 @@ class JumpProblem:
     delta: Fraction
     epsilon: Fraction
     v: Tuple[CertifiedReal, ...]
+    v_rows: Tuple[_Row, ...]              # v on integers (_row)
 
     @property
     def germs(self) -> Tuple[IndexGerm, ...]:
@@ -196,9 +202,10 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
             alphas.extend([t] * w)
         for row in spectrum_rows(germ.blocks):
             if row.t.exact and row.t.lo != 0:
-                M = _lcm(M, row.t.lo.denominator)
+                M = lcm(M, row.t.lo.denominator)
         curves.append(CurveProblem(germ, beta, tuple(alphas), mean, rho,
-                                   mean if rho > 0 else -mean))
+                                   mean if rho > 0 else -mean,
+                                   tuple(map(_row, alphas))))
 
     mu_max = max(len(c.alphas) for c in curves)
     if delta * mu_max >= Fraction(1, 2):
@@ -226,12 +233,53 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
                 v.append(CertifiedReal.rational(1))
             else:
                 v.append(a / c.abs_mean)
-    return JumpProblem(tuple(curves), M, M0, delta, eps, tuple(v))
+    return JumpProblem(tuple(curves), M, M0, delta, eps, tuple(v),
+                       tuple(map(_row, v)))
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
+def _row(x: CertifiedReal) -> _Row:
+    lo, hi = x.lo, x.hi
+    d = lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (d // lo.denominator),
+            hi.numerator * (d // hi.denominator), d, x.exact, x.irrational)
+
+
+def _times(row: _Row, m: int) -> Tuple[int, int, int, bool]:
+    """m*x as (lo, hi, d, irrational), the product [lo/d, hi/d]: a point
+    iff the CertifiedReal product is exact, and a ValueError where that
+    one raises it.  ``_ceil`` and ``_side`` answer ``exact.ceil_int`` and
+    ``exact.near_vertex`` on it: an irrational value is no endpoint."""
+    lo, hi, d, _, irrational = row
+    lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
+    if hi - lo >= d:
+        raise ValueError("interval radius must stay below 1/2")
+    return lo, hi, d, irrational and lo != hi
+
+
+def _ceil(x: Tuple[int, int, int, bool]) -> int:
+    lo, hi, d, irrational = x
+    c = -(-hi // d)
+    if -(-(lo + irrational) // d) != c:
+        raise PrecisionInsufficient(f"ceiling of [{lo}/{d}, {hi}/{d}] "
+                                    f"undecided")
+    return c
+
+
+def _side(x: Tuple[int, int, int, bool], eps: Fraction) -> Optional[int]:
+    """near_vertex's answer, None also where it raises
+    PrecisionInsufficient."""
+    lo, hi, d, irrational = x
+    a, b = eps.numerator, eps.denominator
+    if not 0 < 2 * a <= b:
+        raise ValueError("eps must lie in (0, 1/2]")
+    fl = lo // d
+    if (hi - irrational) // d != fl:
+        return None  # the certified floor is undecided
+    if (hi - fl * d) * b < a * d:
+        return 0
+    if (d - lo + fl * d) * b < a * d:  # then {x} > eps too: eps <= 1/2
+        return 1
+    return None
 
 
 def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int]:
@@ -241,16 +289,13 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     clause violated or undecidable).
     """
     count = 0
-    for a in curve.alphas:
-        x = a * m_i
-        if a.exact:
-            if (a.lo * m_i).denominator != 1:
+    for row in curve.rows:
+        x = _times(row, m_i)
+        if row[3]:  # exact
+            if x[0] % x[2]:
                 return None  # rational angle must close up exactly
             continue
-        try:
-            side = near_vertex(x, delta)
-        except PrecisionInsufficient:
-            return None
+        side = _side(x, delta)
         if side is None:
             return None
         if side == 0:
@@ -297,36 +342,28 @@ def verify_rounding(problem: JumpProblem, cert: JumpCertificate) -> Verification
         m_i = cert.m[i]
         name = curve.germ.name
         lhs = m_i * curve.beta
-        for a in curve.alphas:
-            lhs += ceil_int(a * m_i)
+        for row in curve.rows:
+            lhs += _ceil(_times(row, m_i))
         rhs = curve.rho * cert.N + cert.Delta[i]
         clauses.append(ClauseReport(
             "rounding-sum", lhs == rhs,
             {"curve": name, "lhs": lhs, "rhs": rhs}))
-        for j, a in enumerate(curve.alphas):
-            x = a * m_i
+        for j, (a, row) in enumerate(zip(curve.alphas, curve.rows)):
+            x = _times(row, m_i)
             if a.exact:
-                ok = (a.lo * m_i).denominator == 1
                 clauses.append(ClauseReport(
-                    "rational-integrality", ok,
+                    "rational-integrality", x[0] % x[2] == 0,
                     {"curve": name, "alpha": str(a.lo), "m": m_i}))
                 continue
-            try:
-                side = near_vertex(x, problem.delta)
-            except PrecisionInsufficient:
-                side = None
             clauses.append(ClauseReport(
-                "angle-closeness", side is not None,
+                "angle-closeness", _side(x, problem.delta) is not None,
                 {"curve": name, "alpha_index": j}))
         recount = _delta_count(curve, m_i, problem.delta)
         clauses.append(ClauseReport(
             "delta-count", recount == cert.Delta[i],
             {"curve": name, "recount": recount, "Delta": cert.Delta[i]}))
-    for j, vj in enumerate(problem.v):
-        try:
-            side = near_vertex(vj * cert.N, problem.epsilon)
-        except PrecisionInsufficient:
-            side = None
+    for j, row in enumerate(problem.v_rows):
+        side = _side(_times(row, cert.N), problem.epsilon)
         clauses.append(ClauseReport(
             "vertex-closeness", side == cert.chi[j], {"coordinate": j}))
     return VerificationReport(clauses)
@@ -376,7 +413,7 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
     return VerificationReport(clauses)
 
 
-def _coord_tester(v: CertifiedReal, eps: Fraction):
+def _coord_tester(row: _Row, eps: Fraction):
     """Integer-only vertex test for one coordinate of N*v.
 
     The scan is the hot loop of the search; fractional-part placement
@@ -386,8 +423,9 @@ def _coord_tester(v: CertifiedReal, eps: Fraction):
     straddles an integer (undecidable at this width).
     """
     a, b = eps.numerator, eps.denominator
-    if v.exact:
-        p, q = v.lo.numerator, v.lo.denominator
+    L, H, scale, exact, _ = row
+    if exact:
+        p, q = L, scale
 
         def side_exact(N: int) -> object:
             r = (N * p) % q
@@ -399,12 +437,6 @@ def _coord_tester(v: CertifiedReal, eps: Fraction):
 
         return side_exact
 
-    lo, hi = v.lo, v.hi
-    from math import gcd as _gcd
-    scale = lo.denominator // _gcd(lo.denominator, hi.denominator) \
-        * hi.denominator
-    L = lo.numerator * (scale // lo.denominator)
-    H = hi.numerator * (scale // hi.denominator)
     a_scale = a * scale
 
     def side_interval(N: int) -> object:
@@ -466,7 +498,7 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     """
     if n_min > n_max:
         raise ValueError("empty search range")
-    testers = [_coord_tester(vj, problem.epsilon) for vj in problem.v]
+    testers = [_coord_tester(row, problem.epsilon) for row in problem.v_rows]
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
     for N in range(first, n_max + 1, M0):
@@ -508,11 +540,8 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
 
     checks: List[Tuple[str, bool]] = []
     chi_hat: List[int] = []
-    for j, vj in enumerate(problem.v):
-        try:
-            side = near_vertex(vj * N_hat, eps_hat)
-        except PrecisionInsufficient:
-            side = None
+    for j, row in enumerate(problem.v_rows):
+        side = _side(_times(row, N_hat), eps_hat)
         if side is None:
             raise ScaleMismatch(f"scaled vertex closeness fails at "
                                 f"coordinate {j}")

@@ -76,10 +76,10 @@ def block_to_dict(block: BasicBlock) -> Dict[str, object]:
 
 
 _BLOCK_FIELDS = {
-    "N1": {"type", "eigenvalue", "b"},
-    "D": {"type", "lambda"},
-    "R": {"type", "theta_over_pi", "irrational"},
-    "N2": {"type", "theta_over_pi", "kind", "irrational"},
+    "N1": ("type", "eigenvalue", "b"),
+    "D": ("type", "lambda"),
+    "R": ("type", "theta_over_pi"),
+    "N2": ("type", "theta_over_pi", "kind"),
 }
 
 
@@ -87,11 +87,12 @@ class SchemaError(ValueError):
     """A system or certificate document violates the expected schema."""
 
 
-def _fields(d: object, fields: Tuple[str, ...], what: str) -> None:
-    """Require an object with exactly these keys."""
+def _fields(d: object, fields: Tuple[str, ...], what: str,
+            optional: Tuple[str, ...] = ()) -> None:
+    """Require an object with these keys, and perhaps the optional ones."""
     if not isinstance(d, dict):
         raise SchemaError(f"{what} must be an object")
-    unknown = set(d) - set(fields)
+    unknown = set(d) - set(fields) - set(optional)
     if unknown:
         raise SchemaError(f"unknown {what} fields: {sorted(unknown)}")
     missing = [k for k in fields if k not in d]
@@ -101,17 +102,19 @@ def _fields(d: object, fields: Tuple[str, ...], what: str) -> None:
 
 def block_from_dict(d: Dict[str, object],
                     budget: PrecisionBudget | None = None) -> BasicBlock:
-    kind = d.get("type")
-    if kind not in _BLOCK_FIELDS:
-        raise SchemaError(f"unknown block type: {kind!r}")
-    unknown = set(d) - _BLOCK_FIELDS[kind]
-    if unknown:
-        raise SchemaError(f"unknown fields on {kind} block: {sorted(unknown)}")
+    kind = d.get("type") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _BLOCK_FIELDS:
+        raise SchemaError(f"block must be an object with a known type, "
+                          f"got {d!r}")
+    _fields(d, _BLOCK_FIELDS[kind], f"{kind} block",
+            optional=("irrational",) if kind in ("R", "N2") else ())
     if kind == "N1":
-        return N1(int(d["eigenvalue"]), str(d["b"]))
+        return N1(_int(d["eigenvalue"], "eigenvalue"), str(d["b"]))
     if kind == "D":
         return D(number_from_str(str(d["lambda"]), budget=budget))
-    irr = bool(d.get("irrational", False))
+    irr = d.get("irrational", False)
+    if not isinstance(irr, bool):
+        raise SchemaError(f"'irrational' must be true or false, got {irr!r}")
     t = number_from_str(str(d["theta_over_pi"]), irrational=irr,
                         budget=budget)
     if kind == "R":
@@ -130,8 +133,13 @@ def germ_to_dict(germ: IndexGerm) -> Dict[str, object]:
 def germ_from_dict(d: Dict[str, object], n: int = 3,
                    budget: PrecisionBudget | None = None) -> IndexGerm:
     _fields(d, ("name", "initial_index", "blocks"), "curve")
-    blocks = tuple(block_from_dict(b, budget) for b in d["blocks"])  # type: ignore
-    return IndexGerm(str(d["name"]), int(d["initial_index"]), blocks, n=n)
+    name, blocks = d["name"], d["blocks"]
+    if not isinstance(name, str):
+        raise SchemaError(f"curve 'name' must be a string, got {name!r}")
+    if not isinstance(blocks, list):
+        raise SchemaError(f"curve 'blocks' must be a list, got {blocks!r}")
+    return IndexGerm(name, _int(d["initial_index"], "initial_index"),
+                     tuple(block_from_dict(b, budget) for b in blocks), n=n)
 
 
 def system_to_dict(germs: Sequence[IndexGerm]) -> Dict[str, object]:
@@ -141,24 +149,21 @@ def system_to_dict(germs: Sequence[IndexGerm]) -> Dict[str, object]:
 
 
 def system_from_dict(d: Dict[str, object]) -> Tuple[IndexGerm, ...]:
-    unknown = set(d) - {"manifold", "curves", "precision"}
-    if unknown:
-        raise SchemaError(f"unknown top-level fields: {sorted(unknown)}")
-    manifold = d.get("manifold", {"dim": 3})
-    if set(manifold) - {"dim"}:
-        raise SchemaError("manifold accepts only 'dim'")
-    n = int(manifold.get("dim", 3))
+    _fields(d, ("curves",), "system", optional=("manifold", "precision"))
+    manifold = d.get("manifold", {})
+    _fields(manifold, (), "manifold", optional=("dim",))
+    n = _int(manifold.get("dim", 3), "dim")
     precision = d.get("precision", {})
-    if set(precision) - {"max_digits", "refine_step"}:
-        raise SchemaError("precision accepts only max_digits/refine_step")
+    _fields(precision, (), "precision",
+            optional=("max_digits", "refine_step"))
     budget = None
     if precision:
         try:
-            budget = PrecisionBudget(**{k: int(v)
+            budget = PrecisionBudget(**{k: _int(v, k)
                                         for k, v in precision.items()})
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"bad precision settings: {exc}") from exc
-    curves = d.get("curves")
+    curves = d["curves"]
     if not isinstance(curves, list) or not curves:
         raise SchemaError("system needs a non-empty 'curves' list")
     germs = tuple(germ_from_dict(c, n=n, budget=budget) for c in curves)
@@ -201,7 +206,7 @@ def certificate_from_dict(d: Dict[str, object]) -> JumpCertificate:
 
 def _int(x: object, key: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError(f"certificate {key!r} must be an integer, got {x!r}")
+        raise SchemaError(f"{key!r} must be an integer, got {x!r}")
     return x
 
 

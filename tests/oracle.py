@@ -8,12 +8,20 @@ correct way: one ``CertifiedReal`` per angle and iterate, rounded by
 
 The jump search places each coordinate of N*v with integer testers;
 ``candidate_oracle`` places them with ``exact.near_vertex`` instead.
+
+``exact.near_vertex`` decides from the endpoints of x; ``near_vertex_oracle``
+builds the fractional part and its complement as ``CertifiedReal`` values
+and compares those.  The jump rounding clauses place m_i*alpha and N*v on
+integer rows compiled once per problem; ``delta_count_oracle`` and
+``verify_rounding_oracle`` form every such product as a ``CertifiedReal``
+and round it with ``exact.ceil_int`` and ``near_vertex_oracle``.
 """
 
 from fractions import Fraction
 
-from geoindex.exact import PrecisionInsufficient, ceil_int, near_vertex
-from geoindex.jump import _assemble
+from geoindex.exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
+                            frac_part, near_vertex)
+from geoindex.jump import ClauseReport, VerificationReport, _assemble
 from geoindex.normal_forms import (big_C, nullity_contribution,
                                    s_plus_at_one, weighted_angles)
 
@@ -65,3 +73,80 @@ def candidate_oracle(problem, N: int, m_bar: int):
             return None
         chi.append(side)
     return _assemble(problem, N, chi, m_bar)
+
+
+def near_vertex_oracle(x, eps):
+    """0 if {x} < eps, 1 if 1 - {x} < eps, None if certified far from
+    both; PrecisionInsufficient where a comparison is unresolved."""
+    eps = Fraction(eps)
+    if not 0 < eps <= Fraction(1, 2):
+        raise ValueError("eps must lie in (0, 1/2]")
+    f = frac_part(x)
+    if f.lt(eps):
+        return 0
+    if (CertifiedReal.rational(1) - f).lt(eps):
+        return 1
+    return None
+
+
+def side_oracle(alpha, m: int, eps):
+    """Vertex side of m*alpha, None where far or undecided."""
+    x = alpha * m
+    try:
+        return near_vertex_oracle(x, eps)
+    except PrecisionInsufficient:
+        return None
+
+
+def delta_count_oracle(curve, m_i: int, delta):
+    """Weighted count of angles with {m_i * alpha} in (0, delta); None
+    when some angle cannot be placed on a side."""
+    count = 0
+    for a in curve.alphas:
+        if a.exact:
+            if (a.lo * m_i).denominator != 1:
+                return None
+            continue
+        side = side_oracle(a, m_i, delta)
+        if side is None:
+            return None
+        count += side == 0
+    return count
+
+
+def verify_rounding_oracle(problem, cert):
+    """The rounding clauses (R1)-(R3), the Delta recount and vertex
+    closeness, every product formed as a CertifiedReal."""
+    clauses = []
+    for i, curve in enumerate(problem.curves):
+        m_i = cert.m[i]
+        name = curve.germ.name
+        lhs = m_i * curve.beta
+        for a in curve.alphas:
+            lhs += ceil_int(a * m_i)
+        rhs = curve.rho * cert.N + cert.Delta[i]
+        clauses.append(ClauseReport(
+            "rounding-sum", lhs == rhs,
+            {"curve": name, "lhs": lhs, "rhs": rhs}))
+        for j, a in enumerate(curve.alphas):
+            if a.exact:
+                clauses.append(ClauseReport(
+                    "rational-integrality", (a.lo * m_i).denominator == 1,
+                    {"curve": name, "alpha": str(a.lo), "m": m_i}))
+                continue
+            clauses.append(ClauseReport(
+                "angle-closeness",
+                side_oracle(a, m_i, problem.delta) is not None,
+                {"curve": name, "alpha_index": j}))
+        recount = delta_count_oracle(curve, m_i, problem.delta)
+        clauses.append(ClauseReport(
+            "delta-count", recount == cert.Delta[i],
+            {"curve": name, "recount": recount, "Delta": cert.Delta[i]}))
+    for j, vj in enumerate(problem.v):
+        try:
+            side = near_vertex_oracle(vj * cert.N, problem.epsilon)
+        except PrecisionInsufficient:
+            side = None
+        clauses.append(ClauseReport(
+            "vertex-closeness", side == cert.chi[j], {"coordinate": j}))
+    return VerificationReport(clauses)

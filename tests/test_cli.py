@@ -1,10 +1,11 @@
 """Command-line surface: parsing, subcommands, round trips, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from geoindex import serialize
+from geoindex import cli, serialize
 from geoindex.cli import main, parse_system
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm
@@ -210,6 +211,70 @@ def test_bad_certificate_is_one_error_line(case, tmp_path, capsys):
                  str(cert), "--mbar", "6"] + extra) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _curve(doc):
+    return doc["curves"][0]
+
+
+# case: change made to the system document of worked_example_B
+BAD_SYSTEMS = {
+    "top-level-list": lambda d: [d],
+    "manifold-not-object": lambda d: {**d, "manifold": 5},
+    "dim-not-integer": lambda d: {**d, "manifold": {"dim": "3"}},
+    "precision-not-object": lambda d: {**d, "precision": 5},
+    "curve-not-object": lambda d: {**d, "curves": ["B"]},
+    "name-not-string": lambda d: _curve(d).update(name=5),
+    "index-null": lambda d: _curve(d).update(initial_index=None),
+    "index-float": lambda d: _curve(d).update(initial_index=2.5),
+    "index-string": lambda d: _curve(d).update(initial_index="2"),
+    "index-bool": lambda d: _curve(d).update(initial_index=True),
+    "blocks-not-list": lambda d: _curve(d).update(blocks=5),
+    "block-string": lambda d: _curve(d).update(blocks=["R"]),
+    "block-unhashable-type": lambda d: _curve(d)["blocks"][0].update(
+        type=["R"]),
+    "block-key-missing": lambda d: _curve(d).update(
+        blocks=[{"type": "N1", "eigenvalue": 1}, {"type": "D",
+                                                  "lambda": "2"}]),
+    "eigenvalue-string": lambda d: _curve(d).update(
+        blocks=[{"type": "N1", "eigenvalue": "1", "b": "zero"},
+                {"type": "D", "lambda": "2"}]),
+    "irrational-string": lambda d: _curve(d)["blocks"][0].update(
+        theta_over_pi="0.3333~4", irrational="false"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SYSTEMS))
+def test_bad_system_is_one_error_line(case, tmp_path, capsys):
+    doc = serialize.system_to_dict([worked_example_B()])
+    doc = BAD_SYSTEMS[case](doc) or doc
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["mean-index", "--system", str(system)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_parser_reuse_leaks_no_state(system_b, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "jump-search",
+                        lambda args: seen.append(args) or 0)
+    assert main(["jump-search", "--system", system_b,
+                 "--epsilon", "1/100", "--n-max", "50"]) == 0
+    assert main(["jump-search", "--system", system_b]) == 0
+    assert (seen[0].epsilon, seen[0].n_max) == (Fraction(1, 100), 50)
+    assert (seen[1].epsilon, seen[1].n_max) == (None, 10_000_000)
+    with pytest.raises(SystemExit) as stop:
+        main(["jump-search", "--system", system_b, "--n-max", "many"])
+    assert stop.value.code == 1
+    assert main(["jump-search", "--system", system_b]) == 0
+    assert (seen[2].epsilon, seen[2].n_max) == (None, 10_000_000)
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert main(["mean-index", "--system", system_b]) == 0
+    assert "B: 5/6" in capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_precision_settings_influence_parsing(tmp_path):
