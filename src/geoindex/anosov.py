@@ -150,7 +150,8 @@ def screen_parities(system: GeodesicSystem,
         window = verify_index_window([g3], cert, m_bar)
         top = index_at(g3, 2 * cert.m[0])
         m_2n = 1 if top == 2 * cert.N else 0
-        return StageRecord("parity-screen", "contradiction",
+        return StageRecord("parity-screen",
+                           "contradiction" if window.ok else "error",
                            {**base, "argument": "two-odd-one-even",
                             "even_curve": g3.name, "N": cert.N,
                             "m": cert.m[0], "window_ok": window.ok,
@@ -383,6 +384,8 @@ def run_pipeline(system: GeodesicSystem,
         return finish("CONTRADICTION(parity-screen)")
     if screen.verdict == "inconclusive":
         return finish("INCONCLUSIVE(outside-assumption)")
+    if screen.verdict == "error":
+        return finish("INCONCLUSIVE(verification-error)")
 
     m_bar = config.mbar_override or mbar(system.germs)
     stages.append(StageRecord("iteration-horizon", "pass",
@@ -436,10 +439,12 @@ def run_pipeline(system: GeodesicSystem,
                                        n_scale=config.p_hat)
     _, _, scaled_squeeze = sandwich(system, scaled_cert)
     stages.append(StageRecord(
-        "scaled-window", "pass",
+        "scaled-window", "pass" if scaled_window.ok else "error",
         {"window_ok": scaled_window.ok,
          "forced_top": scaled_forced.witness,
          "squeeze": scaled_squeeze.witness}))
+    if not scaled_window.ok:
+        return finish("INCONCLUSIVE(verification-error)")
 
     clash = mod4_contradiction(system, cert, scaled, s_base)
     stages.append(clash)
@@ -470,6 +475,8 @@ def replay(report: ImpossibilityReport) -> bool:
         if w.get("argument") == "all-odd":
             return (all(g.i1 % 2 == 1 for g in germs)
                     and betti(2) == 1 and w["M"] == 0)
+        if w.get("window_ok") is not True:
+            return False
         g3 = next(g for g in germs if g.name == w["even_curve"])
         top = index_at(g3, 2 * int(w["m"]))
         bound = 1 if top == 2 * int(w["N"]) else 0

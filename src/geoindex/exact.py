@@ -32,6 +32,11 @@ resolve it, the queries raise ``PrecisionInsufficient``.  There is no
 hidden refinement: inputs carry a fixed number of correct digits, and
 callers that own a finer source re-supply the value with more digits,
 up to the active ``PrecisionBudget``.
+
+The hot paths ask the same queries on integer rows: ``_row`` writes a
+value over one common denominator, ``_times`` multiplies it by an
+integer, and ``_floor``, ``_ceil`` and ``_side`` answer ``floor_int``,
+``ceil_int`` and ``near_vertex`` on the product, raising where they do.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
-from typing import Optional, Union
+from math import isqrt, lcm
+from typing import Optional, Tuple, Union
 
 
 class PrecisionInsufficient(ArithmeticError):
@@ -395,3 +400,63 @@ def sqrt_of_fraction(f: Fraction, digits: int = 80) -> CertifiedReal:
         return CertifiedReal.rational(0)
     num = sqrt_interval(f.numerator * f.denominator, digits)
     return num * Fraction(1, f.denominator)
+
+
+# -- integer rows ---------------------------------------------------------
+
+# [lo, hi] as (lo*d, hi*d, d, exact, irrational), d the least common
+# denominator of its ends
+_Row = Tuple[int, int, int, bool, bool]
+
+
+def _row(x: CertifiedReal) -> _Row:
+    lo, hi = x.lo, x.hi
+    d = lcm(lo.denominator, hi.denominator)
+    return (lo.numerator * (d // lo.denominator),
+            hi.numerator * (d // hi.denominator), d, x.exact, x.irrational)
+
+
+def _times(row: _Row, m: int) -> Tuple[int, int, int, bool]:
+    """m*x as (lo, hi, d, irrational), the product [lo/d, hi/d]: a point
+    iff the CertifiedReal product is exact, and a ValueError where that
+    one raises it.  An irrational value is no endpoint."""
+    lo, hi, d, _, irrational = row
+    lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
+    if hi - lo >= d:
+        raise ValueError("interval radius must stay below 1/2")
+    return lo, hi, d, irrational and lo != hi
+
+
+def _floor(x: Tuple[int, int, int, bool]) -> int:
+    lo, hi, d, irrational = x
+    fl = lo // d
+    if (hi - irrational) // d != fl:
+        raise PrecisionInsufficient(f"floor of [{lo}/{d}, {hi}/{d}] "
+                                    f"undecided")
+    return fl
+
+
+def _ceil(x: Tuple[int, int, int, bool]) -> int:
+    lo, hi, d, irrational = x
+    c = -(-hi // d)
+    if -(-(lo + irrational) // d) != c:
+        raise PrecisionInsufficient(f"ceiling of [{lo}/{d}, {hi}/{d}] "
+                                    f"undecided")
+    return c
+
+
+def _side(x: Tuple[int, int, int, bool], eps: Fraction) -> Optional[int]:
+    """near_vertex's answer, None also where it raises
+    PrecisionInsufficient."""
+    lo, hi, d, irrational = x
+    a, b = eps.numerator, eps.denominator
+    if not 0 < 2 * a <= b:
+        raise ValueError("eps must lie in (0, 1/2]")
+    fl = lo // d
+    if (hi - irrational) // d != fl:
+        return None  # the certified floor is undecided
+    if (hi - fl * d) * b < a * d:
+        return 0
+    if (d - lo + fl * d) * b < a * d:  # then {x} > eps too: eps <= 1/2
+        return 1
+    return None

@@ -15,14 +15,18 @@ angles are irrational.  The deviation of i(m) from m*mean is trapped in
 whenever C > 0; that bound is what turns the "for all m" conditions
 below into finite checks.
 
-Every index and nullity evaluation runs on one integer kernel.  A germ
-is compiled once into plain integers: the slope i1 + S+ - C, the shift
-S+ + C, S+ and C; per weighted angle (2w, p, 2q) for an exact angle p/q,
-or (2w, lo*d, hi*d, 2d, irrational) for an interval angle [lo, hi] over
-a common denominator d; the nullity as (period, weight) pairs, one per
-shear block or closing rational angle, plus a flag for an undeclared
-decimal angle, whose nullity is never certified; and the rational
-spectrum rows (S-, p, q) that the Q count of the jump identities reads.
+Every per-germ number comes from one compile, a single pass over the
+splitting rows of the germ's blocks, into plain integers: the slope
+i1 + S+ - C, the shift S+ + C, S+ and C; per weighted angle (2w, p, 2q)
+for an exact angle p/q, or (2w, lo*d, hi*d, 2d, irrational) for an
+interval angle [lo, hi] over a common denominator d; the nullity as
+(period, weight) pairs, one per shear block or closing rational angle,
+plus a flag for an undeclared decimal angle, whose nullity is never
+certified; the rational spectrum rows (S-, p, q) that the Q count of the
+jump identities reads; and M, the lcm of the denominators of the
+rational spectrum points, S- = 0 points included.  It also keeps the
+weighted angles with their rows for ``jump.build_problem``, and the ends
+of the mean (an N2 pair adds t + (2 - t) = 2) for the growth horizons.
 
 An exact ceiling is one integer division.  For an interval angle, with
 L = m*lo/2 and H = m*hi/2, the only possible certified ceiling is
@@ -48,9 +52,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .exact import CertifiedReal, PrecisionInsufficient, ceil_int
-from .normal_forms import (BasicBlock, N1, N2, R, big_C, mean_shift,
-                           s_plus_at_one, total_dim, weighted_angles)
+from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _Row, _row,
+                    _times)
+from .normal_forms import BasicBlock, N1, N2, R, _rows, total_dim
 
 # Germs per cache: enough for every germ of a system under evaluation.
 CACHE_SIZE = 128
@@ -98,26 +102,46 @@ class _Kernel(NamedTuple):
     closing: Tuple[Tuple[int, int], ...]
     undeclared: bool
     q_rows: Tuple[Tuple[int, int, int], ...]
+    alphas: Tuple[CertifiedReal, ...]
+    rows: Tuple[_Row, ...]
+    M: int
+    mean: Tuple[Fraction, Fraction, bool, bool]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel(germ: IndexGerm) -> _Kernel:
-    s_plus = s_plus_at_one(germ.blocks)
-    c = big_C(germ.blocks)
-    exact, interval, q_rows = [], [], []
-    for t, w in weighted_angles(germ.blocks):
-        lo, hi = t.lo, t.hi
-        if lo == hi:  # exact, or a zero-width interval: m*t/2 is exact
-            exact.append((2 * w, lo.numerator, 2 * lo.denominator))
-            if t.exact:
-                q_rows.append((w, lo.numerator, lo.denominator))
-        else:
-            d = lcm(lo.denominator, hi.denominator)
-            interval.append((2 * w, lo.numerator * (d // lo.denominator),
-                             hi.numerator * (d // hi.denominator), 2 * d,
-                             t.irrational))
-    closing, undeclared = [], False
+    s_plus = c = 0
+    M = 1
+    exact, interval, q_rows, alphas, rows, closing = [], [], [], [], [], []
+    undeclared = False
+    lo = hi = Fraction(0)  # the angle part of the mean
+    wide = []              # irrational flags of the angles that widen it
     for b in germ.blocks:
+        for point in _rows(b):
+            t, w = point.t, point.s_minus
+            if t.exact and t.lo == 0:
+                s_plus += point.s_plus
+                continue
+            c += w
+            if t.exact:
+                M = lcm(M, t.lo.denominator)
+            if not w:
+                continue
+            L, H, d, _, irrational = row = _row(t)
+            alphas += [t] * w
+            rows += [row] * w
+            if L == H:  # exact, or a zero-width interval: m*t/2 is exact
+                exact.append((2 * w, L, 2 * d))
+                if t.exact:
+                    q_rows.append((w, L, d))
+            else:
+                interval.append((2 * w, L, H, 2 * d, irrational))
+            if isinstance(b, N2):
+                lo, hi = lo + w, hi + w  # w*t + w*(2 - t) = 2w per pair
+            else:
+                lo, hi = lo + w * t.lo, hi + w * t.hi
+                if L != H:
+                    wide.append(irrational)
         if isinstance(b, N1):
             closing.append((1 if b.eigenvalue == 1 else 2, 1))
         elif isinstance(b, (R, N2)):
@@ -126,9 +150,11 @@ def _kernel(germ: IndexGerm) -> _Kernel:
                 closing.append((q2 // gcd(p, q2), 2))
             elif not b.t.irrational:
                 undeclared = True
-    return _Kernel(germ.i1 + s_plus - c, s_plus + c, s_plus, c,
-                   tuple(exact), tuple(interval), tuple(closing),
-                   undeclared, tuple(q_rows))
+    slope = germ.i1 + s_plus - c
+    return _Kernel(slope, s_plus + c, s_plus, c, tuple(exact),
+                   tuple(interval), tuple(closing), undeclared,
+                   tuple(q_rows), tuple(alphas), tuple(rows), M,
+                   (slope + lo, slope + hi, not wide, wide == [True]))
 
 
 def _index(k: _Kernel, m: int) -> int:
@@ -172,10 +198,7 @@ def mean_index(germ: IndexGerm) -> CertifiedReal:
     Exact whenever it mathematically is: block-internal conjugate angle
     pairs cancel before any interval arithmetic happens.
     """
-    total: CertifiedReal = CertifiedReal.rational(_kernel(germ).slope)
-    for b in germ.blocks:
-        total = total + mean_shift(b)
-    return total
+    return CertifiedReal(*_kernel(germ).mean)
 
 
 def deviation_bounds(germ: IndexGerm) -> Tuple[int, int]:
@@ -212,9 +235,11 @@ def _growth_horizon(germ: IndexGerm, target: int) -> int:
     mean = mean_index(germ)
     if not mean.gt(0):
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
-    # m*mean - (S+ + C) >= target suffices
-    bound = CertifiedReal.rational(target + _kernel(germ).shift) / mean
-    return max(1, ceil_int(bound))
+    # m*mean - (S+ + C) >= target suffices; 1/mean = [d/H, d/L].  As
+    # target >= i1, target + S+ + C >= mean > 0: a too wide 1/mean raises
+    L, H, d, _, irrational = _row(mean)
+    inverse = (d * L, d * H, L * H, mean.exact, irrational)
+    return max(1, _ceil(_times(inverse, target + _kernel(germ).shift)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

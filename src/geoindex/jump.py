@@ -39,21 +39,14 @@ undivided delta).  All three relations are checked, never assumed.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import CertifiedReal, PrecisionInsufficient, ceil_int, floor_int
+from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor, _Row,
+                    _row, _side, _times, ceil_int)
 from .iteration import IndexGerm, _kernel, index_at, mean_index, nullity_at
-from .normal_forms import spectrum_rows, weighted_angles
-
-log = logging.getLogger("geoindex.jump")
-
-# [lo, hi] as (lo*d, hi*d, d, exact, irrational), d the least common
-# denominator of its ends; _row builds one per angle and coordinate.
-_Row = Tuple[int, int, int, bool, bool]
 
 
 class ZeroMeanIndex(ValueError):
@@ -196,16 +189,10 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
         if sign == 0:
             raise ZeroMeanIndex(f"germ {germ.name!r} has mean index 0")
         rho = 1 if sign > 0 else -1
-        beta = _kernel(germ).slope
-        alphas = []
-        for t, w in weighted_angles(germ.blocks):
-            alphas.extend([t] * w)
-        for row in spectrum_rows(germ.blocks):
-            if row.t.exact and row.t.lo != 0:
-                M = lcm(M, row.t.lo.denominator)
-        curves.append(CurveProblem(germ, beta, tuple(alphas), mean, rho,
-                                   mean if rho > 0 else -mean,
-                                   tuple(map(_row, alphas))))
+        k = _kernel(germ)
+        M = lcm(M, k.M)
+        curves.append(CurveProblem(germ, k.slope, k.alphas, mean, rho,
+                                   mean if rho > 0 else -mean, k.rows))
 
     mu_max = max(len(c.alphas) for c in curves)
     if delta * mu_max >= Fraction(1, 2):
@@ -223,63 +210,30 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2)")
 
-    v: List[CertifiedReal] = []
-    for c in curves:
-        v.append(CertifiedReal.rational(1) / (M * c.abs_mean))
-    for c in curves:
-        for a in c.alphas:
+    one = CertifiedReal.rational(1)
+    means = [_row(c.abs_mean) for c in curves]
+    v = [_quotient(_row(one), mean, M) for mean in means]
+    for c, mean in zip(curves, means):
+        for a, row in zip(c.alphas, c.rows):
             if a.eq_certified(c.abs_mean) is True:
-                # same declared real above and below the bar
-                v.append(CertifiedReal.rational(1))
+                v.append(one)  # same declared real above and below the bar
             else:
-                v.append(a / c.abs_mean)
+                v.append(_quotient(row, mean))
     return JumpProblem(tuple(curves), M, M0, delta, eps, tuple(v),
                        tuple(map(_row, v)))
 
 
-def _row(x: CertifiedReal) -> _Row:
-    lo, hi = x.lo, x.hi
-    d = lcm(lo.denominator, hi.denominator)
-    return (lo.numerator * (d // lo.denominator),
-            hi.numerator * (d // hi.denominator), d, x.exact, x.irrational)
-
-
-def _times(row: _Row, m: int) -> Tuple[int, int, int, bool]:
-    """m*x as (lo, hi, d, irrational), the product [lo/d, hi/d]: a point
-    iff the CertifiedReal product is exact, and a ValueError where that
-    one raises it.  ``_ceil`` and ``_side`` answer ``exact.ceil_int`` and
-    ``exact.near_vertex`` on it: an irrational value is no endpoint."""
-    lo, hi, d, _, irrational = row
-    lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
-    if hi - lo >= d:
+def _quotient(x: _Row, y: _Row, m: int = 1) -> CertifiedReal:
+    """x/(m*y) for x, y > 0 and m >= 1 as CertifiedReal division forms
+    it, flags and ValueErrors included: [x.lo/(m*y.hi), x.hi/(m*y.lo)],
+    irrational iff one side is and the other exact."""
+    p, r, q, exact, irrational = x
+    A, B, d, y_irrational = _times(y, m)
+    if d * (B - A) >= A * B:
         raise ValueError("interval radius must stay below 1/2")
-    return lo, hi, d, irrational and lo != hi
-
-
-def _ceil(x: Tuple[int, int, int, bool]) -> int:
-    lo, hi, d, irrational = x
-    c = -(-hi // d)
-    if -(-(lo + irrational) // d) != c:
-        raise PrecisionInsufficient(f"ceiling of [{lo}/{d}, {hi}/{d}] "
-                                    f"undecided")
-    return c
-
-
-def _side(x: Tuple[int, int, int, bool], eps: Fraction) -> Optional[int]:
-    """near_vertex's answer, None also where it raises
-    PrecisionInsufficient."""
-    lo, hi, d, irrational = x
-    a, b = eps.numerator, eps.denominator
-    if not 0 < 2 * a <= b:
-        raise ValueError("eps must lie in (0, 1/2]")
-    fl = lo // d
-    if (hi - irrational) // d != fl:
-        return None  # the certified floor is undecided
-    if (hi - fl * d) * b < a * d:
-        return 0
-    if (d - lo + fl * d) * b < a * d:  # then {x} > eps too: eps <= 1/2
-        return 1
-    return None
+    return CertifiedReal.interval(
+        Fraction(p * d, q * B), Fraction(r * d, q * A),
+        (irrational and A == B) or (y_irrational and exact))
 
 
 def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int]:
@@ -454,19 +408,18 @@ def _coord_tester(row: _Row, eps: Fraction):
     return side_interval
 
 
+def _iterates(problem: JumpProblem, N: int, chi: Sequence[int]) -> List[int]:
+    """m_i = (floor(N*v_i) + chi_i)*M per curve; the vertex side chi_i
+    found for N*v_i has certified the floor."""
+    return [(_floor(_times(row, N)) + side) * problem.M
+            for row, side in zip(problem.v_rows[:len(problem.curves)], chi)]
+
+
 def _assemble(problem: JumpProblem, N: int, chi: List[int],
               m_bar: int) -> Optional[JumpCertificate]:
-    m_vec: List[int] = []
-    for i, curve in enumerate(problem.curves):
-        try:
-            base = floor_int(problem.v[i] * N)
-        except PrecisionInsufficient as exc:
-            log.info("skipping N=%d: %s", N, exc)
-            return None
-        m_i = (base + chi[i]) * problem.M
-        if m_i < 1 or 2 * m_i <= m_bar:
-            return None
-        m_vec.append(m_i)
+    m_vec = _iterates(problem, N, chi)
+    if any(m_i < 1 or 2 * m_i <= m_bar for m_i in m_vec):
+        return None
 
     deltas: List[int] = []
     for i, curve in enumerate(problem.curves):
@@ -505,11 +458,7 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
         chi: List[int] = []
         for tester in testers:
             side = tester(N)
-            if side is None:
-                break
-            if side == "skip":
-                log.info("skipping N=%d: coordinate width straddles "
-                         "an integer", N)
+            if side is None or side == "skip":
                 break
             chi.append(side)
         else:
@@ -548,10 +497,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
         chi_hat.append(side)
     checks.append(("chi-invariance", tuple(chi_hat) == cert.chi))
 
-    m_hat: List[int] = []
-    for i, curve in enumerate(problem.curves):
-        base = floor_int(problem.v[i] * N_hat)
-        m_hat.append((base + chi_hat[i]) * problem.M)
+    m_hat = _iterates(problem, N_hat, chi_hat)
     checks.append(("m-scaling",
                    tuple(m_hat) == tuple(p_hat * mi for mi in cert.m)))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .exact import (CertifiedReal, PrecisionBudget, PrecisionInsufficient,
                     default_budget, sqrt_of_fraction)
@@ -144,15 +144,20 @@ def _rows(block: BasicBlock) -> Tuple[SpectrumPoint, ...]:
     if isinstance(block, D):
         return ()
     if isinstance(block, R):
-        conj = CertifiedReal.rational(2) - block.t
         return (SpectrumPoint(block.t, 0, 1, 1),
-                SpectrumPoint(conj, 1, 0, 1))
+                SpectrumPoint(_conjugate(block.t), 1, 0, 1))
     if isinstance(block, N2):
         s = 1 if block.nontrivial else 0
-        conj = CertifiedReal.rational(2) - block.t
         return (SpectrumPoint(block.t, s, s, 1),
-                SpectrumPoint(conj, s, s, 1))
+                SpectrumPoint(_conjugate(block.t), s, s, 1))
     raise TypeError(f"not a basic block: {block!r}")
+
+
+def _conjugate(t: CertifiedReal) -> CertifiedReal:
+    """2 - t as one value; a zero-width interval comes out exact, as
+    from CertifiedReal arithmetic."""
+    lo, hi = 2 - t.hi, 2 - t.lo
+    return CertifiedReal(lo, hi, t.exact or lo == hi, t.irrational)
 
 
 def block_dim(block: BasicBlock) -> int:
@@ -161,14 +166,6 @@ def block_dim(block: BasicBlock) -> int:
 
 def total_dim(blocks: Sequence[BasicBlock]) -> int:
     return sum(block_dim(b) for b in blocks)
-
-
-def spectrum_rows(blocks: Sequence[BasicBlock]) -> List[SpectrumPoint]:
-    """All unit-circle spectrum rows of a diamond sum, duplicates kept."""
-    out: List[SpectrumPoint] = []
-    for b in blocks:
-        out.extend(_rows(b))
-    return out
 
 
 def splitting_at(block: BasicBlock, omega_t: CertifiedReal) -> SplittingPair:
@@ -201,43 +198,10 @@ def splitting_sum(blocks: Sequence[BasicBlock],
     return total
 
 
-def s_plus_at_one(blocks: Sequence[BasicBlock]) -> int:
-    """S+ of the diamond sum at the eigenvalue 1."""
-    return sum(row.s_plus for b in blocks for row in _rows(b)
-               if row.t.exact and row.t.lo == 0)
-
-
 def big_C(blocks: Sequence[BasicBlock]) -> int:
     """Sum of S- over the whole punctured circle (theta in (0, 2*pi))."""
     return sum(row.s_minus for b in blocks for row in _rows(b)
                if not (row.t.exact and row.t.lo == 0))
-
-
-def weighted_angles(blocks: Sequence[BasicBlock]) -> List[Tuple[CertifiedReal, int]]:
-    """The angles t in (0,2) carrying S- > 0, with their weights.
-
-    These are exactly the angle entries of every index formula: the
-    iteration ceiling terms, the mean-index shift, and the closeness
-    counts all run over this list.
-    """
-    return [(row.t, row.s_minus) for b in blocks for row in _rows(b)
-            if row.s_minus > 0 and not (row.t.exact and row.t.lo == 0)]
-
-
-def mean_shift(block: BasicBlock) -> CertifiedReal:
-    """The block's S- weighted angle total sum_t t * S-(t), t in (0, 2).
-
-    Computed per block so that conjugate pairs cancel exactly: an N2
-    block contributes t + (2 - t) = 2 whatever the angle, keeping the
-    mean index exact whenever it mathematically is.
-    """
-    if isinstance(block, N2):
-        return CertifiedReal.rational(2 if block.nontrivial else 0)
-    total: CertifiedReal = _ZERO
-    for row in _rows(block):
-        if row.s_minus and not (row.t.exact and row.t.lo == 0):
-            total = total + row.t * row.s_minus
-    return total
 
 
 def nullity_contribution(block: BasicBlock, m: int) -> int:
@@ -347,5 +311,5 @@ def classify_2x2(matrix: Matrix2,
                                    Fraction(scaled + 1, scale) + slack,
                                    irrational=True)
     if c_sign < 0:
-        t = CertifiedReal.rational(2) - t
+        t = _conjugate(t)
     return R(t)

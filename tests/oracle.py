@@ -15,15 +15,97 @@ and compares those.  The jump rounding clauses place m_i*alpha and N*v on
 integer rows compiled once per problem; ``delta_count_oracle`` and
 ``verify_rounding_oracle`` form every such product as a ``CertifiedReal``
 and round it with ``exact.ceil_int`` and ``near_vertex_oracle``.
+
+The library compiles each germ once, in one pass over its blocks'
+splitting rows.  The walkers below read the same rows block by block, and
+``mean_oracle``, ``horizon_oracle`` and ``vertex_oracle`` do the germ's
+mean, growth horizon and vertex coordinates in ``CertifiedReal``
+arithmetic.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from geoindex.exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
                             frac_part, near_vertex)
+from geoindex.iteration import Unbounded
 from geoindex.jump import ClauseReport, VerificationReport, _assemble
-from geoindex.normal_forms import (big_C, nullity_contribution,
-                                   s_plus_at_one, weighted_angles)
+from geoindex.normal_forms import N2, _rows, big_C, nullity_contribution
+
+
+# -- block walkers ---------------------------------------------------------
+
+def spectrum_rows(blocks):
+    """All unit-circle spectrum rows of a diamond sum, duplicates kept."""
+    return [row for b in blocks for row in _rows(b)]
+
+
+def s_plus_at_one(blocks) -> int:
+    """S+ of the diamond sum at the eigenvalue 1."""
+    return sum(row.s_plus for row in spectrum_rows(blocks)
+               if row.t.exact and row.t.lo == 0)
+
+
+def weighted_angles(blocks):
+    """The angles t in (0,2) carrying S- > 0, with their weights."""
+    return [(row.t, row.s_minus) for row in spectrum_rows(blocks)
+            if row.s_minus > 0 and not (row.t.exact and row.t.lo == 0)]
+
+
+def mean_shift(block):
+    """The block's S- weighted angle total sum_t t * S-(t), t in (0, 2),
+    with an N2 pair cancelling to 2 whatever the angle."""
+    if isinstance(block, N2):
+        return CertifiedReal.rational(2 if block.nontrivial else 0)
+    total = CertifiedReal.rational(0)
+    for row in _rows(block):
+        if row.s_minus and not (row.t.exact and row.t.lo == 0):
+            total = total + row.t * row.s_minus
+    return total
+
+
+def mean_oracle(germ):
+    """i1 + S+ - C plus every block's mean shift, summed as CertifiedReal."""
+    blocks = germ.blocks
+    total = CertifiedReal.rational(germ.i1 + s_plus_at_one(blocks)
+                                   - big_C(blocks))
+    for b in blocks:
+        total = total + mean_shift(b)
+    return total
+
+
+def spectrum_lcm(blocks) -> int:
+    """Least M making every rational spectrum angle integral."""
+    M = 1
+    for row in spectrum_rows(blocks):
+        if row.t.exact and row.t.lo != 0:
+            M = lcm(M, row.t.lo.denominator)
+    return M
+
+
+def horizon_oracle(germ, target: int) -> int:
+    """ceil((target + S+ + C) / mean), at least 1, by CertifiedReal
+    division; Unbounded unless the mean is certified positive."""
+    mean = mean_oracle(germ)
+    if not mean.gt(0):
+        raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
+    shift = s_plus_at_one(germ.blocks) + big_C(germ.blocks)
+    return max(1, ceil_int(CertifiedReal.rational(target + shift) / mean))
+
+
+def vertex_oracle(abs_means, alphas, M: int):
+    """v = (1/(M*|D_i|) ..., alpha_ij/|D_i| ...) by CertifiedReal division."""
+    v = [CertifiedReal.rational(1) / (M * m) for m in abs_means]
+    for m, curve_alphas in zip(abs_means, alphas):
+        for a in curve_alphas:
+            if a.eq_certified(m) is True:
+                v.append(CertifiedReal.rational(1))
+            else:
+                v.append(a / m)
+    return v
+
+
+# -- iterated index --------------------------------------------------------
 
 
 def index_oracle(germ, m: int) -> int:

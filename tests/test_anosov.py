@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from geoindex import anosov
 from geoindex.anosov import (AdmissibilityError, GeodesicSystem,
                              PipelineConfig, mod4_window_certificate, replay,
                              run_pipeline, verify_index_window)
@@ -33,6 +34,7 @@ def test_mod4_system_reaches_final_stage():
     n = int(_stage(report, "jump-search").witness["N"])
     assert n == 20
     assert Fraction(squeeze["S"]) == 2 * n - 2
+    assert _stage(report, "scaled-window").verdict == "pass"
     assert replay(report)
 
 
@@ -71,6 +73,46 @@ def test_two_odd_one_even_screen():
     assert w["M_2N_bound"] <= 1 < w["betti_2N"]
     assert w["window_ok"]
     assert replay(report)
+
+
+def test_forged_window_ok_does_not_replay():
+    report = run_pipeline(two_odd_one_even_system(), CONFIG)
+    _stage(report, "parity-screen").witness["window_ok"] = False
+    assert not replay(report)
+
+
+def _failing_window(monkeypatch, fail_from_call):
+    """Make the index-window check fail from its fail_from_call-th call
+    on, keeping every other number."""
+    calls = []
+
+    def window(germs, cert, m_bar):
+        calls.append(cert)
+        report = verify_index_window(germs, cert, m_bar)
+        report.ok = report.ok and len(calls) < fail_from_call
+        return report
+
+    monkeypatch.setattr(anosov, "verify_index_window", window)
+    return calls
+
+
+def test_failing_window_yields_no_parity_contradiction(monkeypatch):
+    _failing_window(monkeypatch, 1)
+    report = run_pipeline(two_odd_one_even_system(), CONFIG)
+    screen = _stage(report, "parity-screen")
+    assert screen.verdict == "error" and not screen.witness["window_ok"]
+    assert report.final == "INCONCLUSIVE(verification-error)"
+    assert not replay(report)
+
+
+def test_failing_scaled_window_yields_no_contradiction(monkeypatch):
+    calls = _failing_window(monkeypatch, 2)  # the base window passes
+    report = run_pipeline(mod4_system(20, 33), CONFIG)
+    assert len(calls) == 2
+    stage = _stage(report, "scaled-window")
+    assert stage.verdict == "error" and not stage.witness["window_ok"]
+    assert report.stages[-1] is stage
+    assert report.final == "INCONCLUSIVE(verification-error)"
 
 
 def test_all_odd_screen():

@@ -5,13 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_jump_scan_benchmark_runs_clean():
-    # seed 0 also checks the certificates against the stored digest
+# seed 0 of jump-scan also checks the certificates against the stored
+# digest; pipeline checks the CLI round trip, the verdict and replay of
+# every one of the five sample families
+@pytest.mark.parametrize("workload", ["jump-scan", "pipeline"])
+def test_benchmark_runs_clean(workload):
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "jump-scan",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

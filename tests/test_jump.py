@@ -199,7 +199,8 @@ def _brute_force_first_n(germs, delta, eps, n_max, m_bar):
     rounding identity, and the shifted identities via index_at.  Used to
     cross-check the production scanner on exact inputs.
     """
-    from geoindex.normal_forms import big_C, s_plus_at_one, spectrum_rows
+    from geoindex.normal_forms import big_C
+    from .oracle import s_plus_at_one, spectrum_rows
     data = []
     big_m = 1
     for g in germs:

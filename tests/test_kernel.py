@@ -15,9 +15,9 @@ from geoindex.exact import CertifiedReal, PrecisionInsufficient
 from geoindex.iteration import (IndexGerm, IndexProfile, bott_positive,
                                 germ_mbar, index_at, nullity_at)
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
-                                   R, weighted_angles)
+                                   R)
 
-from .oracle import index_oracle, nullity_oracle
+from .oracle import index_oracle, nullity_oracle, weighted_angles
 
 CR = CertifiedReal
 

@@ -9,9 +9,10 @@ from geoindex.exact import CertifiedReal
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
                                    R, SplittingPair, UnresolvedSpectrum,
                                    big_C, classify_2x2, elliptic_height,
-                                   mean_shift, nullity_contribution,
-                                   spectrum_rows, splitting_at,
+                                   nullity_contribution, splitting_at,
                                    splitting_sum)
+
+from .oracle import spectrum_rows
 
 CR = CertifiedReal
 
@@ -131,11 +132,13 @@ def test_elliptic_height():
 
 
 def test_mean_shift_pairs_cancel_exactly():
+    from geoindex.iteration import IndexGerm, mean_index
     t = CR.parse("0.4142135623~10", irrational=True)
-    v = mean_shift(N2(t, True))
-    assert v.exact and v.lo == 2
-    assert mean_shift(N2(t, False)).lo == 0
-    assert mean_shift(R(t)) == t
+    # i1 + S+ - C + t + (2 - t): 1 + 0 - 2 + 2
+    v = mean_index(IndexGerm("n2", 1, (N2(t, True),)))
+    assert v.exact and v.lo == 1
+    assert mean_index(IndexGerm("n2t", 1, (N2(t, False),))) == CR.rational(1)
+    assert mean_index(IndexGerm("r", 2, (R(t), _d(2)))) == t + 1
 
 
 def test_angle_range_validation():

@@ -1,11 +1,13 @@
 """The rounding path against its CertifiedReal oracles.
 
 ``exact.near_vertex`` decides from the endpoints of x, and the jump
-rounding clauses place m_i*alpha on integer rows compiled once per curve.
-Both must return what the oracles return, or raise the same exception
-type, on every input, the boundaries above all: integer endpoints of
-declared-irrational values, zero-width intervals that are not flagged
-exact, and eps exactly at {x} or at 1 - {x}.
+rounding clauses place m_i*alpha and N*v on integer rows compiled once
+per germ and per problem (``exact._row``, ``_times``, ``_floor``,
+``_ceil``, ``_side``).  Both must return what the oracles return, or
+raise the same exception type, on every input, the boundaries above
+all: integer endpoints of declared-irrational values, zero-width
+intervals that are not flagged exact, and eps exactly at {x} or at
+1 - {x}.
 """
 
 import random
@@ -14,9 +16,9 @@ from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
-from geoindex import jump
+from geoindex import exact, jump
 from geoindex.exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
-                            near_vertex)
+                            floor_int, near_vertex)
 from geoindex.iteration import IndexGerm
 from geoindex.jump import (JumpCertificate, build_problem, search,
                            verify_rounding)
@@ -106,18 +108,22 @@ def test_near_vertex_matches_oracle():
     assert min(seen.values()) >= 50, seen
 
 
+def _floor(alpha, m):
+    return exact._floor(exact._times(exact._row(alpha), m))
+
+
 def _ceil(alpha, m):
-    return jump._ceil(jump._times(jump._row(alpha), m))
+    return exact._ceil(exact._times(exact._row(alpha), m))
 
 
 def _side(alpha, m, eps):
-    return jump._side(jump._times(jump._row(alpha), m), eps)
+    return exact._side(exact._times(exact._row(alpha), m), eps)
 
 
 def _iterates(rng, alpha):
     """0, negatives, small iterates, multiples of the denominators (they
     put endpoints on integers) and iterates too large for the width."""
-    d = jump._row(alpha)[2]
+    d = exact._row(alpha)[2]
     return [0, rng.randint(-20, -1), rng.randint(1, 12),
             d * rng.randint(1, 3), d * rng.randint(1, 3) + rng.choice((-1, 1)),
             rng.randint(10 ** 5, 10 ** 8)]
@@ -133,8 +139,11 @@ def test_integer_placement_matches_oracle():
             want = _outcome(lambda: ceil_int(alpha * m))
             assert _outcome(_ceil, alpha, m) == want, (alpha, m)
             seen["ceil", want if isinstance(want, str) else "value"] += 1
+            want = _outcome(lambda: floor_int(alpha * m))
+            assert _outcome(_floor, alpha, m) == want, (alpha, m)
+            seen["floor", want if isinstance(want, str) else "value"] += 1
             if alpha.exact:
-                p, _, q, _, _ = jump._row(alpha)
+                p, _, q, _, _ = exact._row(alpha)
                 assert (m * p % q == 0) == ((alpha.lo * m).denominator == 1)
             lo, hi = sorted((alpha.lo * m, alpha.hi * m))
             for eps in _tolerances(rng, lo, hi):
