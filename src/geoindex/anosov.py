@@ -468,7 +468,9 @@ def replay(report: ImpossibilityReport) -> bool:
     if not final.startswith("CONTRADICTION("):
         return False
     stage_name = final[len("CONTRADICTION("):-1]
-    record = next(s for s in report.stages if s.name == stage_name)
+    record = _stage(report, stage_name)
+    if record is None:
+        return False
     w = record.witness
 
     if stage_name == "parity-screen":
@@ -483,9 +485,14 @@ def replay(report: ImpossibilityReport) -> bool:
         return bound == w["M_2N_bound"] and bound < 2
 
     by_name = {g.name: g for g in germs}
+    if stage_name in ("forced-top", "gamma-window"):
+        jump_stage = _stage(report, "jump-search")
+        if jump_stage is None:
+            return False
+        cert = serialize.certificate_from_dict(jump_stage.witness)
+
     if stage_name == "forced-top":
         two_n = int(w["two_N"])
-        cert = _search_certificate(report)
         m_of = dict(zip(cert.names, cert.m))
         for name in w["mismatched"]:
             if index_at(by_name[name], 2 * m_of[name]) == two_n:
@@ -493,7 +500,6 @@ def replay(report: ImpossibilityReport) -> bool:
         return bool(w["mismatched"])
 
     if stage_name == "gamma-window":
-        cert = _search_certificate(report)
         s_val = Fraction(0)
         for name, m_k in zip(cert.names, cert.m):
             germ = by_name[name]
@@ -513,6 +519,5 @@ def replay(report: ImpossibilityReport) -> bool:
     return False
 
 
-def _search_certificate(report: ImpossibilityReport) -> JumpCertificate:
-    witness = next(s for s in report.stages if s.name == "jump-search").witness
-    return serialize.certificate_from_dict(witness)
+def _stage(report: ImpossibilityReport, name: str) -> Optional[StageRecord]:
+    return next((s for s in report.stages if s.name == name), None)

@@ -33,10 +33,15 @@ hidden refinement: inputs carry a fixed number of correct digits, and
 callers that own a finer source re-supply the value with more digits,
 up to the active ``PrecisionBudget``.
 
-The hot paths ask the same queries on integer rows: ``_row`` writes a
-value over one common denominator, ``_times`` multiplies it by an
-integer, and ``_floor``, ``_ceil`` and ``_side`` answer ``floor_int``,
-``ceil_int`` and ``near_vertex`` on the product, raising where they do.
+The queries are answered on integer rows: ``_row`` writes a value over
+one common denominator, ``_times`` multiplies it by an integer, and
+``_floor`` and ``_ceil`` round the product; ``floor_int`` and
+``ceil_int`` are these at multiplier 1.  ``_placement`` compiles once
+per row and tolerance where m*x sits against the integers and eps, for
+every multiplier m; ``near_vertex`` is it at m = 1.  One rule holds
+throughout: a declared-irrational value equals neither end of its
+interval, so an end on an integer, on eps or on any rational it is
+compared with is excluded.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 
 class PrecisionInsufficient(ArithmeticError):
@@ -232,6 +237,8 @@ class CertifiedReal:
         if o is NotImplemented:
             return NotImplemented
         if o.lo <= 0 <= o.hi:
+            if o.irrational and 0 in (o.lo, o.hi):  # nonzero, 1/o unbounded
+                raise ValueError("interval radius must stay below 1/2")
             raise ZeroDivisionError("divisor interval touches zero")
         if o.exact:
             return self * CertifiedReal.rational(Fraction(1, 1) / o.lo)
@@ -249,7 +256,7 @@ class CertifiedReal:
 
     def is_integer(self) -> bool:
         """Certified integrality; irrational values are never integers."""
-        if self.exact:
+        if self.lo == self.hi:
             return self.lo.denominator == 1
         if self.irrational:
             return False
@@ -260,18 +267,17 @@ class CertifiedReal:
             f"cannot decide integrality of {self.describe()}")
 
     def sign_vs(self, r: Rationalish) -> int:
-        """Certified comparison against a rational: -1, 0, or +1."""
+        """Certified comparison against a rational: -1, 0, or +1.
+
+        A declared-irrational value is never r, so an end at r decides.
+        """
         r = Fraction(r)
-        if self.exact:
-            return (self.lo > r) - (self.lo < r)
-        if self.hi < r:
+        if self.hi < r or (self.irrational and self.hi == r):
             return -1
-        if self.lo > r:
+        if self.lo > r or (self.irrational and self.lo == r):
             return 1
-        if self.irrational and self.lo <= r <= self.hi:
-            # not equal, but the side is unresolved
-            raise PrecisionInsufficient(
-                f"sign of {self.describe()} - {r} unresolved")
+        if self.lo == self.hi:
+            return 0
         raise PrecisionInsufficient(
             f"cannot compare {self.describe()} with {r}")
 
@@ -304,46 +310,19 @@ def _floor_fraction(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def floor_int(x: CertifiedReal) -> int:
     """Certified floor: the largest integer <= x."""
-    if x.exact:
-        return _floor_fraction(x.lo)
-    fl, fh = _floor_fraction(x.lo), _floor_fraction(x.hi)
-    if fl == fh and x.hi.denominator > 1:
-        return fl
-    if x.irrational:
-        # integers strictly inside (lo, hi) leave the floor ambiguous
-        inner_lo = _floor_fraction(x.lo) + 1
-        inner_hi = _ceil_fraction(x.hi) - 1
-        if inner_lo <= inner_hi:
-            raise PrecisionInsufficient(f"floor of {x.describe()} straddles "
-                                        f"{inner_lo}")
-        # the only integer touching [lo, hi] is an endpoint, excluded
-        if x.hi.denominator == 1:
-            return int(x.hi) - 1
-        if x.lo.denominator == 1:
-            return int(x.lo)
-        return fl
-    raise PrecisionInsufficient(f"floor of {x.describe()} undecided")
+    return _floor(_times(_row(x), 1))
 
 
 def ceil_int(x: CertifiedReal) -> int:
     """Certified ceiling: the smallest integer >= x."""
-    return -floor_int(-x)
+    return _ceil(_times(_row(x), 1))
 
 
 def phi(x: CertifiedReal) -> int:
     """ceil(x) - floor(x): 0 exactly for certified integers, else 1."""
-    if x.exact:
-        return 0 if x.lo.denominator == 1 else 1
-    if x.irrational:
-        return 1
-    x.is_integer()  # raises unless non-integrality is certified
-    return 1
+    return 0 if x.is_integer() else 1
 
 
 def frac_part(x: CertifiedReal) -> CertifiedReal:
@@ -359,19 +338,7 @@ def near_vertex(x: CertifiedReal, eps: Rationalish) -> Optional[int]:
     if the fractional part is certified to sit away from both ends.
     Raises PrecisionInsufficient when the comparison cannot be settled.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= Fraction(1, 2):
-        raise ValueError("eps must lie in (0, 1/2]")
-    fl = floor_int(x)
-    lo, hi = x.lo - fl, x.hi - fl  # the ends of {x}; a point is exact
-    if hi < eps:
-        return 0
-    if 1 - lo < eps:  # then lo > eps too, as eps <= 1/2
-        return 1
-    if lo == hi or (lo > eps and 1 - hi > eps):
-        return None
-    raise PrecisionInsufficient(f"fractional part of {x.describe()} "
-                                f"unresolved against {eps}")
+    return _placement(_row(x), Fraction(eps))(1)
 
 
 def sqrt_interval(n: int, digits: int = 80) -> CertifiedReal:
@@ -445,18 +412,55 @@ def _ceil(x: Tuple[int, int, int, bool]) -> int:
     return c
 
 
-def _side(x: Tuple[int, int, int, bool], eps: Fraction) -> Optional[int]:
-    """near_vertex's answer, None also where it raises
-    PrecisionInsufficient."""
-    lo, hi, d, irrational = x
+def _placement(row: _Row, eps: Fraction) -> Callable[[int], Optional[int]]:
+    """Compile where m*x sits against the integers and eps, x = row.
+
+    The returned place(m) is ``near_vertex(m*x, eps)``: 0 if
+    {m*x} < eps, 1 if 1 - {m*x} < eps, None if {m*x} is certified away
+    from both ends, PrecisionInsufficient where the floor (as ``_floor``
+    decides it) or a comparison is undecided, and ValueError where
+    ``_times`` raises it.  The jump search calls it for every N, so the
+    product is formed here and not through ``_times``, and the common
+    answer, far from both ends, is tested first.
+    """
+    L, H, d, _, irrational = row
     a, b = eps.numerator, eps.denominator
     if not 0 < 2 * a <= b:
         raise ValueError("eps must lie in (0, 1/2]")
-    fl = lo // d
-    if (hi - irrational) // d != fl:
-        return None  # the certified floor is undecided
-    if (hi - fl * d) * b < a * d:
-        return 0
-    if (d - lo + fl * d) * b < a * d:  # then {x} > eps too: eps <= 1/2
-        return 1
-    return None
+    a *= d  # an end e/d of {m*x} is below eps iff e*b < a
+    if L == H:  # a point is its one end
+        def place_point(m: int) -> Optional[int]:
+            r = m * L % d
+            if r * b < a:
+                return 0
+            if (d - r) * b < a:
+                return 1
+            return None
+
+        return place_point
+    # A declared-irrational m*x is none of its ends, so an end at eps or
+    # at an integer decides (at m = 0 the product is exact 0, and this
+    # still gives its side 0).
+    near, far, top = a + irrational, a - irrational, d + irrational
+
+    def place(m: int) -> Optional[int]:
+        if m >= 0:
+            lo, hi = m * L, m * H
+        else:
+            lo, hi = m * H, m * L
+        f = lo % d
+        hi += f - lo  # {m*x} in [f/d, hi/d] if the floor is decided
+        if f * b > far and (d - hi) * b > far:
+            return None
+        if hi < top:  # the floor is decided
+            if hi * b < near:
+                return 0
+            if (d - f) * b < near:
+                return 1
+        if hi - f >= d:
+            raise ValueError("interval radius must stay below 1/2")
+        raise PrecisionInsufficient(f"fractional part of {m}*x in "
+                                    f"[{f}/{d}, {hi}/{d}] undecided against "
+                                    f"{eps}")
+
+    return place

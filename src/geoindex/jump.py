@@ -45,7 +45,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor, _Row,
-                    _row, _side, _times, ceil_int)
+                    _placement, _row, _times, ceil_int)
 from .iteration import IndexGerm, _kernel, index_at, mean_index, nullity_at
 
 
@@ -236,6 +236,15 @@ def _quotient(x: _Row, y: _Row, m: int = 1) -> CertifiedReal:
         (irrational and A == B) or (y_irrational and exact))
 
 
+def _near(row: _Row, eps: Fraction, m: int) -> Optional[int]:
+    """The vertex side of m*x for x = row, None where m*x is far from
+    the integers or its side is undecided."""
+    try:
+        return _placement(row, eps)(m)
+    except PrecisionInsufficient:
+        return None
+
+
 def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int]:
     """Weighted count of angles with {m_i * alpha} in (0, delta).
 
@@ -244,12 +253,12 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     """
     count = 0
     for row in curve.rows:
-        x = _times(row, m_i)
         if row[3]:  # exact
+            x = _times(row, m_i)
             if x[0] % x[2]:
                 return None  # rational angle must close up exactly
             continue
-        side = _side(x, delta)
+        side = _near(row, delta, m_i)
         if side is None:
             return None
         if side == 0:
@@ -303,21 +312,21 @@ def verify_rounding(problem: JumpProblem, cert: JumpCertificate) -> Verification
             "rounding-sum", lhs == rhs,
             {"curve": name, "lhs": lhs, "rhs": rhs}))
         for j, (a, row) in enumerate(zip(curve.alphas, curve.rows)):
-            x = _times(row, m_i)
             if a.exact:
+                x = _times(row, m_i)
                 clauses.append(ClauseReport(
                     "rational-integrality", x[0] % x[2] == 0,
                     {"curve": name, "alpha": str(a.lo), "m": m_i}))
                 continue
             clauses.append(ClauseReport(
-                "angle-closeness", _side(x, problem.delta) is not None,
+                "angle-closeness", _near(row, problem.delta, m_i) is not None,
                 {"curve": name, "alpha_index": j}))
         recount = _delta_count(curve, m_i, problem.delta)
         clauses.append(ClauseReport(
             "delta-count", recount == cert.Delta[i],
             {"curve": name, "recount": recount, "Delta": cert.Delta[i]}))
     for j, row in enumerate(problem.v_rows):
-        side = _side(_times(row, cert.N), problem.epsilon)
+        side = _near(row, problem.epsilon, cert.N)
         clauses.append(ClauseReport(
             "vertex-closeness", side == cert.chi[j], {"coordinate": j}))
     return VerificationReport(clauses)
@@ -367,47 +376,6 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
     return VerificationReport(clauses)
 
 
-def _coord_tester(row: _Row, eps: Fraction):
-    """Integer-only vertex test for one coordinate of N*v.
-
-    The scan is the hot loop of the search; fractional-part placement
-    against eps reduces to integer modular arithmetic, exactly.  The
-    returned callable gives 0/1 for a certified vertex side, None for
-    certified-far, and the string "skip" when an interval coordinate
-    straddles an integer (undecidable at this width).
-    """
-    a, b = eps.numerator, eps.denominator
-    L, H, scale, exact, _ = row
-    if exact:
-        p, q = L, scale
-
-        def side_exact(N: int) -> object:
-            r = (N * p) % q
-            if r * b < a * q:
-                return 0
-            if r and (q - r) * b < a * q:
-                return 1
-            return None
-
-        return side_exact
-
-    a_scale = a * scale
-
-    def side_interval(N: int) -> object:
-        base = (N * L) // scale
-        f_lo = N * L - base * scale
-        f_hi = N * H - base * scale
-        if f_hi >= scale:
-            return "skip"
-        if f_hi * b < a_scale:
-            return 0
-        if (scale - f_lo) * b < a_scale:
-            return 1
-        return None
-
-    return side_interval
-
-
 def _iterates(problem: JumpProblem, N: int, chi: Sequence[int]) -> List[int]:
     """m_i = (floor(N*v_i) + chi_i)*M per curve; the vertex side chi_i
     found for N*v_i has certified the floor."""
@@ -447,18 +415,24 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
 
     Deterministic: the scan runs over multiples of M0 in increasing
     order, and a candidate is only returned once every rounding and jump
-    clause has been recomputed and passed.
+    clause has been recomputed and passed.  Once some N*v_j is too wide
+    to place, so is every larger N, and NotFound is raised at once.
     """
     if n_min > n_max:
         raise ValueError("empty search range")
-    testers = [_coord_tester(row, problem.epsilon) for row in problem.v_rows]
+    places = [_placement(row, problem.epsilon) for row in problem.v_rows]
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
     for N in range(first, n_max + 1, M0):
         chi: List[int] = []
-        for tester in testers:
-            side = tester(N)
-            if side is None or side == "skip":
+        for place in places:
+            try:
+                side = place(N)
+            except PrecisionInsufficient:
+                break
+            except ValueError:  # N*v_j is too wide
+                raise NotFound(n_max) from None
+            if side is None:
                 break
             chi.append(side)
         else:
@@ -490,7 +464,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     checks: List[Tuple[str, bool]] = []
     chi_hat: List[int] = []
     for j, row in enumerate(problem.v_rows):
-        side = _side(_times(row, N_hat), eps_hat)
+        side = _near(row, eps_hat, N_hat)
         if side is None:
             raise ScaleMismatch(f"scaled vertex closeness fails at "
                                 f"coordinate {j}")

@@ -49,11 +49,6 @@ def _scaled_to_decimal(scaled: int, k: int) -> str:
     return f"{sign}{s[:-k]}.{s[-k:]}" if k else f"{sign}{s}"
 
 
-def number_from_str(s: str, irrational: bool = False,
-                    budget: PrecisionBudget | None = None) -> CertifiedReal:
-    return CertifiedReal.parse(s, irrational=irrational, budget=budget)
-
-
 def block_to_dict(block: BasicBlock) -> Dict[str, object]:
     if isinstance(block, N1):
         return {"type": "N1", "eigenvalue": block.eigenvalue,
@@ -111,12 +106,12 @@ def block_from_dict(d: Dict[str, object],
     if kind == "N1":
         return N1(_int(d["eigenvalue"], "eigenvalue"), str(d["b"]))
     if kind == "D":
-        return D(number_from_str(str(d["lambda"]), budget=budget))
+        return D(CertifiedReal.parse(str(d["lambda"]), budget=budget))
     irr = d.get("irrational", False)
     if not isinstance(irr, bool):
         raise SchemaError(f"'irrational' must be true or false, got {irr!r}")
-    t = number_from_str(str(d["theta_over_pi"]), irrational=irr,
-                        budget=budget)
+    t = CertifiedReal.parse(str(d["theta_over_pi"]), irrational=irr,
+                            budget=budget)
     if kind == "R":
         return R(t)
     k = d.get("kind")

@@ -6,15 +6,14 @@ correct way: one ``CertifiedReal`` per angle and iterate, rounded by
 ``exact.ceil_int``, and the nullity block by block through
 ``normal_forms.nullity_contribution``.
 
-The jump search places each coordinate of N*v with integer testers;
-``candidate_oracle`` places them with ``exact.near_vertex`` instead.
-
-``exact.near_vertex`` decides from the endpoints of x; ``near_vertex_oracle``
-builds the fractional part and its complement as ``CertifiedReal`` values
-and compares those.  The jump rounding clauses place m_i*alpha and N*v on
-integer rows compiled once per problem; ``delta_count_oracle`` and
-``verify_rounding_oracle`` form every such product as a ``CertifiedReal``
-and round it with ``exact.ceil_int`` and ``near_vertex_oracle``.
+Every vertex side in the library, ``exact.near_vertex`` and the jump
+search and rounding clauses alike, comes from one placement rule on
+integer rows, ``exact._placement``.  ``near_vertex_oracle`` builds the
+fractional part and its complement as ``CertifiedReal`` values and
+compares those with ``lt``; ``candidate_oracle`` places each coordinate
+of N*v with it, and ``delta_count_oracle`` and ``verify_rounding_oracle``
+form every product m_i*alpha and N*v as a ``CertifiedReal`` and round it
+with ``exact.ceil_int`` and ``near_vertex_oracle``.
 
 The library compiles each germ once, in one pass over its blocks'
 splitting rows.  The walkers below read the same rows block by block, and
@@ -27,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from geoindex.exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
-                            frac_part, near_vertex)
+                            frac_part)
 from geoindex.iteration import Unbounded
 from geoindex.jump import ClauseReport, VerificationReport, _assemble
 from geoindex.normal_forms import N2, _rows, big_C, nullity_contribution
@@ -148,8 +147,8 @@ def candidate_oracle(problem, N: int, m_bar: int):
     chi = []
     for vj in problem.v:
         try:
-            side = near_vertex(vj * N, problem.epsilon)
-        except PrecisionInsufficient:
+            side = near_vertex_oracle(vj * N, problem.epsilon)
+        except (PrecisionInsufficient, ValueError):
             return None
         if side is None:
             return None

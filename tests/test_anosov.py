@@ -1,5 +1,6 @@
 """Impossibility pipeline: stages, witnesses, replay, controls."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,17 @@ def test_forged_window_ok_does_not_replay():
     report = run_pipeline(two_odd_one_even_system(), CONFIG)
     _stage(report, "parity-screen").witness["window_ok"] = False
     assert not replay(report)
+
+
+def test_report_missing_its_stages_does_not_replay():
+    report = run_pipeline(gamma_window_system(5, (2, 7), seed=0), CONFIG)
+    assert report.final == "CONTRADICTION(gamma-window)" and replay(report)
+    without = [replace(report, stages=[s for s in report.stages
+                                       if s.name != name])
+               for name in ("gamma-window", "jump-search")]
+    bogus = replace(report, final="CONTRADICTION(bogus)")
+    for forged in without + [bogus]:
+        assert replay(forged) is False
 
 
 def _failing_window(monkeypatch, fail_from_call):

@@ -53,6 +53,23 @@ def test_irrational_boundary_is_excluded():
     assert floor_int(y) == 3
 
 
+def test_comparisons_exclude_irrational_endpoints():
+    x = CR.interval(Fraction(1, 3), Fraction(1, 2), irrational=True)
+    assert x.lt(Fraction(1, 2)) and x.gt(Fraction(1, 3))
+    assert near_vertex(x, Fraction(1, 2)) == 0
+    with pytest.raises(PrecisionInsufficient):
+        x.sign_vs(Fraction(2, 5))
+    y = CR.interval(Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(PrecisionInsufficient):
+        y.lt(Fraction(1, 2))
+    with pytest.raises(PrecisionInsufficient):
+        near_vertex(y, Fraction(1, 2))
+    # a zero-width interval not flagged exact is its one point
+    p = CR(Fraction(3), Fraction(3), exact=False)
+    assert (p.sign_vs(3), floor_int(p), ceil_int(p), phi(p)) == (0, 3, 3, 0)
+    assert near_vertex(p, Fraction(1, 64)) == 0
+
+
 def test_straddle_raises():
     x = CR.interval(Fraction(29, 10), Fraction(31, 10))
     with pytest.raises(PrecisionInsufficient):

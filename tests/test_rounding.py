@@ -1,13 +1,12 @@
 """The rounding path against its CertifiedReal oracles.
 
-``exact.near_vertex`` decides from the endpoints of x, and the jump
-rounding clauses place m_i*alpha and N*v on integer rows compiled once
-per germ and per problem (``exact._row``, ``_times``, ``_floor``,
-``_ceil``, ``_side``).  Both must return what the oracles return, or
-raise the same exception type, on every input, the boundaries above
-all: integer endpoints of declared-irrational values, zero-width
-intervals that are not flagged exact, and eps exactly at {x} or at
-1 - {x}.
+``exact.near_vertex``, the jump search and the jump rounding clauses
+place x, m_i*alpha and N*v on integer rows compiled once per germ and
+per problem (``exact._row``, ``_times``, ``_floor``, ``_ceil``,
+``_placement``).  They must return what the oracles return, or raise
+the same exception type, on every input, the boundaries above all:
+integer endpoints of declared-irrational values, zero-width intervals
+that are not flagged exact, and eps exactly at {x} or at 1 - {x}.
 """
 
 import random
@@ -117,7 +116,10 @@ def _ceil(alpha, m):
 
 
 def _side(alpha, m, eps):
-    return exact._side(exact._times(exact._row(alpha), m), eps)
+    try:
+        return exact._placement(exact._row(alpha), eps)(m)
+    except PrecisionInsufficient:
+        return None
 
 
 def _iterates(rng, alpha):
