@@ -238,7 +238,7 @@ class CertifiedReal:
             return NotImplemented
         if o.lo <= 0 <= o.hi:
             if o.irrational and 0 in (o.lo, o.hi):  # nonzero, 1/o unbounded
-                raise ValueError("interval radius must stay below 1/2")
+                raise ValueError(f"reciprocal of {o.describe()} is unbounded")
             raise ZeroDivisionError("divisor interval touches zero")
         if o.exact:
             return self * CertifiedReal.rational(Fraction(1, 1) / o.lo)
@@ -428,20 +428,12 @@ def _placement(row: _Row, eps: Fraction) -> Callable[[int], Optional[int]]:
     if not 0 < 2 * a <= b:
         raise ValueError("eps must lie in (0, 1/2]")
     a *= d  # an end e/d of {m*x} is below eps iff e*b < a
-    if L == H:  # a point is its one end
-        def place_point(m: int) -> Optional[int]:
-            r = m * L % d
-            if r * b < a:
-                return 0
-            if (d - r) * b < a:
-                return 1
-            return None
-
-        return place_point
     # A declared-irrational m*x is none of its ends, so an end at eps or
     # at an integer decides (at m = 0 the product is exact 0, and this
-    # still gives its side 0).
-    near, far, top = a + irrational, a - irrational, d + irrational
+    # still gives its side 0).  A point is its one end, so a point at eps
+    # is certified not below it.
+    near, top = a + irrational, d + irrational
+    far = a - (irrational or L == H)
 
     def place(m: int) -> Optional[int]:
         if m >= 0:

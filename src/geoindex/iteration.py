@@ -235,6 +235,9 @@ def _growth_horizon(germ: IndexGerm, target: int) -> int:
     mean = mean_index(germ)
     if not mean.gt(0):
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
+    if mean.lo == 0:  # declared irrational, so positive, but not bounded away
+        raise PrecisionInsufficient(f"mean index of {germ.name!r} has an end "
+                                    f"at 0: 1/mean is unbounded")
     # m*mean - (S+ + C) >= target suffices; 1/mean = [d/H, d/L].  As
     # target >= i1, target + S+ + C >= mean > 0: a too wide 1/mean raises
     L, H, d, _, irrational = _row(mean)

@@ -188,6 +188,9 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
                 f"mean index of {germ.name!r} straddles 0: {exc}")
         if sign == 0:
             raise ZeroMeanIndex(f"germ {germ.name!r} has mean index 0")
+        if 0 in (mean.lo, mean.hi):  # declared irrational, so not 0 itself
+            raise ZeroMeanIndex(f"mean index of {germ.name!r} has an end at "
+                                f"0: 1/mean is unbounded")
         rho = 1 if sign > 0 else -1
         k = _kernel(germ)
         M = lcm(M, k.M)

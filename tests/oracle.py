@@ -3,33 +3,68 @@
 The library evaluates every index and nullity on a compiled integer
 kernel.  This module evaluates the same formula the slow, obviously
 correct way: one ``CertifiedReal`` per angle and iterate, rounded by
-``exact.ceil_int``, and the nullity block by block through
+``ceil_oracle``, and the nullity block by block through
 ``normal_forms.nullity_contribution``.
 
-Every vertex side in the library, ``exact.near_vertex`` and the jump
-search and rounding clauses alike, comes from one placement rule on
-integer rows, ``exact._placement``.  ``near_vertex_oracle`` builds the
-fractional part and its complement as ``CertifiedReal`` values and
-compares those with ``lt``; ``candidate_oracle`` places each coordinate
-of N*v with it, and ``delta_count_oracle`` and ``verify_rounding_oracle``
-form every product m_i*alpha and N*v as a ``CertifiedReal`` and round it
-with ``exact.ceil_int`` and ``near_vertex_oracle``.
+Every floor, ceiling and vertex side in the library, ``exact.floor_int``,
+``ceil_int`` and ``near_vertex`` and the jump search and rounding clauses
+alike, comes from integer rows: ``exact._floor``, ``_ceil`` and the one
+placement rule ``exact._placement``.  None of that code runs here.
+``floor_oracle`` rounds a ``CertifiedReal`` from its ends case by case,
+and ``ceil_oracle`` is it on -x.  ``near_vertex_oracle`` builds the
+fractional part x - floor_oracle(x) and its complement as
+``CertifiedReal`` values and compares those with ``lt``;
+``candidate_oracle`` places each coordinate of N*v with it, and
+``delta_count_oracle`` and ``verify_rounding_oracle`` form every product
+m_i*alpha and N*v as a ``CertifiedReal`` and round it with
+``ceil_oracle`` and ``near_vertex_oracle``.
 
 The library compiles each germ once, in one pass over its blocks'
 splitting rows.  The walkers below read the same rows block by block, and
 ``mean_oracle``, ``horizon_oracle`` and ``vertex_oracle`` do the germ's
 mean, growth horizon and vertex coordinates in ``CertifiedReal``
-arithmetic.
+arithmetic, rounded by ``ceil_oracle``.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 
-from geoindex.exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
-                            frac_part)
+from geoindex.exact import CertifiedReal, PrecisionInsufficient
 from geoindex.iteration import Unbounded
 from geoindex.jump import ClauseReport, VerificationReport, _assemble
 from geoindex.normal_forms import N2, _rows, big_C, nullity_contribution
+
+
+# -- rounding --------------------------------------------------------------
+
+def floor_oracle(x) -> int:
+    """Certified floor of a CertifiedReal, decided from its two ends.
+
+    A point, exact or not, is its value.  An interval inside one integer
+    cell below a non-integer upper end has that cell's floor.  A
+    declared-irrational value equals neither end, so an integer at an
+    end decides, and only an integer strictly inside leaves the floor
+    open.  Anything else is PrecisionInsufficient.
+    """
+    fl = floor(x.lo)
+    if x.lo == x.hi:
+        return fl
+    if fl == floor(x.hi) and x.hi.denominator > 1:
+        return fl
+    if x.irrational:
+        if fl + 1 <= ceil(x.hi) - 1:
+            raise PrecisionInsufficient(f"floor of {x.describe()} straddles "
+                                        f"{fl + 1}")
+        # the only integer touching [lo, hi] is an end, which x is not
+        if x.hi.denominator == 1:
+            return int(x.hi) - 1
+        return fl
+    raise PrecisionInsufficient(f"floor of {x.describe()} undecided")
+
+
+def ceil_oracle(x) -> int:
+    """Certified ceiling: -floor_oracle(-x)."""
+    return -floor_oracle(-x)
 
 
 # -- block walkers ---------------------------------------------------------
@@ -84,12 +119,15 @@ def spectrum_lcm(blocks) -> int:
 
 def horizon_oracle(germ, target: int) -> int:
     """ceil((target + S+ + C) / mean), at least 1, by CertifiedReal
-    division; Unbounded unless the mean is certified positive."""
+    division; Unbounded unless the mean is certified positive, and
+    PrecisionInsufficient where it has an end at 0 (1/mean unbounded)."""
     mean = mean_oracle(germ)
     if not mean.gt(0):
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
+    if mean.lo == 0:
+        raise PrecisionInsufficient(f"1/{mean.describe()} is unbounded")
     shift = s_plus_at_one(germ.blocks) + big_C(germ.blocks)
-    return max(1, ceil_int(CertifiedReal.rational(target + shift) / mean))
+    return max(1, ceil_oracle(CertifiedReal.rational(target + shift) / mean))
 
 
 def vertex_oracle(abs_means, alphas, M: int):
@@ -122,14 +160,14 @@ def half_ceiling(t, m: int) -> int:
     """Certified ceil(m*t/2).
 
     Once m*width(t)/2 reaches 1 the product is no ``CertifiedReal`` (its
-    width must stay below 1) and ``ceil_int`` cannot be asked.  Such an
+    width must stay below 1) and ``ceil_oracle`` cannot be asked.  Such an
     interval [L, H] holds an integer strictly inside unless H = L + 1
     with L an integer, and only a value declared irrational then avoids
     both endpoints: its ceiling is H.  Everything else is undecided.
     """
     half = Fraction(m, 2)
     if (t.hi - t.lo) * half < 1:
-        return ceil_int(t * half)
+        return ceil_oracle(t * half)
     low, high = t.lo * half, t.hi * half
     if t.irrational and low.denominator == 1 and high == low + 1:
         return int(high)
@@ -162,7 +200,7 @@ def near_vertex_oracle(x, eps):
     eps = Fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError("eps must lie in (0, 1/2]")
-    f = frac_part(x)
+    f = x - floor_oracle(x)
     if f.lt(eps):
         return 0
     if (CertifiedReal.rational(1) - f).lt(eps):
@@ -204,7 +242,7 @@ def verify_rounding_oracle(problem, cert):
         name = curve.germ.name
         lhs = m_i * curve.beta
         for a in curve.alphas:
-            lhs += ceil_int(a * m_i)
+            lhs += ceil_oracle(a * m_i)
         rhs = curve.rho * cert.N + cert.Delta[i]
         clauses.append(ClauseReport(
             "rounding-sum", lhs == rhs,

@@ -309,3 +309,21 @@ def test_synthesized_irrational_roundtrip_preserves_decisions():
         assert mean_index(orig).sign_vs(0) == mean_index(parsed).sign_vs(0)
         for m in range(1, 40):
             assert index_at(orig, m) == index_at(parsed, m)
+
+
+def test_mean_with_an_end_at_zero_is_one_error_line(tmp_path, capsys):
+    # mean index [0, 1/5], declared irrational: positive, but 1/mean is
+    # unbounded, so neither a vertex nor a growth horizon exists
+    doc = {"manifold": {"dim": 3},
+           "curves": [{"name": "z", "initial_index": 0,
+                       "blocks": [{"type": "R", "theta_over_pi": "1.1~1",
+                                   "irrational": True},
+                                  {"type": "D", "lambda": "2"}]}]}
+    p = tmp_path / "z.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, kind in ((["jump-search", "--mbar", "1"], ""),
+                       (["mbar"], "PrecisionInsufficient: ")):
+        assert main(argv[:1] + ["--system", str(p)] + argv[1:]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {kind}mean index of 'z' has an end at 0: 1/mean is "
+            f"unbounded\n")

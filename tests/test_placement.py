@@ -1,10 +1,10 @@
 """Properties of the one placement rule, ``exact._placement``.
 
 The rule answers where m*x sits against the integers and eps for the
-jump search, the rounding clauses, ``scale`` and ``near_vertex``.  It
-must agree with the ``CertifiedReal`` oracles where the boundary cases
-live (declared-irrational values with an end on an integer, zero-width
-points), a narrower enclosure of the same declared-irrational value
+jump search, the rounding clauses, ``scale`` and ``near_vertex``.  It,
+``floor_int`` and ``ceil_int`` must agree with the ``CertifiedReal``
+oracles where the boundary cases live (declared-irrational values with
+an end on an integer, zero-width points), a narrower enclosure of the same declared-irrational value
 must never flip a decided answer, and the search must return the
 smallest N that the oracle accepts.  Examples are derandomized and no
 example database is kept, so every run checks the same inputs.
@@ -25,7 +25,8 @@ from geoindex.jump import JumpProblem, NotFound, build_problem, search
 from geoindex.normal_forms import D, R
 from geoindex.samples import hyperbolic_germ
 
-from .oracle import candidate_oracle, near_vertex_oracle, side_oracle
+from .oracle import (candidate_oracle, ceil_oracle, floor_oracle,
+                     near_vertex_oracle, side_oracle)
 
 CR = CertifiedReal
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -91,6 +92,8 @@ def test_placement_matches_oracles(case):
     assert got == _outcome(lambda: near_vertex(x * m, eps))
     side = None if got == "PrecisionInsufficient" else got
     assert side == _outcome(side_oracle, x, m, eps)
+    for lib, oracle in ((floor_int, floor_oracle), (ceil_int, ceil_oracle)):
+        assert _outcome(lambda: lib(x * m)) == _outcome(lambda: oracle(x * m))
 
 
 @st.composite

@@ -16,16 +16,15 @@ from fractions import Fraction
 from math import floor
 
 from geoindex import exact, jump
-from geoindex.exact import (CertifiedReal, PrecisionInsufficient, ceil_int,
-                            floor_int, near_vertex)
+from geoindex.exact import CertifiedReal, PrecisionInsufficient, near_vertex
 from geoindex.iteration import IndexGerm
 from geoindex.jump import (JumpCertificate, build_problem, search,
                            verify_rounding)
 from geoindex.normal_forms import B_ZERO, D, N1, R
 
 from .corpus import jump_corpus
-from .oracle import (delta_count_oracle, near_vertex_oracle, side_oracle,
-                     verify_rounding_oracle)
+from .oracle import (ceil_oracle, delta_count_oracle, floor_oracle,
+                     near_vertex_oracle, side_oracle, verify_rounding_oracle)
 
 CR = CertifiedReal
 GRIDS = (2, 3, 4, 6, 12, 60, 97, 10 ** 4, 10 ** 7)
@@ -138,10 +137,10 @@ def test_integer_placement_matches_oracle():
         kind = rng.choice(sorted(KINDS))
         alpha = KINDS[kind](rng)
         for m in _iterates(rng, alpha):
-            want = _outcome(lambda: ceil_int(alpha * m))
+            want = _outcome(lambda: ceil_oracle(alpha * m))
             assert _outcome(_ceil, alpha, m) == want, (alpha, m)
             seen["ceil", want if isinstance(want, str) else "value"] += 1
-            want = _outcome(lambda: floor_int(alpha * m))
+            want = _outcome(lambda: floor_oracle(alpha * m))
             assert _outcome(_floor, alpha, m) == want, (alpha, m)
             seen["floor", want if isinstance(want, str) else "value"] += 1
             if alpha.exact:
