@@ -43,6 +43,7 @@ from .jump import (JumpCertificate, ScaledCertificate, build_problem,
                    scale, search, verify_jump, verify_rounding)
 from .morse import betti, parity_counts
 from . import serialize
+from .serialize import SchemaError, _rational
 
 
 class AdmissibilityError(ValueError):
@@ -461,7 +462,8 @@ def replay(report: ImpossibilityReport) -> bool:
 
     Rebuilds the system from the report's own echo and re-derives the
     numbers cited by the final stage; True means the violation
-    reproduces exactly.
+    reproduces exactly.  A witness field the replay reads that is
+    missing or of the wrong type makes it False.
     """
     germs = serialize.system_from_dict(report.system)
     final = report.final
@@ -471,20 +473,27 @@ def replay(report: ImpossibilityReport) -> bool:
     record = _stage(report, stage_name)
     if record is None:
         return False
-    w = record.witness
+    try:
+        return _replay(stage_name, record.witness, germs, report)
+    except (KeyError, ValueError):  # a field missing, mistyped or out of range
+        return False
 
-    if stage_name == "parity-screen":
-        if w.get("argument") == "all-odd":
-            return (all(g.i1 % 2 == 1 for g in germs)
-                    and betti(2) == 1 and w["M"] == 0)
-        if w.get("window_ok") is not True:
-            return False
-        g3 = next(g for g in germs if g.name == w["even_curve"])
-        top = index_at(g3, 2 * int(w["m"]))
-        bound = 1 if top == 2 * int(w["N"]) else 0
-        return bound == w["M_2N_bound"] and bound < 2
 
+def _replay(stage_name: str, w: object, germs: Tuple[IndexGerm, ...],
+            report: ImpossibilityReport) -> bool:
     by_name = {g.name: g for g in germs}
+    if stage_name == "parity-screen":
+        argument = _field(w, "argument", str)
+        if argument == "all-odd":
+            return (all(g.i1 % 2 == 1 for g in germs)
+                    and betti(2) == 1 and _field(w, "M", int) == 0)
+        if argument != "two-odd-one-even" or not _field(w, "window_ok", bool):
+            return False
+        g3 = by_name[_field(w, "even_curve", str)]
+        top = index_at(g3, 2 * _field(w, "m", int))
+        bound = 1 if top == 2 * _field(w, "N", int) else 0
+        return bound == _field(w, "M_2N_bound", int) and bound < 2
+
     if stage_name in ("forced-top", "gamma-window"):
         jump_stage = _stage(report, "jump-search")
         if jump_stage is None:
@@ -492,31 +501,45 @@ def replay(report: ImpossibilityReport) -> bool:
         cert = serialize.certificate_from_dict(jump_stage.witness)
 
     if stage_name == "forced-top":
-        two_n = int(w["two_N"])
+        two_n = _field(w, "two_N", int)
+        mismatched = _field(w, "mismatched", list, str)
         m_of = dict(zip(cert.names, cert.m))
-        for name in w["mismatched"]:
+        for name in mismatched:
             if index_at(by_name[name], 2 * m_of[name]) == two_n:
                 return False
-        return bool(w["mismatched"])
+        return bool(mismatched)
 
     if stage_name == "gamma-window":
         s_val = Fraction(0)
         for name, m_k in zip(cert.names, cert.m):
             germ = by_name[name]
             s_val += 2 * m_k * gamma_invariant(germ.i1, index_at(germ, 2))
-        if str(s_val) != w["S"]:
+        if str(s_val) != _field(w, "S", str):
             return False
-        lower, upper = Fraction(w["window"][0]), Fraction(w["window"][1])
+        lower, upper = (_rational(x, "window")
+                        for x in _field(w, "window", list, str))
         return not (lower <= s_val <= upper)
 
     if stage_name == "mod4-clash":
-        lo, hi = w["scaled_window"]
-        s_hat = Fraction(w["S_hat"])
-        cert_dict = w["window_certificate"]
-        return (not (lo <= s_hat <= hi)
-                and cert_dict["excluded"]
-                and s_hat == int(w["p_hat"]) * Fraction(w["S"]))
+        lo, hi = _field(w, "scaled_window", list, int)
+        s_hat, s_val = _rational(w["S_hat"], "S_hat"), _rational(w["S"], "S")
+        excluded = _field(_field(w, "window_certificate", dict), "excluded",
+                          bool)
+        return (not (lo <= s_hat <= hi) and excluded
+                and s_hat == _field(w, "p_hat", int) * s_val)
     return False
+
+
+def _field(w: object, key: str, kind: type,
+           item: Optional[type] = None) -> object:
+    """w[key], exactly a `kind` (a bool is no int); with `item`, a list
+    of exactly `item`s."""
+    value = w.get(key) if isinstance(w, dict) else None
+    if type(value) is not kind or (
+            item and any(type(x) is not item for x in value)):
+        raise SchemaError(f"witness field {key!r} is not a "
+                          f"{kind.__name__}: {value!r}")
+    return value
 
 
 def _stage(report: ImpossibilityReport, name: str) -> Optional[StageRecord]:

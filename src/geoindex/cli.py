@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import serialize
-from .anosov import (AdmissibilityError, GeodesicSystem, PipelineConfig,
-                     run_pipeline)
+from .anosov import GeodesicSystem, PipelineConfig, run_pipeline
 from .exact import PrecisionInsufficient
 from .iteration import (IndexGerm, IndexProfile, Unbounded, gamma_invariant,
                         index_at, germ_mbar, mbar, mean_index)
@@ -314,8 +313,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SchemaError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotFound, Unbounded, AdmissibilityError, ScaleMismatch,
-            PrecisionInsufficient, TruncationUnsound) as exc:
+    except (NotFound, ScaleMismatch, PrecisionInsufficient,
+            TruncationUnsound) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -87,6 +87,18 @@ def default_budget() -> PrecisionBudget:
 
 Rationalish = Union[int, Fraction]
 
+# sign, whole digits, fractional digits, and k of "-12.345~k"
+_DECIMAL = re.compile(r"(-?)(\d+)(?:\.(\d+))?(?:~(\d+))?")
+_RATIO = re.compile(r"(-?\d+)/(\d+)")
+
+
+def _scaled(m: re.Match, K: int) -> int:
+    """The decimal m of _DECIMAL times 10**K, for K >= its fractional
+    digits."""
+    frac = m[3] or ""
+    c = (int(m[2]) * 10 ** len(frac) + int(frac or 0)) * 10 ** (K - len(frac))
+    return -c if m[1] else c
+
 
 @dataclass(frozen=True)
 class CertifiedReal:
@@ -104,18 +116,28 @@ class CertifiedReal:
     literal: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        lo, hi = self.lo, self.hi
+        # hi - lo = width / (lo.denominator * hi.denominator)
+        width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+        if width < 0:
             raise ValueError("empty interval")
         if self.exact:
-            if self.lo != self.hi:
+            if width:
                 raise ValueError("exact value with nonzero width")
             if self.irrational:
                 raise ValueError("an exact rational cannot be irrational")
         else:
-            if self.hi - self.lo >= 1:
+            if width >= lo.denominator * hi.denominator:
                 raise ValueError("interval radius must stay below 1/2")
-            if self.irrational and self.lo == self.hi:
+            if self.irrational and not width:
                 raise ValueError("an irrational value cannot be a point")
+
+    def __hash__(self) -> int:
+        # equal ends have equal lowest terms; hashing those skips the
+        # modular inverse of Fraction.__hash__
+        lo, hi = self.lo, self.hi
+        return hash((lo.numerator, lo.denominator, hi.numerator,
+                     hi.denominator, self.exact, self.irrational))
 
     # -- constructors -------------------------------------------------
 
@@ -156,25 +178,29 @@ class CertifiedReal:
         """
         budget = budget or default_budget()
         text = text.strip()
-        m = re.fullmatch(r"(-?\d+(?:\.\d+)?)~(\d+)", text)
-        if m:
-            digits, k = m.group(1), int(m.group(2))
-            frac_digits = len(digits.split(".")[1]) if "." in digits else 0
-            if max(frac_digits, k) > budget.max_digits:
+        m = _DECIMAL.fullmatch(text)
+        if m and m[4] is not None:
+            K = max(len(m[3] or ""), int(m[4]))
+            if K > budget.max_digits:
                 raise ValueError(
                     f"literal carries more digits than the budget "
                     f"({budget.max_digits}) allows: {text!r}")
-            return CertifiedReal.decimal(digits, Fraction(1, 10 ** k),
-                                         irrational=irrational)
+            # center c/10**K, radius r/10**K
+            c, r = _scaled(m, K), 10 ** (K - int(m[4]))
+            return CertifiedReal(Fraction(c - r, 10 ** K),
+                                 Fraction(c + r, 10 ** K), exact=False,
+                                 irrational=irrational,
+                                 literal=text.partition("~")[0])
         if irrational:
             raise ValueError(
                 f"irrational values need an explicit precision, e.g. "
                 f"'0.4142~4': got {text!r}")
-        if re.fullmatch(r"-?\d+/\d+", text):
-            p, q = text.split("/")
-            return CertifiedReal.rational(int(p), int(q))
-        if re.fullmatch(r"-?\d+(\.\d+)?", text):
-            return CertifiedReal.rational(Fraction(text))
+        if m:
+            K = len(m[3] or "")
+            return CertifiedReal.rational(_scaled(m, K), 10 ** K)
+        m = _RATIO.fullmatch(text)
+        if m:
+            return CertifiedReal.rational(int(m[1]), int(m[2]))
         raise ValueError(f"unparseable number literal: {text!r}")
 
     # -- arithmetic ---------------------------------------------------
@@ -271,7 +297,8 @@ class CertifiedReal:
 
         A declared-irrational value is never r, so an end at r decides.
         """
-        r = Fraction(r)
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
         if self.hi < r or (self.irrational and self.hi == r):
             return -1
         if self.lo > r or (self.irrational and self.lo == r):

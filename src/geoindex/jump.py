@@ -42,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor, _Row,
                     _placement, _row, _times, ceil_int)
-from .iteration import IndexGerm, _kernel, index_at, mean_index, nullity_at
+from .iteration import IndexGerm, _index, _kernel, _nullity, mean_index
 
 
 class ZeroMeanIndex(ValueError):
@@ -342,41 +342,43 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
     With strict=True the first failure raises IdentityViolation.
     """
     clauses: List[ClauseReport] = []
-
-    def record(name: str, ok: bool, curve: str, m: int, **extra):
-        w = {"curve": curve, "m": m, **extra}
-        clauses.append(ClauseReport(name, ok, w))
-        if strict and not ok:
-            raise IdentityViolation(curve, m, name, str(extra))
-
-    for i, curve in enumerate(problem.curves):
-        germ = curve.germ
-        m_i, rho = cert.m[i], curve.rho
-        kernel = _kernel(germ)
-        s_plus, c_val = kernel.s_plus, kernel.c
-        if 2 * m_i <= m_bar:
-            record("horizon-room", False, germ.name, m_bar, m_i=m_i)
-            continue
-        top = index_at(germ, 2 * m_i)
-        want_top = 2 * rho * cert.N - (s_plus + c_val - 2 * cert.Delta[i])
-        record("jump-top", top == want_top, germ.name, 0,
-               got=top, want=want_top)
-        for m in range(1, m_bar + 1):
-            base = index_at(germ, m)
-            nu = nullity_at(germ, m)
-            up = index_at(germ, 2 * m_i + m)
-            down = index_at(germ, 2 * m_i - m)
-            record("jump-up", up == 2 * rho * cert.N + base, germ.name, m,
-                   got=up, want=2 * rho * cert.N + base)
-            q = _q_value(kernel.q_rows, m_i, m)
-            want_down = 2 * rho * cert.N - base - 2 * (s_plus + q)
-            record("jump-down", down == want_down, germ.name, m,
-                   got=down, want=want_down)
-            record("jump-nullity",
-                   nullity_at(germ, 2 * m_i + m) == nu
-                   and nullity_at(germ, 2 * m_i - m) == nu,
-                   germ.name, m, nu=nu)
+    for c in _jump_clauses(problem, cert, m_bar):
+        clauses.append(c)
+        if strict and not c.ok:
+            w = dict(c.witness)
+            raise IdentityViolation(w.pop("curve"), w.pop("m"), c.name, str(w))
     return VerificationReport(clauses)
+
+
+def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
+                  m_bar: int) -> Iterator[ClauseReport]:
+    """The clauses of ``verify_jump`` in order.  Each iterate is
+    evaluated, on the germ's compiled kernel, when its clause is reached,
+    so a consumer that stops at the first failure evaluates nothing
+    past it."""
+    for i, curve in enumerate(problem.curves):
+        def clause(name: str, ok: bool, m: int, **extra) -> ClauseReport:
+            return ClauseReport(name, ok, {"curve": curve.germ.name, "m": m,
+                                           **extra})
+
+        m_i, k = cert.m[i], _kernel(curve.germ)
+        if 2 * m_i <= m_bar:
+            yield clause("horizon-room", False, m_bar, m_i=m_i)
+            continue
+        two_n = 2 * curve.rho * cert.N
+        top = _index(k, 2 * m_i)
+        want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
+        yield clause("jump-top", top == want, 0, got=top, want=want)
+        for m in range(1, m_bar + 1):
+            base = _index(k, m)
+            up, want = _index(k, 2 * m_i + m), two_n + base
+            yield clause("jump-up", up == want, m, got=up, want=want)
+            down = _index(k, 2 * m_i - m)
+            want = two_n - base - 2 * (k.s_plus + _q_value(k.q_rows, m_i, m))
+            yield clause("jump-down", down == want, m, got=down, want=want)
+            nu = _nullity(k, m)
+            yield clause("jump-nullity", _nullity(k, 2 * m_i + m) == nu
+                         and _nullity(k, 2 * m_i - m) == nu, m, nu=nu)
 
 
 def _iterates(problem: JumpProblem, N: int, chi: Sequence[int]) -> List[int]:
@@ -407,7 +409,7 @@ def _assemble(problem: JumpProblem, N: int, chi: List[int],
         names=tuple(c.germ.name for c in problem.curves))
     if not verify_rounding(problem, cert).ok:
         return None
-    if not verify_jump(problem, cert, m_bar).ok:
+    if not all(c.ok for c in _jump_clauses(problem, cert, m_bar)):
         return None
     return cert
 

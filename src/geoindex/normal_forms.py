@@ -76,10 +76,10 @@ class D:
     lam: CertifiedReal
 
     def __post_init__(self):
-        for excluded in (0, 1, -1):
-            eq = self.lam.eq_certified(CertifiedReal.rational(excluded))
-            if eq is not False:
-                raise ValueError(f"D eigenvalue must certify != {excluded}")
+        for excluded in _D_EXCLUDED:
+            if self.lam.eq_certified(excluded) is not False:
+                raise ValueError(f"D eigenvalue must certify != "
+                                 f"{excluded.lo}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,7 @@ class SpectrumPoint:
 
 _ZERO = CertifiedReal.rational(0)
 _ONE = CertifiedReal.rational(1)
+_D_EXCLUDED = (_ZERO, _ONE, CertifiedReal.rational(-1))  # no D eigenvalue
 
 
 def _rows(block: BasicBlock) -> Tuple[SpectrumPoint, ...]:

@@ -2,16 +2,23 @@
 
 Rationals travel as "p/q" strings, decimal intervals as "digits~k" with
 an irrationality flag, so every exact-arithmetic value survives a round
-trip.  Emission is deterministic (sorted keys, no floats).
+trip.
+
+``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2) + "\n"`` with one recursive function, where the json module's
+indenting encoder builds closures on every call.  It takes what a
+document holds: dict with str keys, list, tuple, str, int, bool and
+None, each of exactly that type; anything else, a float included, is a
+TypeError.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from json.encoder import encode_basestring_ascii as _string
+from typing import Dict, List, Sequence, Tuple
 
-from .exact import CertifiedReal, PrecisionBudget
+from .exact import CertifiedReal, PrecisionBudget, default_budget
 from .iteration import IndexGerm
 from .jump import JumpCertificate, ScaledCertificate
 from .normal_forms import (BasicBlock, D, KIND_NONTRIVIAL, KIND_TRIVIAL,
@@ -151,13 +158,14 @@ def system_from_dict(d: Dict[str, object]) -> Tuple[IndexGerm, ...]:
     precision = d.get("precision", {})
     _fields(precision, (), "precision",
             optional=("max_digits", "refine_step"))
-    budget = None
     if precision:
         try:
             budget = PrecisionBudget(**{k: _int(v, k)
                                         for k, v in precision.items()})
         except ValueError as exc:
             raise SchemaError(f"bad precision settings: {exc}") from exc
+    else:
+        budget = default_budget()
     curves = d["curves"]
     if not isinstance(curves, list) or not curves:
         raise SchemaError("system needs a non-empty 'curves' list")
@@ -226,4 +234,40 @@ def scaled_to_dict(sc: ScaledCertificate) -> Dict[str, object]:
 
 
 def dumps(obj: Dict[str, object]) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out: List[str] = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(v: object, out: List[str], nl: str) -> None:
+    """Append the JSON of v to out; nl is the newline and indent of the
+    line v starts on."""
+    t = type(v)
+    if t is str:
+        out.append(_string(v))
+    elif t is int:
+        out.append(str(v))
+    elif t is dict:
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + _string(k) + ": ")
+            _emit(v[k], out, inner)
+            sep = "," + inner
+        out.append(nl + "}" if v else "{}")
+    elif t is list or t is tuple:
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _emit(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]" if v else "[]")
+    elif v is None or t is bool:
+        out.append("null" if v is None else "true" if v else "false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON "
+                        f"serializable")

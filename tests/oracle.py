@@ -19,6 +19,10 @@ fractional part x - floor_oracle(x) and its complement as
 m_i*alpha and N*v as a ``CertifiedReal`` and round it with
 ``ceil_oracle`` and ``near_vertex_oracle``.
 
+``parse_oracle`` reads a number literal the way the library did before
+it built decimal ends from integers: through ``Fraction`` string parsing
+and ``CertifiedReal.decimal``.
+
 The library compiles each germ once, in one pass over its blocks'
 splitting rows.  The walkers below read the same rows block by block, and
 ``mean_oracle``, ``horizon_oracle`` and ``vertex_oracle`` do the germ's
@@ -26,10 +30,11 @@ mean, growth horizon and vertex coordinates in ``CertifiedReal``
 arithmetic, rounded by ``ceil_oracle``.
 """
 
+import re
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from geoindex.exact import CertifiedReal, PrecisionInsufficient
+from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
 from geoindex.iteration import Unbounded
 from geoindex.jump import ClauseReport, VerificationReport, _assemble
 from geoindex.normal_forms import N2, _rows, big_C, nullity_contribution
@@ -65,6 +70,35 @@ def floor_oracle(x) -> int:
 def ceil_oracle(x) -> int:
     """Certified ceiling: -floor_oracle(-x)."""
     return -floor_oracle(-x)
+
+
+# -- literals ---------------------------------------------------------------
+
+def parse_oracle(text: str, irrational: bool = False, budget=None):
+    """``CertifiedReal.parse`` through ``Fraction`` string parsing and the
+    ``decimal`` constructor: the same value, flags, literal and errors."""
+    budget = budget or default_budget()
+    text = text.strip()
+    m = re.fullmatch(r"(-?\d+(?:\.\d+)?)~(\d+)", text)
+    if m:
+        digits, k = m.group(1), int(m.group(2))
+        frac_digits = len(digits.split(".")[1]) if "." in digits else 0
+        if max(frac_digits, k) > budget.max_digits:
+            raise ValueError(
+                f"literal carries more digits than the budget "
+                f"({budget.max_digits}) allows: {text!r}")
+        return CertifiedReal.decimal(digits, Fraction(1, 10 ** k),
+                                     irrational=irrational)
+    if irrational:
+        raise ValueError(
+            f"irrational values need an explicit precision, e.g. "
+            f"'0.4142~4': got {text!r}")
+    if re.fullmatch(r"-?\d+/\d+", text):
+        p, q = text.split("/")
+        return CertifiedReal.rational(int(p), int(q))
+    if re.fullmatch(r"-?\d+(\.\d+)?", text):
+        return CertifiedReal.rational(Fraction(text))
+    raise ValueError(f"unparseable number literal: {text!r}")
 
 
 # -- block walkers ---------------------------------------------------------

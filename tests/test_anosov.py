@@ -18,6 +18,8 @@ from geoindex.samples import (all_odd_system, forced_top_system,
                               mismatch_system, mod4_system, perturbed,
                               two_odd_one_even_system)
 
+from .corpus import anosov_corpus, screen_corpus
+
 CR = CertifiedReal
 CONFIG = PipelineConfig(n_max=300_000)
 
@@ -91,6 +93,44 @@ def test_report_missing_its_stages_does_not_replay():
     bogus = replace(report, final="CONTRADICTION(bogus)")
     for forged in without + [bogus]:
         assert replay(forged) is False
+
+
+# the final-witness fields each replay branch reads
+REPLAY_READS = {
+    "all-odd": {"argument", "M"},
+    "two-odd-one-even": {"argument", "window_ok", "even_curve", "m", "N",
+                         "M_2N_bound"},
+    "forced-top": {"two_N", "mismatched"},
+    "gamma-window": {"S", "window"},
+    "mod4-clash": {"scaled_window", "S_hat", "S", "window_certificate",
+                   "p_hat"},
+}
+
+
+def test_replay_never_raises_on_a_malformed_witness():
+    config = PipelineConfig(n_max=500_000)
+    branches = set()
+    for system in anosov_corpus(50) + screen_corpus(8) + [all_odd_system()]:
+        report = run_pipeline(system, config)
+        final = report.stages[-1]
+        assert report.final == f"CONTRADICTION({final.name})"
+        branch = final.witness.get("argument", final.name)
+        branches.add(branch)
+        for key in final.witness:
+            for value in ("deleted", None):
+                witness = dict(final.witness)
+                if value == "deleted":
+                    del witness[key]
+                else:
+                    witness[key] = value
+                forged = replace(report, stages=report.stages[:-1] + [
+                    replace(final, witness=witness)])
+                got = replay(forged)
+                if key in REPLAY_READS[branch]:
+                    assert got is False, (branch, key, value)
+                else:
+                    assert got is True, (branch, key, value)
+    assert branches == set(REPLAY_READS)
 
 
 def _failing_window(monkeypatch, fail_from_call):

@@ -12,8 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # seed 0 of jump-scan also checks the certificates against the stored
 # digest; pipeline checks the CLI round trip, the verdict and replay of
-# every one of the five sample families
-@pytest.mark.parametrize("workload", ["jump-scan", "pipeline"])
+# every one of the five sample families; iterate checks each profile
+# against index_at, the two-step parity and the mean-index sandwich
+@pytest.mark.parametrize("workload", ["iterate", "jump-scan", "pipeline"])
 def test_benchmark_runs_clean(workload):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -9,8 +9,22 @@ from geoindex import cli, serialize
 from geoindex.cli import main, parse_system
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm
-from geoindex.normal_forms import D
+from geoindex.normal_forms import D, N1
 from geoindex.samples import mod4_system, worked_example_B
+
+
+@pytest.fixture(autouse=True)
+def stdlib_bytes(monkeypatch):
+    """Every payload written here, by the CLI or a fixture, must be the
+    stdlib encoder's bytes."""
+    dumps = serialize.dumps
+
+    def checked(obj):
+        text = dumps(obj)
+        assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return text
+
+    monkeypatch.setattr(serialize, "dumps", checked)
 
 
 @pytest.fixture()
@@ -327,3 +341,18 @@ def test_mean_with_an_end_at_zero_is_one_error_line(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: {kind}mean index of 'z' has an end at 0: 1/mean is "
             f"unbounded\n")
+
+
+def test_value_errors_print_their_message_alone(tmp_path, capsys):
+    # AdmissibilityError and Unbounded are ValueErrors: "error: <message>"
+    lam = D(CertifiedReal.rational(2))
+    shear = IndexGerm("a", 1, (N1(1, "zero"), lam))
+    falling = IndexGerm("n", -1, (lam, D(CertifiedReal.rational(3))))
+    for command, germs, line in (
+            ("anosov", [shear, HN, falling], "germ 'a' is not bumpy"),
+            ("mbar", [falling], "germ 'n' has nonpositive mean index")):
+        path = tmp_path / f"{command}.json"
+        path.write_text(serialize.dumps(serialize.system_to_dict(germs)),
+                        encoding="utf-8")
+        assert main([command, "--system", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"

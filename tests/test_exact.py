@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoindex.exact import (CertifiedReal, PrecisionBudget,
                             PrecisionInsufficient, ceil_int, default_budget,
                             floor_int, frac_part, near_vertex, phi,
                             sqrt_interval)
+
+from .oracle import parse_oracle
 
 CR = CertifiedReal
 
@@ -145,6 +149,44 @@ def test_parse_respects_budget():
     with pytest.raises(ValueError):
         CR.parse("0.5857864376~10", irrational=True,
                  budget=PrecisionBudget(max_digits=8))
+
+
+DIGITS = st.text("0123456789\u0663", max_size=25)  # \u0663 is a digit too
+
+
+@st.composite
+def _literal(draw):
+    """Decimals with or without "~k", ratios, and near misses of both."""
+    sign = draw(st.sampled_from(["", "-", "+", "--"]))
+    kind = draw(st.sampled_from(["decimal", "ratio", "other"]))
+    if kind == "other":
+        return draw(st.text(max_size=8))
+    if kind == "ratio":
+        text = f"{sign}{draw(DIGITS)}/{draw(DIGITS)}"
+    else:
+        text = sign + draw(DIGITS)
+        if draw(st.booleans()):
+            text += "." + draw(DIGITS)
+        if draw(st.booleans()):
+            text += "~" + draw(st.text("0123456789", max_size=3))
+    return draw(st.sampled_from(["", " "])) + text + draw(
+        st.sampled_from(["", "\n"]))
+
+
+def _parsed(parse, text, irrational, budget):
+    try:
+        x = parse(text, irrational=irrational, budget=budget)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return x, x.exact, x.irrational, x.literal
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_literal(), st.booleans(), st.integers(1, 30))
+def test_parse_matches_the_fraction_oracle(text, irrational, digits):
+    budget = PrecisionBudget(max_digits=digits)
+    assert (_parsed(CR.parse, text, irrational, budget)
+            == _parsed(parse_oracle, text, irrational, budget))
 
 
 def test_interval_arithmetic_soundness():
