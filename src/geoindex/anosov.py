@@ -28,7 +28,10 @@ Stage chain:
 
 Every contradiction verdict carries a replayable witness; INCONCLUSIVE
 is reserved for systems outside the three-curve pattern the pipeline
-certifies.
+certifies.  `replay` trusts no number in a report: it runs the chain
+again on the echoed system, under the settings the report pins, and
+requires the same report.  Each verdict is derived in one place, its
+stage function.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .jump import (JumpCertificate, ScaledCertificate, build_problem,
                    scale, search, verify_jump, verify_rounding)
 from .morse import betti, parity_counts
 from . import serialize
-from .serialize import SchemaError, _rational
+from .serialize import _int
 
 
 class AdmissibilityError(ValueError):
@@ -68,6 +71,12 @@ class PipelineConfig:
     n_max: int = 10_000_000
     M0: int = 1
     mbar_override: Optional[int] = None
+
+    def __post_init__(self):
+        if self.p_hat < 1:
+            raise ValueError("p_hat must be positive")
+        if self.mbar_override is not None and self.mbar_override < 1:
+            raise ValueError("--mbar must be positive")
 
 
 @dataclass
@@ -337,11 +346,9 @@ def mod4_contradiction(system: GeodesicSystem, base_cert: JumpCertificate,
                        s_base: Fraction) -> StageRecord:
     """Final clash: the scaled squeeze cannot hold for any admissible S."""
     p = scaled.p_hat
-    s_hat = Fraction(0)
-    for k, germ in enumerate(system.germs):
-        g = gamma_invariant(germ.i1, index_at(germ, 2))
-        s_hat += 2 * scaled.m_hat[k] * g
     gammas = [gamma_invariant(g.i1, index_at(g, 2)) for g in system.germs]
+    s_hat = sum((2 * m * g for m, g in zip(scaled.m_hat, gammas)),
+                Fraction(0))
     cert_dict = mod4_window_certificate(base_cert.N, gammas)
     lo, hi = 8 * base_cert.N - 2, 8 * base_cert.N - 1
     witness = {
@@ -388,7 +395,8 @@ def run_pipeline(system: GeodesicSystem,
     if screen.verdict == "error":
         return finish("INCONCLUSIVE(verification-error)")
 
-    m_bar = config.mbar_override or mbar(system.germs)
+    m_bar = (mbar(system.germs) if config.mbar_override is None
+             else config.mbar_override)
     stages.append(StageRecord("iteration-horizon", "pass",
                               {"m_bar": m_bar}))
 
@@ -458,89 +466,41 @@ def run_pipeline(system: GeodesicSystem,
 
 
 def replay(report: ImpossibilityReport) -> bool:
-    """Recompute the violated constraint of a contradiction report.
+    """Run the stage chain again on the report's echoed system.
 
-    Rebuilds the system from the report's own echo and re-derives the
-    numbers cited by the final stage; True means the violation
-    reproduces exactly.  A witness field the replay reads that is
-    missing or of the wrong type makes it False.
+    The rerun uses the settings the report pins: N, M0 and the divided
+    tolerances of its jump-search certificate (so n_min = n_max = N),
+    p_hat of its scaling stage (1 without one: the stages before scaling
+    read only delta/p and eps/p) and m_bar of its iteration-horizon
+    stage, passed as the override.  A parity-screen report records no
+    tolerances, so it reruns at the PipelineConfig defaults on [N, N].
+    True means the rerun ends in a contradiction and its to_dict()
+    equals the report's, so every number the report cites comes from
+    the stage that cites it.  A report that cannot be read or rerun
+    gives False; replay never raises.
     """
-    germs = serialize.system_from_dict(report.system)
-    final = report.final
-    if not final.startswith("CONTRADICTION("):
-        return False
-    stage_name = final[len("CONTRADICTION("):-1]
-    record = _stage(report, stage_name)
-    if record is None:
-        return False
     try:
-        return _replay(stage_name, record.witness, germs, report)
-    except (KeyError, ValueError):  # a field missing, mistyped or out of range
+        pinned = {s.name: s.witness for s in report.stages}
+        if "jump-search" in pinned:
+            cert = serialize.certificate_from_dict(pinned["jump-search"])
+            p_hat = (_int(pinned["scaling"]["p_hat"], "p_hat")
+                     if "scaling" in pinned else 1)
+            config = PipelineConfig(
+                delta=cert.delta * p_hat, epsilon=cert.epsilon * p_hat,
+                p_hat=p_hat, n_min=cert.N, n_max=cert.N, M0=cert.M0,
+                mbar_override=_int(pinned["iteration-horizon"]["m_bar"],
+                                   "m_bar"))
+        else:
+            screen = pinned["parity-screen"]
+            # an all-odd screen searches no N
+            n = _int(screen["N"], "N") if "N" in screen else 2
+            config = PipelineConfig(n_min=n, n_max=n)
+        germs = serialize.system_from_dict(report.system)
+        rerun = run_pipeline(GeodesicSystem(germs), config)
+        return (rerun.final.startswith("CONTRADICTION(")
+                and rerun.to_dict() == report.to_dict())
+    # the library raises ValueError, ArithmeticError, RuntimeError and
+    # AssertionError subclasses; a report of the wrong shape, the others
+    except (ValueError, ArithmeticError, RuntimeError, AssertionError,
+            LookupError, TypeError):
         return False
-
-
-def _replay(stage_name: str, w: object, germs: Tuple[IndexGerm, ...],
-            report: ImpossibilityReport) -> bool:
-    by_name = {g.name: g for g in germs}
-    if stage_name == "parity-screen":
-        argument = _field(w, "argument", str)
-        if argument == "all-odd":
-            return (all(g.i1 % 2 == 1 for g in germs)
-                    and betti(2) == 1 and _field(w, "M", int) == 0)
-        if argument != "two-odd-one-even" or not _field(w, "window_ok", bool):
-            return False
-        g3 = by_name[_field(w, "even_curve", str)]
-        top = index_at(g3, 2 * _field(w, "m", int))
-        bound = 1 if top == 2 * _field(w, "N", int) else 0
-        return bound == _field(w, "M_2N_bound", int) and bound < 2
-
-    if stage_name in ("forced-top", "gamma-window"):
-        jump_stage = _stage(report, "jump-search")
-        if jump_stage is None:
-            return False
-        cert = serialize.certificate_from_dict(jump_stage.witness)
-
-    if stage_name == "forced-top":
-        two_n = _field(w, "two_N", int)
-        mismatched = _field(w, "mismatched", list, str)
-        m_of = dict(zip(cert.names, cert.m))
-        for name in mismatched:
-            if index_at(by_name[name], 2 * m_of[name]) == two_n:
-                return False
-        return bool(mismatched)
-
-    if stage_name == "gamma-window":
-        s_val = Fraction(0)
-        for name, m_k in zip(cert.names, cert.m):
-            germ = by_name[name]
-            s_val += 2 * m_k * gamma_invariant(germ.i1, index_at(germ, 2))
-        if str(s_val) != _field(w, "S", str):
-            return False
-        lower, upper = (_rational(x, "window")
-                        for x in _field(w, "window", list, str))
-        return not (lower <= s_val <= upper)
-
-    if stage_name == "mod4-clash":
-        lo, hi = _field(w, "scaled_window", list, int)
-        s_hat, s_val = _rational(w["S_hat"], "S_hat"), _rational(w["S"], "S")
-        excluded = _field(_field(w, "window_certificate", dict), "excluded",
-                          bool)
-        return (not (lo <= s_hat <= hi) and excluded
-                and s_hat == _field(w, "p_hat", int) * s_val)
-    return False
-
-
-def _field(w: object, key: str, kind: type,
-           item: Optional[type] = None) -> object:
-    """w[key], exactly a `kind` (a bool is no int); with `item`, a list
-    of exactly `item`s."""
-    value = w.get(key) if isinstance(w, dict) else None
-    if type(value) is not kind or (
-            item and any(type(x) is not item for x in value)):
-        raise SchemaError(f"witness field {key!r} is not a "
-                          f"{kind.__name__}: {value!r}")
-    return value
-
-
-def _stage(report: ImpossibilityReport, name: str) -> Optional[StageRecord]:
-    return next((s for s in report.stages if s.name == name), None)

@@ -200,6 +200,9 @@ class CertifiedReal:
             return CertifiedReal.rational(_scaled(m, K), 10 ** K)
         m = _RATIO.fullmatch(text)
         if m:
+            if int(m[2]) == 0:
+                raise ValueError(f"zero denominator in number literal: "
+                                 f"{text!r}")
             return CertifiedReal.rational(int(m[1]), int(m[2]))
         raise ValueError(f"unparseable number literal: {text!r}")
 

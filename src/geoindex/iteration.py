@@ -249,17 +249,14 @@ def _growth_horizon(germ: IndexGerm, target: int) -> int:
 def germ_mbar(germ: IndexGerm) -> int:
     """Least m0 with i(m + m0) >= i(1) + 4 for every m >= 1.
 
-    Finite by linear growth: beyond the certified horizon the deviation
-    bound settles the condition, so only finitely many m are checked.
+    That is the last j >= 2 with i(j) < i(1) + 4, or 1 if there is none.
+    Every j at or beyond the certified growth horizon clears the target,
+    so one walk down from the horizon finds it.
     """
     target = germ.i1 + 4
     horizon = _growth_horizon(germ, target)
-    for m0 in range(1, horizon + 1):
-        ok = all(index_at(germ, m + m0) >= target
-                 for m in range(1, max(1, horizon - m0) + 1))
-        if ok:
-            return m0
-    return horizon + 1
+    return next((j for j in range(horizon, 1, -1)
+                 if index_at(germ, j) < target), 1)
 
 
 def mbar(germs: Sequence[IndexGerm]) -> int:

@@ -28,6 +28,10 @@ splitting rows.  The walkers below read the same rows block by block, and
 ``mean_oracle``, ``horizon_oracle`` and ``vertex_oracle`` do the germ's
 mean, growth horizon and vertex coordinates in ``CertifiedReal``
 arithmetic, rounded by ``ceil_oracle``.
+
+``germ_mbar`` walks down once from the growth horizon.
+``germ_mbar_oracle`` tries every candidate m0 in turn against every
+iterate up to that horizon.
 """
 
 import re
@@ -35,7 +39,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
-from geoindex.iteration import Unbounded
+from geoindex.iteration import Unbounded, _growth_horizon, index_at
 from geoindex.jump import ClauseReport, VerificationReport, _assemble
 from geoindex.normal_forms import N2, _rows, big_C, nullity_contribution
 
@@ -95,6 +99,9 @@ def parse_oracle(text: str, irrational: bool = False, budget=None):
             f"'0.4142~4': got {text!r}")
     if re.fullmatch(r"-?\d+/\d+", text):
         p, q = text.split("/")
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in number literal: "
+                             f"{text!r}")
         return CertifiedReal.rational(int(p), int(q))
     if re.fullmatch(r"-?\d+(\.\d+)?", text):
         return CertifiedReal.rational(Fraction(text))
@@ -303,3 +310,17 @@ def verify_rounding_oracle(problem, cert):
         clauses.append(ClauseReport(
             "vertex-closeness", side == cert.chi[j], {"coordinate": j}))
     return VerificationReport(clauses)
+
+
+# -- iteration horizon -----------------------------------------------------
+
+def germ_mbar_oracle(germ) -> int:
+    """Least m0 with i(m + m0) >= i(1) + 4 for every m >= 1, trying each
+    m0 in turn against every iterate up to the growth horizon."""
+    target = germ.i1 + 4
+    horizon = _growth_horizon(germ, target)
+    for m0 in range(1, horizon + 1):
+        if all(index_at(germ, m + m0) >= target
+               for m in range(1, max(1, horizon - m0) + 1)):
+            return m0
+    return horizon + 1

@@ -1,17 +1,21 @@
 """Impossibility pipeline: stages, witnesses, replay, controls."""
 
+import copy
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from geoindex import anosov
+from geoindex import anosov, serialize
 from geoindex.anosov import (AdmissibilityError, GeodesicSystem,
-                             PipelineConfig, mod4_window_certificate, replay,
-                             run_pipeline, verify_index_window)
+                             ImpossibilityReport, PipelineConfig, StageRecord,
+                             mod4_window_certificate, replay, run_pipeline,
+                             verify_index_window)
+from geoindex.cli import main
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm, germ_mbar, index_at
-from geoindex.jump import JumpCertificate, build_problem, search
+from geoindex.jump import JumpCertificate, NotFound, build_problem, search
 from geoindex.normal_forms import D, N1, R
 from geoindex.samples import (all_odd_system, forced_top_system,
                               gamma_window_system, hyperbolic_germ,
@@ -19,6 +23,7 @@ from geoindex.samples import (all_odd_system, forced_top_system,
                               two_odd_one_even_system)
 
 from .corpus import anosov_corpus, screen_corpus
+from .test_byte_stability import ANOSOV
 
 CR = CertifiedReal
 CONFIG = PipelineConfig(n_max=300_000)
@@ -95,42 +100,163 @@ def test_report_missing_its_stages_does_not_replay():
         assert replay(forged) is False
 
 
-# the final-witness fields each replay branch reads
-REPLAY_READS = {
-    "all-odd": {"argument", "M"},
-    "two-odd-one-even": {"argument", "window_ok", "even_curve", "m", "N",
-                         "M_2N_bound"},
-    "forced-top": {"two_N", "mismatched"},
-    "gamma-window": {"S", "window"},
-    "mod4-clash": {"scaled_window", "S_hat", "S", "window_certificate",
-                   "p_hat"},
-}
-
-
-def test_replay_never_raises_on_a_malformed_witness():
+@pytest.fixture(scope="module")
+def contradictions():
+    """Every contradiction of the corpora, each report built once."""
     config = PipelineConfig(n_max=500_000)
-    branches = set()
-    for system in anosov_corpus(50) + screen_corpus(8) + [all_odd_system()]:
-        report = run_pipeline(system, config)
+    reports = [run_pipeline(system, config) for system in
+               anosov_corpus(50) + screen_corpus(8) + [all_odd_system()]]
+    assert len(reports) == 59
+    return reports
+
+
+def _with_final(report, witness):
+    final = report.stages[-1]
+    return replace(report, stages=report.stages[:-1] + [
+        replace(final, witness=witness)])
+
+
+def test_replay_never_raises_on_a_malformed_witness(contradictions):
+    # one report per kind of final witness; the tamper corpus below runs
+    # over all of them
+    first = {}
+    for report in contradictions:
         final = report.stages[-1]
         assert report.final == f"CONTRADICTION({final.name})"
-        branch = final.witness.get("argument", final.name)
-        branches.add(branch)
+        first.setdefault(final.witness.get("argument", final.name), report)
+    assert set(first) == {"all-odd", "two-odd-one-even", "forced-top",
+                          "gamma-window", "mod4-clash"}
+    for report in first.values():
+        final = report.stages[-1]
+        assert replay(report) is True
         for key in final.witness:
-            for value in ("deleted", None):
-                witness = dict(final.witness)
-                if value == "deleted":
-                    del witness[key]
-                else:
-                    witness[key] = value
-                forged = replace(report, stages=report.stages[:-1] + [
-                    replace(final, witness=witness)])
-                got = replay(forged)
-                if key in REPLAY_READS[branch]:
-                    assert got is False, (branch, key, value)
-                else:
-                    assert got is True, (branch, key, value)
-    assert branches == set(REPLAY_READS)
+            deleted = {k: v for k, v in final.witness.items() if k != key}
+            for witness in (deleted, {**final.witness, key: None}):
+                assert replay(_with_final(report, witness)) is False, key
+
+
+def _leaves(value, path=()):
+    """(path, leaf) for every leaf of a JSON-like value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _leaves(item, path + (k,))
+    else:
+        yield path, value
+
+
+def _perturbed(leaf):
+    """The numeric leaf moved by one, or None if it is no number."""
+    if isinstance(leaf, bool):
+        return None
+    if isinstance(leaf, int):
+        return leaf + 1
+    try:
+        return str(Fraction(leaf) + 1)
+    except (TypeError, ValueError):
+        return None
+
+
+def _tampered(report, index, path, leaf):
+    """The report with one leaf of stage `index`'s witness replaced."""
+    witness = copy.deepcopy(report.stages[index].witness)
+    parent = witness
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = leaf
+    stages = list(report.stages)
+    stages[index] = replace(stages[index], witness=witness)
+    return replace(report, stages=stages)
+
+
+# the certificate fields a forger might move; M0 is left out, because a
+# certificate with M0 = 2 and an even N is the genuine one of an M0 = 2 run
+CERTIFICATE_FIELDS = {"N", "m", "chi", "Delta", "rho", "delta", "epsilon",
+                      "M"}
+
+
+def test_tampered_reports_do_not_replay(contradictions):
+    tampered = 0
+    for report in contradictions:
+        last = len(report.stages) - 1
+        targets = [(last, path, leaf)
+                   for path, leaf in _leaves(report.stages[last].witness)]
+        for index, stage in enumerate(report.stages):
+            if stage.name == "jump-search":
+                targets += [(index, path, leaf)
+                            for path, leaf in _leaves(stage.witness)
+                            if {path[0], path[-1]} & CERTIFICATE_FIELDS]
+        for index, path, leaf in targets:
+            forged = _perturbed(leaf)
+            if forged is not None:
+                assert replay(_tampered(report, index, path, forged)) \
+                    is False, (report.final, path, leaf)
+                tampered += 1
+    assert tampered > 1500
+
+
+def test_forgeries_found_by_hand_do_not_replay():
+    window = run_pipeline(gamma_window_system(), CONFIG)
+    clash = run_pipeline(mod4_system(20, 33), CONFIG)
+    assert replay(window) and replay(clash)
+    forged_window = _tampered(window, -1, ("window",),
+                              ["-1000000", "-999999"])
+    forged_clash = copy.deepcopy(clash)
+    forged_clash.stages[-1].witness.update(S_hat="1", S="1/4")
+    reindexed = copy.deepcopy(window)
+    c1 = reindexed.system["curves"][0]
+    assert (c1["name"], c1["initial_index"]) == ("c1", 1)
+    c1["initial_index"] = 3
+    unechoed = replace(window, system={})
+    for forged in (forged_window, forged_clash, reindexed, unechoed):
+        assert replay(forged) is False
+
+
+NON_DEFAULT = (
+    PipelineConfig(delta=Fraction(1, 32), epsilon=Fraction(1, 48),
+                   n_max=300),
+    PipelineConfig(p_hat=3, n_max=300),
+    PipelineConfig(M0=2, n_max=300),
+    PipelineConfig(mbar_override=40, n_max=300),
+)
+
+
+def test_reports_at_non_default_settings_replay():
+    systems = anosov_corpus(50)[:20]
+    replayed = 0
+    for config in NON_DEFAULT:
+        for system in systems:
+            try:
+                report = run_pipeline(system, config)
+            except NotFound:
+                continue
+            assert report.final.startswith("CONTRADICTION")
+            assert replay(report), (config, report.final)
+            replayed += 1
+    assert replayed >= 65
+    # a parity screen records no tolerances: it replays at the defaults
+    for k in range(3, 9):
+        tolerance = Fraction(1, 2 ** k)
+        report = run_pipeline(two_odd_one_even_system(), PipelineConfig(
+            delta=tolerance, epsilon=tolerance, n_max=300_000))
+        assert report.final == "CONTRADICTION(parity-screen)"
+        assert replay(report), tolerance
+
+
+@pytest.mark.parametrize("family", sorted(ANOSOV))
+def test_pinned_cli_reports_replay(tmp_path, family):
+    path, out = tmp_path / "system.json", tmp_path / "report.json"
+    path.write_text(serialize.dumps(serialize.system_to_dict(
+        ANOSOV[family][0].germs)), encoding="utf-8")
+    assert main(["anosov", "--system", str(path), "--n-max", "100000",
+                 "--format", "json", "--output", str(out)]) == 2
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    report = ImpossibilityReport(
+        doc["system"], [StageRecord(**s) for s in doc["stages"]],
+        doc["final"])
+    assert replay(report) is True
 
 
 def _failing_window(monkeypatch, fail_from_call):

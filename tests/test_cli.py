@@ -356,3 +356,25 @@ def test_value_errors_print_their_message_alone(tmp_path, capsys):
                         encoding="utf-8")
         assert main([command, "--system", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_zero_denominator_is_one_error_line(tmp_path, capsys):
+    doc = serialize.system_to_dict([worked_example_B()])
+    _curve(doc)["blocks"] = [{"type": "D", "lambda": "1/0"},
+                             {"type": "D", "lambda": "2"}]
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["mean-index", "--system", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: zero denominator in number literal: '1/0'\n")
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--p-hat", "0"], "p_hat must be positive"),
+    (["--p-hat", "-2"], "p_hat must be positive"),
+    (["--mbar", "0"], "--mbar must be positive"),
+    (["--mbar", "-3"], "--mbar must be positive")])
+def test_anosov_settings_below_one_are_one_error_line(
+        assumption_system, capsys, flags, line):
+    assert main(["anosov", "--system", assumption_system] + flags) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"

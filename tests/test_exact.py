@@ -176,7 +176,7 @@ def _literal(draw):
 def _parsed(parse, text, irrational, budget):
     try:
         x = parse(text, irrational=irrational, budget=budget)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return x, x.exact, x.irrational, x.literal
 
@@ -187,6 +187,14 @@ def test_parse_matches_the_fraction_oracle(text, irrational, digits):
     budget = PrecisionBudget(max_digits=digits)
     assert (_parsed(CR.parse, text, irrational, budget)
             == _parsed(parse_oracle, text, irrational, budget))
+
+
+def test_zero_denominator_is_a_value_error():
+    for parse in (CR.parse, parse_oracle):
+        for text in ("1/0", "-3/00"):
+            with pytest.raises(ValueError, match=f"^zero denominator in "
+                               f"number literal: '{text}'$"):
+                parse(text)
 
 
 def test_interval_arithmetic_soundness():

@@ -14,7 +14,7 @@ from geoindex.normal_forms import D, N1, R
 from geoindex.samples import (perturbed, worked_example_A, worked_example_B)
 
 from .corpus import iteration_corpus, random_germ
-from .oracle import index_oracle, nullity_oracle
+from .oracle import germ_mbar_oracle, index_oracle, nullity_oracle
 
 CR = CertifiedReal
 
@@ -86,6 +86,20 @@ def test_mbar_requires_growth():
     hn = IndexGerm("Hn", -1, (D(CR.rational(2)), D(CR.rational(3))))
     with pytest.raises(Unbounded):
         germ_mbar(hn)
+
+
+def test_mbar_walk_matches_the_m0_loop():
+    values = []
+    for germ in iteration_corpus(200):
+        try:
+            want = germ_mbar_oracle(germ)
+        except Unbounded:
+            with pytest.raises(Unbounded):
+                germ_mbar(germ)
+            continue
+        assert germ_mbar(germ) == want, germ
+        values.append(want)
+    assert len(values) > 100 and len(set(values)) > 3
 
 
 def test_initial_index_reproduced_everywhere():
