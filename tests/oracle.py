@@ -29,6 +29,11 @@ splitting rows.  The walkers below read the same rows block by block, and
 mean, growth horizon and vertex coordinates in ``CertifiedReal``
 arithmetic, rounded by ``ceil_oracle``.
 
+``verify_jump_oracle`` re-checks the jump identities (J0), (J+), (J-)
+and (J=) with ``index_oracle`` and ``nullity_oracle``; none of the
+kernel code (``_kernel``, ``_index``, ``_nullity``, ``_q_value``) or the
+clause generator of ``jump`` runs in it.
+
 ``germ_mbar`` walks down once from the growth horizon.
 ``germ_mbar_oracle`` tries every candidate m0 in turn against every
 iterate up to that horizon.
@@ -310,6 +315,53 @@ def verify_rounding_oracle(problem, cert):
         clauses.append(ClauseReport(
             "vertex-closeness", side == cert.chi[j], {"coordinate": j}))
     return VerificationReport(clauses)
+
+
+# -- jump identities -------------------------------------------------------
+
+def _closes(t, k: int) -> bool:
+    """Whether the k-th iterate closes up the spectrum point
+    exp(i*pi*t) of an exact angle: k*t/2 is an integer."""
+    return (Fraction(k, 2) * t.lo).denominator == 1
+
+
+def verify_jump_oracle(problem, cert, m_bar: int):
+    """The clauses of ``verify_jump`` as (name, ok, witness), in its
+    order and one at a time, from the identities of the ``jump``
+    docstring: (J=) at the top iterate 2m_i, then (J+), (J-) and (J0)
+    for each 1 <= m <= m_bar, every index by ``index_oracle`` and every
+    nullity by ``nullity_oracle``.  Q_i(m) weighs the exact angles whose
+    spectrum point both 2m_i and m close up.  A curve with 2m_i <= m_bar
+    leaves no room below the top iterate and yields only a failing
+    "horizon-room" clause."""
+    for i, curve in enumerate(problem.curves):
+        germ, m_i = curve.germ, cert.m[i]
+        name = germ.name
+        if 2 * m_i <= m_bar:
+            yield "horizon-room", False, {"curve": name, "m": m_bar,
+                                          "m_i": m_i}
+            continue
+        s_plus, c = s_plus_at_one(germ.blocks), big_C(germ.blocks)
+        two_n = 2 * (1 if mean_oracle(germ).gt(0) else -1) * cert.N
+        top = index_oracle(germ, 2 * m_i)
+        want = two_n - (s_plus + c - 2 * cert.Delta[i])
+        yield "jump-top", top == want, {"curve": name, "m": 0, "got": top,
+                                        "want": want}
+        for m in range(1, m_bar + 1):
+            base = index_oracle(germ, m)
+            up, want = index_oracle(germ, 2 * m_i + m), two_n + base
+            yield "jump-up", up == want, {"curve": name, "m": m, "got": up,
+                                          "want": want}
+            q = sum(w for t, w in weighted_angles(germ.blocks)
+                    if t.exact and _closes(t, 2 * m_i) and _closes(t, m))
+            down = index_oracle(germ, 2 * m_i - m)
+            want = two_n - base - 2 * (s_plus + q)
+            yield "jump-down", down == want, {"curve": name, "m": m,
+                                              "got": down, "want": want}
+            nu = nullity_oracle(germ, m)
+            yield "jump-nullity", (nullity_oracle(germ, 2 * m_i + m) == nu
+                                   and nullity_oracle(germ, 2 * m_i - m) == nu), \
+                {"curve": name, "m": m, "nu": nu}
 
 
 # -- iteration horizon -----------------------------------------------------

@@ -23,3 +23,19 @@ def test_benchmark_runs_clean(workload):
     assert run.returncode == 0, run.stderr
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["failed"] == 0, last
+
+
+# the tracer sees verification only through the public names
+# verify_rounding and verify_jump: a traced jump-scan run must count
+# candidates and verification time through them
+def test_traced_jump_scan_sees_verification():
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "jump-scan",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    assert last["failed"] == 0, last
+    metrics = last["metrics"]
+    assert metrics["jump.candidates"]["value"] > 0, metrics
+    assert metrics["jump.verify_jump_s"]["value"] > 0, metrics

@@ -6,6 +6,7 @@ must reproduce them exactly.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -39,6 +40,9 @@ SYSTEM_B = {
     "gamma": "c560f2aa268885372eea0280d1f19db5a010a5827bf92c248b5eebe1fffc22eb",
     "mbar": "b252b469a038020c514ee78e8f770b6ed494566f37ea3292b3a5a0e634d8e75b",
 }
+
+# verify-jump on B's certificate with Delta raised to 1: exit code 1
+VERIFY_JUMP_FAILING = "fdb51ab10b87c1e24035954801eaaef24d7ca26fb62c3f595a96ba8c023c0ff4"
 
 MORSE_H = "712e5c2cf46f253eb0499dede91f44a6dfa30f19a264a236de2eec6552d4c2b1"
 
@@ -87,6 +91,20 @@ def test_system_b_subcommands_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert main(["morse", "--system", b, "--certificate", cert]) == 1
     assert capsys.readouterr().err == "error: iterate 4 of 'B' is degenerate\n"
+
+
+def test_failing_verify_jump_is_pinned(tmp_path):
+    b = _write(tmp_path, "b", [samples.worked_example_B()])
+    cert = tmp_path / "cert.json"
+    assert main(["jump-search", "--system", b, "--delta", "1/100",
+                 "--epsilon", "1/100", "--n-max", "100", "--format", "json",
+                 "--output", str(cert)]) == 0
+    doc = json.loads(cert.read_text(encoding="utf-8"))
+    doc["curves"][0]["Delta"] += 1
+    cert.write_text(serialize.dumps(doc), encoding="utf-8")
+    assert _json_digest(tmp_path, ["verify-jump", "--system", b,
+                                   "--certificate", str(cert)], 1) \
+        == VERIFY_JUMP_FAILING
 
 
 def test_morse_json_is_pinned(tmp_path):

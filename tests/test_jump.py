@@ -1,19 +1,21 @@
 """Jump problems: construction, search, verification, scaling."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from geoindex.exact import CertifiedReal
+from geoindex.exact import CertifiedReal, PrecisionInsufficient
 from geoindex.iteration import IndexGerm, germ_mbar, index_at, mean_index
-from geoindex.jump import (NotFound, ZeroMeanIndex, build_problem,
-                           delta_invariance, scale, search, verify_jump,
-                           verify_rounding)
+from geoindex.jump import (IdentityViolation, NotFound, ZeroMeanIndex,
+                           build_problem, delta_invariance, scale, search,
+                           verify_jump, verify_rounding)
 from geoindex.normal_forms import D, N1, R
 from geoindex.samples import worked_example_B
 
 from .corpus import jump_corpus
-from .oracle import candidate_oracle
+from .oracle import candidate_oracle, verify_jump_oracle
 
 CR = CertifiedReal
 DELTA = Fraction(1, 100)
@@ -327,3 +329,84 @@ def test_scaled_fractional_parts_identity():
             lhs = frac_part(vj * (p * cert.N))
             rhs = frac_part(frac_part(vj * cert.N) * p)
             assert lhs.lo == rhs.lo
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionInsufficient as exc:
+        return type(exc).__name__
+
+
+def _jump_clauses(problem, cert, m_bar):
+    return [(c.name, c.ok, c.witness)
+            for c in verify_jump(problem, cert, m_bar).clauses]
+
+
+def _oracle_clauses(problem, cert, m_bar):
+    return list(verify_jump_oracle(problem, cert, m_bar))
+
+
+def _strict(problem, cert, m_bar):
+    """The triple and message verify_jump(strict=True) raises, or None."""
+    try:
+        verify_jump(problem, cert, m_bar, strict=True)
+    except IdentityViolation as err:
+        return err.triple, str(err)
+    return None
+
+
+def _oracle_strict(problem, cert, m_bar):
+    """The same from the oracle's first failing clause, reached lazily."""
+    for name, ok, witness in verify_jump_oracle(problem, cert, m_bar):
+        if not ok:
+            rest = dict(witness)
+            curve, m = rest.pop("curve"), rest.pop("m")
+            return ((curve, m, name),
+                    f"{name} fails for curve {curve!r} at m={m}: {rest}")
+    return None
+
+
+def _bump(values, k, d):
+    return values[:k] + (values[k] + d,) + values[k + 1:]
+
+
+def _variants(cert, m_bar):
+    """A searched certificate, then tampered copies: each m_i, each
+    Delta_i and N moved by one, and the horizon at and just below
+    2*min(m_i), where the horizon room runs out; last, every m_i moved
+    far enough that the ceilings of interval angles are undecided."""
+    yield cert, m_bar
+    for k in range(len(cert.m)):
+        for d in (-1, 1):
+            yield replace(cert, m=_bump(cert.m, k, d)), m_bar
+            yield replace(cert, Delta=_bump(cert.Delta, k, d)), m_bar
+    yield replace(cert, N=cert.N - 1), m_bar
+    yield replace(cert, N=cert.N + 1), m_bar
+    room = 2 * min(cert.m)
+    if room <= 64:
+        yield cert, room - 1
+        yield cert, room
+    yield replace(cert, m=tuple(m_i + 10 ** 120 for m_i in cert.m)), m_bar
+
+
+def test_jump_clauses_match_oracle():
+    m_bar = 8
+    seen = Counter()
+    for germs in jump_corpus(16):
+        problem = build_problem(germs, Fraction(1, 64), Fraction(1, 64))
+        cert = search(problem, 1, 10 ** 7, m_bar=m_bar)
+        for tampered, horizon in _variants(cert, m_bar):
+            args = problem, tampered, horizon
+            want = _outcome(_oracle_clauses, *args)
+            assert _outcome(_jump_clauses, *args) == want, args[1:]
+            strict = _outcome(_oracle_strict, *args)
+            assert _outcome(_strict, *args) == strict, args[1:]
+            if isinstance(want, str):
+                seen[want] += 1
+                continue
+            failed = {name for name, ok, _ in want if not ok}
+            seen.update(failed or {"ok"})
+    assert min(seen[k] for k in ("ok", "horizon-room", "jump-top", "jump-up",
+                                 "jump-down", "jump-nullity",
+                                 "PrecisionInsufficient")) >= 3, seen
