@@ -31,6 +31,10 @@ accepted only after all identities above verify by direct recomputation.
 The scan over multiples of M0 is deterministic: smallest qualifying N
 wins, and enlarging the range never changes the result.
 
+A check keeps each clause as a verdict (name, ok, witness items).  A
+VerificationReport builds ClauseReports only when ``clauses`` or
+``first_failure`` is read; the search and ``scale`` read only verdicts.
+
 Scaling: a certificate produced at tolerances (delta/p, eps/p) survives
 multiplication of N by p with chi unchanged, m_i multiplied by p, and
 Delta_i unchanged (the Delta recount for the scaled iterates uses the
@@ -288,51 +292,49 @@ class ClauseReport:
 
 @dataclass
 class VerificationReport:
-    clauses: List[ClauseReport]
+    _verdicts: List[tuple]
+
+    @property
+    def clauses(self) -> List[ClauseReport]:
+        return [ClauseReport(n, ok, dict(w)) for n, ok, w in self._verdicts]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.clauses)
+        return all(ok for _, ok, _ in self._verdicts)
 
     def first_failure(self) -> Optional[ClauseReport]:
-        for c in self.clauses:
-            if not c.ok:
-                return c
-        return None
+        return next((ClauseReport(n, ok, dict(w))
+                     for n, ok, w in self._verdicts if not ok), None)
 
 
 def verify_rounding(problem: JumpProblem, cert: JumpCertificate) -> VerificationReport:
     """Re-check the rounding identities (R1)-(R3) and the Delta recount."""
-    clauses: List[ClauseReport] = []
-    for i, curve in enumerate(problem.curves):
-        m_i = cert.m[i]
-        name = curve.germ.name
-        lhs = m_i * curve.beta
-        for row in curve.rows:
-            lhs += _ceil(_times(row, m_i))
-        rhs = curve.rho * cert.N + cert.Delta[i]
-        clauses.append(ClauseReport(
-            "rounding-sum", lhs == rhs,
-            {"curve": name, "lhs": lhs, "rhs": rhs}))
+    return VerificationReport(list(_rounding_clauses(problem, cert)))
+
+
+def _rounding_clauses(problem: JumpProblem,
+                      cert: JumpCertificate) -> Iterator[tuple]:
+    for curve, m_i, delta_i in zip(problem.curves, cert.m, cert.Delta):
+        who = ("curve", curve.germ.name)
+        lhs = m_i * curve.beta + sum(_ceil(_times(row, m_i))
+                                     for row in curve.rows)
+        rhs = curve.rho * cert.N + delta_i
+        yield "rounding-sum", lhs == rhs, (who, ("lhs", lhs), ("rhs", rhs))
         for j, (a, row) in enumerate(zip(curve.alphas, curve.rows)):
             if a.exact:
                 x = _times(row, m_i)
-                clauses.append(ClauseReport(
-                    "rational-integrality", x[0] % x[2] == 0,
-                    {"curve": name, "alpha": str(a.lo), "m": m_i}))
-                continue
-            clauses.append(ClauseReport(
-                "angle-closeness", _near(row, problem.delta, m_i) is not None,
-                {"curve": name, "alpha_index": j}))
+                yield ("rational-integrality", x[0] % x[2] == 0,
+                       (who, ("alpha", str(a.lo)), ("m", m_i)))
+            else:
+                yield ("angle-closeness",
+                       _near(row, problem.delta, m_i) is not None,
+                       (who, ("alpha_index", j)))
         recount = _delta_count(curve, m_i, problem.delta)
-        clauses.append(ClauseReport(
-            "delta-count", recount == cert.Delta[i],
-            {"curve": name, "recount": recount, "Delta": cert.Delta[i]}))
+        yield ("delta-count", recount == delta_i,
+               (who, ("recount", recount), ("Delta", delta_i)))
     for j, row in enumerate(problem.v_rows):
         side = _near(row, problem.epsilon, cert.N)
-        clauses.append(ClauseReport(
-            "vertex-closeness", side == cert.chi[j], {"coordinate": j}))
-    return VerificationReport(clauses)
+        yield "vertex-closeness", side == cert.chi[j], (("coordinate", j),)
 
 
 def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
@@ -341,44 +343,44 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
 
     With strict=True the first failure raises IdentityViolation.
     """
-    clauses: List[ClauseReport] = []
-    for c in _jump_clauses(problem, cert, m_bar):
-        clauses.append(c)
-        if strict and not c.ok:
-            w = dict(c.witness)
-            raise IdentityViolation(w.pop("curve"), w.pop("m"), c.name, str(w))
-    return VerificationReport(clauses)
+    verdicts: List[tuple] = []
+    for name, ok, items in _jump_clauses(problem, cert, m_bar):
+        verdicts.append((name, ok, items))
+        if strict and not ok:
+            w = dict(items)
+            raise IdentityViolation(w.pop("curve"), w.pop("m"), name, str(w))
+    return VerificationReport(verdicts)
 
 
 def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
-                  m_bar: int) -> Iterator[ClauseReport]:
+                  m_bar: int) -> Iterator[tuple]:
     """The clauses of ``verify_jump`` in order.  Each iterate is
     evaluated, on the germ's compiled kernel, when its clause is reached,
     so a consumer that stops at the first failure evaluates nothing
     past it."""
     for i, curve in enumerate(problem.curves):
-        def clause(name: str, ok: bool, m: int, **extra) -> ClauseReport:
-            return ClauseReport(name, ok, {"curve": curve.germ.name, "m": m,
-                                           **extra})
-
         m_i, k = cert.m[i], _kernel(curve.germ)
+        who = ("curve", curve.germ.name)
         if 2 * m_i <= m_bar:
-            yield clause("horizon-room", False, m_bar, m_i=m_i)
+            yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
             continue
         two_n = 2 * curve.rho * cert.N
         top = _index(k, 2 * m_i)
         want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
-        yield clause("jump-top", top == want, 0, got=top, want=want)
+        yield ("jump-top", top == want,
+               (who, ("m", 0), ("got", top), ("want", want)))
         for m in range(1, m_bar + 1):
+            at = ("m", m)
             base = _index(k, m)
             up, want = _index(k, 2 * m_i + m), two_n + base
-            yield clause("jump-up", up == want, m, got=up, want=want)
+            yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
             down = _index(k, 2 * m_i - m)
             want = two_n - base - 2 * (k.s_plus + _q_value(k.q_rows, m_i, m))
-            yield clause("jump-down", down == want, m, got=down, want=want)
+            yield ("jump-down", down == want,
+                   (who, at, ("got", down), ("want", want)))
             nu = _nullity(k, m)
-            yield clause("jump-nullity", _nullity(k, 2 * m_i + m) == nu
-                         and _nullity(k, 2 * m_i - m) == nu, m, nu=nu)
+            yield ("jump-nullity", _nullity(k, 2 * m_i + m) == nu
+                   and _nullity(k, 2 * m_i - m) == nu, (who, at, ("nu", nu)))
 
 
 def _iterates(problem: JumpProblem, N: int, chi: Sequence[int]) -> List[int]:
@@ -394,12 +396,10 @@ def _assemble(problem: JumpProblem, N: int, chi: List[int],
     if any(m_i < 1 or 2 * m_i <= m_bar for m_i in m_vec):
         return None
 
-    deltas: List[int] = []
-    for i, curve in enumerate(problem.curves):
-        d = _delta_count(curve, m_vec[i], problem.delta)
-        if d is None:
-            return None
-        deltas.append(d)
+    deltas = [_delta_count(curve, m_i, problem.delta)
+              for curve, m_i in zip(problem.curves, m_vec)]
+    if None in deltas:
+        return None
 
     cert = JumpCertificate(
         N=N, m=tuple(m_vec), chi=tuple(chi), Delta=tuple(deltas),
@@ -409,7 +409,7 @@ def _assemble(problem: JumpProblem, N: int, chi: List[int],
         names=tuple(c.germ.name for c in problem.curves))
     if not verify_rounding(problem, cert).ok:
         return None
-    if not all(c.ok for c in _jump_clauses(problem, cert, m_bar)):
+    if not all(ok for _, ok, _ in _jump_clauses(problem, cert, m_bar)):
         return None
     return cert
 
@@ -466,7 +466,6 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     N_hat = p_hat * cert.N
     delta_hat, eps_hat = _scaled_tolerances(cert, p_hat)
 
-    checks: List[Tuple[str, bool]] = []
     chi_hat: List[int] = []
     for j, row in enumerate(problem.v_rows):
         side = _near(row, eps_hat, N_hat)
@@ -474,11 +473,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
             raise ScaleMismatch(f"scaled vertex closeness fails at "
                                 f"coordinate {j}")
         chi_hat.append(side)
-    checks.append(("chi-invariance", tuple(chi_hat) == cert.chi))
-
     m_hat = _iterates(problem, N_hat, chi_hat)
-    checks.append(("m-scaling",
-                   tuple(m_hat) == tuple(p_hat * mi for mi in cert.m)))
 
     delta_hat_counts: List[int] = []
     for i, curve in enumerate(problem.curves):
@@ -487,8 +482,9 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
             raise ScaleMismatch(f"scaled Delta recount undecidable for "
                                 f"curve {curve.germ.name!r}")
         delta_hat_counts.append(d)
-    checks.append(("Delta-invariance",
-                   tuple(delta_hat_counts) == cert.Delta))
+    checks = (("chi-invariance", tuple(chi_hat) == cert.chi),
+              ("m-scaling", tuple(m_hat) == tuple(p_hat * m for m in cert.m)),
+              ("Delta-invariance", tuple(delta_hat_counts) == cert.Delta))
 
     for name, ok in checks:
         if not ok:
@@ -499,10 +495,9 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
         base=cert, p_hat=p_hat, N_hat=N_hat, m_hat=tuple(m_hat),
         chi_hat=tuple(chi_hat), Delta_hat=tuple(delta_hat_counts),
         # recorded as passed: a failure raises below
-        checks=tuple(checks) + (("scaled-identities", True),))
-    ident = verify_jump(problem, scaled.certificate, m_bar)
-    if not ident.ok:
-        fail = ident.first_failure()
+        checks=checks + (("scaled-identities", True),))
+    fail = verify_jump(problem, scaled.certificate, m_bar).first_failure()
+    if fail is not None:
         raise ScaleMismatch(f"scaled identity fails: {fail.name} "
                             f"{fail.witness}")
     return scaled

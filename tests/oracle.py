@@ -45,7 +45,7 @@ from math import ceil, floor, lcm
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
 from geoindex.iteration import Unbounded, _growth_horizon, index_at
-from geoindex.jump import ClauseReport, VerificationReport, _assemble
+from geoindex.jump import _assemble
 from geoindex.normal_forms import N2, _rows, big_C, nullity_contribution
 
 
@@ -280,8 +280,9 @@ def delta_count_oracle(curve, m_i: int, delta):
 
 
 def verify_rounding_oracle(problem, cert):
-    """The rounding clauses (R1)-(R3), the Delta recount and vertex
-    closeness, every product formed as a CertifiedReal."""
+    """The clauses of ``verify_rounding`` as (name, ok, witness), in its
+    order: (R1)-(R3), the Delta recount and vertex closeness, every
+    product formed as a CertifiedReal."""
     clauses = []
     for i, curve in enumerate(problem.curves):
         m_i = cert.m[i]
@@ -290,21 +291,20 @@ def verify_rounding_oracle(problem, cert):
         for a in curve.alphas:
             lhs += ceil_oracle(a * m_i)
         rhs = curve.rho * cert.N + cert.Delta[i]
-        clauses.append(ClauseReport(
-            "rounding-sum", lhs == rhs,
-            {"curve": name, "lhs": lhs, "rhs": rhs}))
+        clauses.append(("rounding-sum", lhs == rhs,
+                        {"curve": name, "lhs": lhs, "rhs": rhs}))
         for j, a in enumerate(curve.alphas):
             if a.exact:
-                clauses.append(ClauseReport(
+                clauses.append((
                     "rational-integrality", (a.lo * m_i).denominator == 1,
                     {"curve": name, "alpha": str(a.lo), "m": m_i}))
                 continue
-            clauses.append(ClauseReport(
+            clauses.append((
                 "angle-closeness",
                 side_oracle(a, m_i, problem.delta) is not None,
                 {"curve": name, "alpha_index": j}))
         recount = delta_count_oracle(curve, m_i, problem.delta)
-        clauses.append(ClauseReport(
+        clauses.append((
             "delta-count", recount == cert.Delta[i],
             {"curve": name, "recount": recount, "Delta": cert.Delta[i]}))
     for j, vj in enumerate(problem.v):
@@ -312,9 +312,9 @@ def verify_rounding_oracle(problem, cert):
             side = near_vertex_oracle(vj * cert.N, problem.epsilon)
         except PrecisionInsufficient:
             side = None
-        clauses.append(ClauseReport(
-            "vertex-closeness", side == cert.chi[j], {"coordinate": j}))
-    return VerificationReport(clauses)
+        clauses.append(("vertex-closeness", side == cert.chi[j],
+                        {"coordinate": j}))
+    return clauses
 
 
 # -- jump identities -------------------------------------------------------
