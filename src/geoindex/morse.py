@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .iteration import IndexGerm, gamma_invariant, index_at, is_bumpy, nullity_at
+from .iteration import (IndexGerm, _index, _kernel, _nullity, gamma_invariant,
+                        index_at, is_bumpy, nullity_at)
 from .jump import JumpCertificate, JumpProblem, verify_jump
 
 
@@ -114,10 +115,11 @@ def morse_numbers_up_to(germs: Sequence[IndexGerm], problem: JumpProblem,
         raise TruncationUnsound("window inequalities do not verify")
     counts: Dict[int, int] = {}
     for k, germ in enumerate(germs):
+        kernel = _kernel(germ)
         for m in range(1, 2 * cert.m[k] + 1):
-            im = index_at(germ, m)
+            im = _index(kernel, m)
             if 0 <= im <= q_max and (im - germ.i1) % 2 == 0:
-                if nullity_at(germ, m) > 0:
+                if _nullity(kernel, m) > 0:
                     raise DegenerateIterate(
                         f"iterate {m} of {germ.name!r} is degenerate")
                 counts[im] = counts.get(im, 0) + 1
