@@ -273,16 +273,6 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     return count
 
 
-def _q_value(q_rows: Tuple[Tuple[int, int, int], ...], m_i: int,
-             m: int) -> int:
-    """Weighted count of rational spectrum points p/q closed by m_i and m.
-
-    The rows (S-, p, q) come from the germ's compiled kernel.
-    """
-    return sum(w for w, p, q in q_rows
-               if m_i * p % q == 0 and m * p % (2 * q) == 0)
-
-
 @dataclass
 class ClauseReport:
     name: str
@@ -364,6 +354,9 @@ def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
         if 2 * m_i <= m_bar:
             yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
             continue
+        # Q_i(m) weighs the rational points p/q that 2m_i closes up
+        # (m_i*p/q integral) and m closes up too (m*p/(2q) integral)
+        closed = [(w, p, 2 * q) for w, p, q in k.q_rows if m_i * p % q == 0]
         two_n = 2 * curve.rho * cert.N
         top = _index(k, 2 * m_i)
         want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
@@ -375,7 +368,8 @@ def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
             up, want = _index(k, 2 * m_i + m), two_n + base
             yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
             down = _index(k, 2 * m_i - m)
-            want = two_n - base - 2 * (k.s_plus + _q_value(k.q_rows, m_i, m))
+            q_m = sum(w for w, p, q2 in closed if m * p % q2 == 0)
+            want = two_n - base - 2 * (k.s_plus + q_m)
             yield ("jump-down", down == want,
                    (who, at, ("got", down), ("want", want)))
             nu = _nullity(k, m)
@@ -396,10 +390,12 @@ def _assemble(problem: JumpProblem, N: int, chi: List[int],
     if any(m_i < 1 or 2 * m_i <= m_bar for m_i in m_vec):
         return None
 
-    deltas = [_delta_count(curve, m_i, problem.delta)
-              for curve, m_i in zip(problem.curves, m_vec)]
-    if None in deltas:
-        return None
+    deltas: List[int] = []
+    for i, curve in enumerate(problem.curves):
+        d = _delta_count(curve, m_vec[i], problem.delta)
+        if d is None:
+            return None
+        deltas.append(d)
 
     cert = JumpCertificate(
         N=N, m=tuple(m_vec), chi=tuple(chi), Delta=tuple(deltas),
@@ -409,8 +405,9 @@ def _assemble(problem: JumpProblem, N: int, chi: List[int],
         names=tuple(c.germ.name for c in problem.curves))
     if not verify_rounding(problem, cert).ok:
         return None
-    if not all(ok for _, ok, _ in _jump_clauses(problem, cert, m_bar)):
-        return None
+    for _, ok, _ in _jump_clauses(problem, cert, m_bar):
+        if not ok:
+            return None
     return cert
 
 
@@ -466,6 +463,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     N_hat = p_hat * cert.N
     delta_hat, eps_hat = _scaled_tolerances(cert, p_hat)
 
+    checks: List[Tuple[str, bool]] = []
     chi_hat: List[int] = []
     for j, row in enumerate(problem.v_rows):
         side = _near(row, eps_hat, N_hat)
@@ -473,7 +471,11 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
             raise ScaleMismatch(f"scaled vertex closeness fails at "
                                 f"coordinate {j}")
         chi_hat.append(side)
+    checks.append(("chi-invariance", tuple(chi_hat) == cert.chi))
+
     m_hat = _iterates(problem, N_hat, chi_hat)
+    checks.append(("m-scaling",
+                   tuple(m_hat) == tuple(p_hat * mi for mi in cert.m)))
 
     delta_hat_counts: List[int] = []
     for i, curve in enumerate(problem.curves):
@@ -482,9 +484,8 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
             raise ScaleMismatch(f"scaled Delta recount undecidable for "
                                 f"curve {curve.germ.name!r}")
         delta_hat_counts.append(d)
-    checks = (("chi-invariance", tuple(chi_hat) == cert.chi),
-              ("m-scaling", tuple(m_hat) == tuple(p_hat * m for m in cert.m)),
-              ("Delta-invariance", tuple(delta_hat_counts) == cert.Delta))
+    checks.append(("Delta-invariance",
+                   tuple(delta_hat_counts) == cert.Delta))
 
     for name, ok in checks:
         if not ok:
@@ -495,7 +496,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
         base=cert, p_hat=p_hat, N_hat=N_hat, m_hat=tuple(m_hat),
         chi_hat=tuple(chi_hat), Delta_hat=tuple(delta_hat_counts),
         # recorded as passed: a failure raises below
-        checks=checks + (("scaled-identities", True),))
+        checks=tuple(checks) + (("scaled-identities", True),))
     fail = verify_jump(problem, scaled.certificate, m_bar).first_failure()
     if fail is not None:
         raise ScaleMismatch(f"scaled identity fails: {fail.name} "

@@ -31,8 +31,8 @@ arithmetic, rounded by ``ceil_oracle``.
 
 ``verify_jump_oracle`` re-checks the jump identities (J0), (J+), (J-)
 and (J=) with ``index_oracle`` and ``nullity_oracle``; none of the
-kernel code (``_kernel``, ``_index``, ``_nullity``, ``_q_value``) or the
-clause generator of ``jump`` runs in it.
+kernel code (``_kernel``, ``_index``, ``_nullity``) or the clause
+generator of ``jump`` runs in it.
 
 ``germ_mbar`` walks down once from the growth horizon.
 ``germ_mbar_oracle`` tries every candidate m0 in turn against every
