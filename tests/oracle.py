@@ -359,9 +359,9 @@ def verify_jump_oracle(problem, cert, m_bar: int):
             yield "jump-down", down == want, {"curve": name, "m": m,
                                               "got": down, "want": want}
             nu = nullity_oracle(germ, m)
-            yield "jump-nullity", (nullity_oracle(germ, 2 * m_i + m) == nu
-                                   and nullity_oracle(germ, 2 * m_i - m) == nu), \
-                {"curve": name, "m": m, "nu": nu}
+            same = (nullity_oracle(germ, 2 * m_i + m) == nu
+                    and nullity_oracle(germ, 2 * m_i - m) == nu)
+            yield "jump-nullity", same, {"curve": name, "m": m, "nu": nu}
 
 
 # -- iteration horizon -----------------------------------------------------

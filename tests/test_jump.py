@@ -338,7 +338,7 @@ def _outcome(fn, *args):
         return type(exc).__name__
 
 
-def _jump_clauses(problem, cert, m_bar):
+def _report_clauses(problem, cert, m_bar):
     return [(c.name, c.ok, c.witness)
             for c in verify_jump(problem, cert, m_bar).clauses]
 
@@ -399,7 +399,7 @@ def test_jump_clauses_match_oracle():
         for tampered, horizon in _variants(cert, m_bar):
             args = problem, tampered, horizon
             want = _outcome(_oracle_clauses, *args)
-            assert _outcome(_jump_clauses, *args) == want, args[1:]
+            assert _outcome(_report_clauses, *args) == want, args[1:]
             strict = _outcome(_oracle_strict, *args)
             assert _outcome(_strict, *args) == strict, args[1:]
             if isinstance(want, str):
