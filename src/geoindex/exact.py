@@ -36,7 +36,8 @@ up to the active ``PrecisionBudget``.
 The queries are answered on integer rows: ``_row`` writes a value over
 one common denominator, ``_times`` multiplies it by an integer, and
 ``_floor`` and ``_ceil`` round the product; ``floor_int`` and
-``ceil_int`` are these at multiplier 1.  ``_placement`` compiles once
+``ceil_int`` are these at multiplier 1, and ``is_integer``, so ``phi``,
+asks whether the two agree.  ``_placement`` compiles once
 per row and tolerance where m*x sits against the integers and eps, for
 every multiplier m; ``near_vertex`` is it at m = 1.  One rule holds
 throughout: a declared-irrational value equals neither end of its
@@ -284,16 +285,12 @@ class CertifiedReal:
     # -- certified queries ---------------------------------------------
 
     def is_integer(self) -> bool:
-        """Certified integrality; irrational values are never integers."""
-        if self.lo == self.hi:
-            return self.lo.denominator == 1
+        """Certified integrality: floor == ceil, with both certified.
+        A declared-irrational value is never an integer."""
         if self.irrational:
             return False
-        lo_f, hi_f = _floor_fraction(self.lo), _floor_fraction(self.hi)
-        if lo_f == hi_f and self.lo.denominator > 1 and self.hi.denominator > 1:
-            return False
-        raise PrecisionInsufficient(
-            f"cannot decide integrality of {self.describe()}")
+        x = _times(_row(self), 1)
+        return _floor(x) == _ceil(x)
 
     def sign_vs(self, r: Rationalish) -> int:
         """Certified comparison against a rational: -1, 0, or +1.
@@ -334,10 +331,6 @@ class CertifiedReal:
             return str(self.lo)
         tag = "~irr" if self.irrational else "~"
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]{tag}"
-
-
-def _floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def floor_int(x: CertifiedReal) -> int:

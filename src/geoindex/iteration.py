@@ -24,9 +24,11 @@ interval angle [lo, hi] over a common denominator d; the nullity as
 plus a flag for an undeclared decimal angle, whose nullity is never
 certified; the rational spectrum rows (S-, p, q) that the Q count of the
 jump identities reads; and M, the lcm of the denominators of the
-rational spectrum points, S- = 0 points included.  It also keeps the
-weighted angles with their rows for ``jump.build_problem``, and the ends
-of the mean (an N2 pair adds t + (2 - t) = 2) for the growth horizons.
+rational spectrum points, S- = 0 points included.  It also keeps each
+weighted angle only as its integer row, once per unit of weight, which
+the jump problem reads as it is, and the ends of the mean (an N2 pair
+adds t + (2 - t) = 2) for the growth horizons.  A germ is bumpy when it
+has no nullity period and no undeclared angle.
 
 An exact ceiling is one integer division.  For an interval angle, with
 L = m*lo/2 and H = m*hi/2, the only possible certified ceiling is
@@ -102,7 +104,6 @@ class _Kernel(NamedTuple):
     closing: Tuple[Tuple[int, int], ...]
     undeclared: bool
     q_rows: Tuple[Tuple[int, int, int], ...]
-    alphas: Tuple[CertifiedReal, ...]
     rows: Tuple[_Row, ...]
     M: int
     mean: Tuple[Fraction, Fraction, bool, bool]
@@ -112,7 +113,7 @@ class _Kernel(NamedTuple):
 def _kernel(germ: IndexGerm) -> _Kernel:
     s_plus = c = 0
     M = 1
-    exact, interval, q_rows, alphas, rows, closing = [], [], [], [], [], []
+    exact, interval, q_rows, rows, closing = [], [], [], [], []
     undeclared = False
     lo = hi = Fraction(0)  # the angle part of the mean
     wide = []              # irrational flags of the angles that widen it
@@ -128,7 +129,6 @@ def _kernel(germ: IndexGerm) -> _Kernel:
             if not w:
                 continue
             L, H, d, _, irrational = row = _row(t)
-            alphas += [t] * w
             rows += [row] * w
             if L == H:  # exact, or a zero-width interval: m*t/2 is exact
                 exact.append((2 * w, L, 2 * d))
@@ -153,7 +153,7 @@ def _kernel(germ: IndexGerm) -> _Kernel:
     slope = germ.i1 + s_plus - c
     return _Kernel(slope, s_plus + c, s_plus, c, tuple(exact),
                    tuple(interval), tuple(closing), undeclared,
-                   tuple(q_rows), tuple(alphas), tuple(rows), M,
+                   tuple(q_rows), tuple(rows), M,
                    (slope + lo, slope + hi, not wide, wide == [True]))
 
 
@@ -222,12 +222,8 @@ def gamma_invariant(i1: int, i2: int) -> Fraction:
 
 def is_bumpy(germ: IndexGerm) -> bool:
     """No iterate is degenerate: no shear block, all angles irrational."""
-    for b in germ.blocks:
-        if isinstance(b, N1):
-            return False
-        if isinstance(b, (R, N2)) and not b.t.irrational:
-            return False
-    return True
+    k = _kernel(germ)
+    return not (k.closing or k.undeclared)
 
 
 def _growth_horizon(germ: IndexGerm, target: int) -> int:

@@ -31,6 +31,11 @@ accepted only after all identities above verify by direct recomputation.
 The scan over multiples of M0 is deterministic: smallest qualifying N
 wins, and enlarging the range never changes the result.
 
+A curve keeps only its germ, rho_i and the germ's compiled kernel
+(``iteration._kernel``): beta_i is its slope, the alpha_{i,j} are its
+integer rows.  The vertex coordinates are kept as integer rows, and
+``v`` reads them back as values.
+
 A check keeps each clause as a verdict (name, ok, witness items).  A
 VerificationReport builds ClauseReports only when ``clauses`` or
 ``first_failure`` is read; the search and ``scale`` read only verdicts.
@@ -50,7 +55,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor, _Row,
                     _placement, _row, _times, ceil_int)
-from .iteration import IndexGerm, _index, _kernel, _nullity, mean_index
+from .iteration import (IndexGerm, _index, _Kernel, _kernel, _nullity,
+                        mean_index)
 
 
 class ZeroMeanIndex(ValueError):
@@ -85,12 +91,8 @@ class CertificateMismatch(ValueError):
 @dataclass(frozen=True)
 class CurveProblem:
     germ: IndexGerm
-    beta: int
-    alphas: Tuple[CertifiedReal, ...]     # S- weighted angles, multiplicity kept
-    mean: CertifiedReal
     rho: int
-    abs_mean: CertifiedReal
-    rows: Tuple[_Row, ...]                # alphas on integers (_row)
+    kernel: _Kernel                       # beta_i = slope, alpha_{i,j} = rows
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,17 @@ class JumpProblem:
     M0: int
     delta: Fraction
     epsilon: Fraction
-    v: Tuple[CertifiedReal, ...]
     v_rows: Tuple[_Row, ...]              # v on integers (_row)
 
     @property
     def germs(self) -> Tuple[IndexGerm, ...]:
         return tuple(c.germ for c in self.curves)
+
+    @property
+    def v(self) -> Tuple[CertifiedReal, ...]:
+        """The vertex coordinates as values, read off their rows."""
+        return tuple(CertifiedReal(Fraction(L, d), Fraction(H, d), *flags)
+                     for L, H, d, *flags in self.v_rows)
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,8 @@ def check_certificate(problem: JumpProblem, cert: JumpCertificate) -> None:
     names, rho and M must be the problem's, with one chi entry per
     vertex coordinate."""
     want = (tuple(c.germ.name for c in problem.curves),
-            tuple(c.rho for c in problem.curves), problem.M, len(problem.v))
+            tuple(c.rho for c in problem.curves), problem.M,
+            len(problem.v_rows))
     got = (cert.names, cert.rho, cert.M, len(cert.chi))
     for field, g, w in zip(("curve names", "rho", "M", "chi length"),
                            got, want):
@@ -182,6 +190,7 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
         raise ValueError("empty system")
 
     curves: List[CurveProblem] = []
+    sizes: List[CertifiedReal] = []       # |D_i|, kept only while building
     M = 1
     for germ in germs:
         mean = mean_index(germ)
@@ -198,18 +207,18 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
         rho = 1 if sign > 0 else -1
         k = _kernel(germ)
         M = lcm(M, k.M)
-        curves.append(CurveProblem(germ, k.slope, k.alphas, mean, rho,
-                                   mean if rho > 0 else -mean, k.rows))
+        curves.append(CurveProblem(germ, rho, k))
+        sizes.append(mean if rho > 0 else -mean)
 
-    mu_max = max(len(c.alphas) for c in curves)
+    mu_max = max(len(c.kernel.rows) for c in curves)
     if delta * mu_max >= Fraction(1, 2):
         raise ValueError(
             f"delta too large: delta*max(mu) = {delta * mu_max} >= 1/2")
 
     if eps is None:
         scale = Fraction(1)
-        for c in curves:
-            cand = M * c.abs_mean
+        for size in sizes:
+            cand = M * size
             if cand.gt(scale):
                 scale = Fraction(ceil_int(cand))
         eps = delta / (2 * scale)
@@ -217,30 +226,29 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2)")
 
-    one = CertifiedReal.rational(1)
-    means = [_row(c.abs_mean) for c in curves]
-    v = [_quotient(_row(one), mean, M) for mean in means]
+    one = (1, 1, 1, True, False)          # the row of the exact 1
+    means = list(map(_row, sizes))
+    v = [_quotient(one, mean, M) for mean in means]
     for c, mean in zip(curves, means):
-        for a, row in zip(c.alphas, c.rows):
-            if a.eq_certified(c.abs_mean) is True:
+        for row in c.kernel.rows:
+            if row == mean and (row[3] or row[4]):
                 v.append(one)  # same declared real above and below the bar
             else:
                 v.append(_quotient(row, mean))
-    return JumpProblem(tuple(curves), M, M0, delta, eps, tuple(v),
-                       tuple(map(_row, v)))
+    return JumpProblem(tuple(curves), M, M0, delta, eps, tuple(v))
 
 
-def _quotient(x: _Row, y: _Row, m: int = 1) -> CertifiedReal:
-    """x/(m*y) for x, y > 0 and m >= 1 as CertifiedReal division forms
-    it, flags and ValueErrors included: [x.lo/(m*y.hi), x.hi/(m*y.lo)],
+def _quotient(x: _Row, y: _Row, m: int = 1) -> _Row:
+    """x/(m*y), x, y > 0 and m >= 1, as CertifiedReal division forms it,
+    flags and ValueErrors included: [x.lo/(m*y.hi), x.hi/(m*y.lo)],
     irrational iff one side is and the other exact."""
     p, r, q, exact, irrational = x
     A, B, d, y_irrational = _times(y, m)
     if d * (B - A) >= A * B:
         raise ValueError("interval radius must stay below 1/2")
-    return CertifiedReal.interval(
+    return _row(CertifiedReal.interval(
         Fraction(p * d, q * B), Fraction(r * d, q * A),
-        (irrational and A == B) or (y_irrational and exact))
+        (irrational and A == B) or (y_irrational and exact)))
 
 
 def _near(row: _Row, eps: Fraction, m: int) -> Optional[int]:
@@ -259,10 +267,9 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     clause violated or undecidable).
     """
     count = 0
-    for row in curve.rows:
+    for row in curve.kernel.rows:
         if row[3]:  # exact
-            x = _times(row, m_i)
-            if x[0] % x[2]:
+            if m_i * row[0] % row[2]:
                 return None  # rational angle must close up exactly
             continue
         side = _near(row, delta, m_i)
@@ -305,16 +312,15 @@ def verify_rounding(problem: JumpProblem, cert: JumpCertificate) -> Verification
 def _rounding_clauses(problem: JumpProblem,
                       cert: JumpCertificate) -> Iterator[tuple]:
     for curve, m_i, delta_i in zip(problem.curves, cert.m, cert.Delta):
-        who = ("curve", curve.germ.name)
-        lhs = m_i * curve.beta + sum(_ceil(_times(row, m_i))
-                                     for row in curve.rows)
+        who, k = ("curve", curve.germ.name), curve.kernel
+        lhs = m_i * k.slope + sum(_ceil(_times(row, m_i)) for row in k.rows)
         rhs = curve.rho * cert.N + delta_i
         yield "rounding-sum", lhs == rhs, (who, ("lhs", lhs), ("rhs", rhs))
-        for j, (a, row) in enumerate(zip(curve.alphas, curve.rows)):
-            if a.exact:
-                x = _times(row, m_i)
-                yield ("rational-integrality", x[0] % x[2] == 0,
-                       (who, ("alpha", str(a.lo)), ("m", m_i)))
+        for j, row in enumerate(k.rows):
+            L, _, d, exact, _ = row
+            if exact:
+                yield ("rational-integrality", m_i * L % d == 0,
+                       (who, ("alpha", str(Fraction(L, d))), ("m", m_i)))
             else:
                 yield ("angle-closeness",
                        _near(row, problem.delta, m_i) is not None,
@@ -349,7 +355,7 @@ def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
     so a consumer that stops at the first failure evaluates nothing
     past it."""
     for i, curve in enumerate(problem.curves):
-        m_i, k = cert.m[i], _kernel(curve.germ)
+        m_i, k = cert.m[i], curve.kernel
         who = ("curve", curve.germ.name)
         if 2 * m_i <= m_bar:
             yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
@@ -457,7 +463,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     """
     if p_hat < 1:
         raise ValueError("p_hat must be positive")
-    mu_max = max(len(c.alphas) for c in problem.curves)
+    mu_max = max(len(c.kernel.rows) for c in problem.curves)
     if p_hat * cert.delta * mu_max >= Fraction(1, 2):
         raise ValueError("scaled delta violates the smallness hypothesis")
     N_hat = p_hat * cert.N
@@ -507,7 +513,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
 def delta_invariance(problem: JumpProblem, cert: JumpCertificate,
                      delta1: Fraction, delta2: Fraction) -> bool:
     """Whether the Delta recount agrees under two admissible deltas."""
-    mu_max = max(len(c.alphas) for c in problem.curves)
+    mu_max = max(len(c.kernel.rows) for c in problem.curves)
     for d in (Fraction(delta1), Fraction(delta2)):
         if not 0 < d < Fraction(1, 2) or d * mu_max >= Fraction(1, 2):
             raise ValueError(f"delta {d} violates the smallness hypothesis")

@@ -17,7 +17,10 @@ fractional part x - floor_oracle(x) and its complement as
 ``candidate_oracle`` places each coordinate of N*v with it, and
 ``delta_count_oracle`` and ``verify_rounding_oracle`` form every product
 m_i*alpha and N*v as a ``CertifiedReal`` and round it with
-``ceil_oracle`` and ``near_vertex_oracle``.
+``ceil_oracle`` and ``near_vertex_oracle``.  They take each curve's
+angles and slope i1 + S+ - C from the block walkers below
+(``angle_list``, ``slope_oracle``), not from the jump problem, which
+holds them only as the germ's compiled kernel.
 
 ``parse_oracle`` reads a number literal the way the library did before
 it built decimal ends from integers: through ``Fraction`` string parsing
@@ -37,6 +40,11 @@ generator of ``jump`` runs in it.
 ``germ_mbar`` walks down once from the growth horizon.
 ``germ_mbar_oracle`` tries every candidate m0 in turn against every
 iterate up to that horizon.
+
+``tests/test_surface.py`` pins which library code this module
+may import.  Two imports still share code with the search:
+``candidate_oracle`` accepts through ``jump._assemble`` and
+``germ_mbar_oracle`` starts from ``iteration._growth_horizon``.
 """
 
 import re
@@ -46,7 +54,8 @@ from math import ceil, floor, lcm
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
 from geoindex.iteration import Unbounded, _growth_horizon, index_at
 from geoindex.jump import _assemble
-from geoindex.normal_forms import N2, _rows, big_C, nullity_contribution
+from geoindex.normal_forms import (N1, N2, R, _rows, big_C,
+                                   nullity_contribution)
 
 
 # -- rounding --------------------------------------------------------------
@@ -132,6 +141,23 @@ def weighted_angles(blocks):
             if row.s_minus > 0 and not (row.t.exact and row.t.lo == 0)]
 
 
+def angle_list(blocks):
+    """The weighted angles, each repeated by its weight, in block order."""
+    return [t for t, w in weighted_angles(blocks) for _ in range(w)]
+
+
+def slope_oracle(germ) -> int:
+    """beta = i1 + S+ - C, the growth of i(m) without the angle terms."""
+    return germ.i1 + s_plus_at_one(germ.blocks) - big_C(germ.blocks)
+
+
+def bumpy_oracle(germ) -> bool:
+    """No shear block, and every rotation angle declared irrational."""
+    return not any(isinstance(b, N1) or (isinstance(b, (R, N2))
+                                         and not b.t.irrational)
+                   for b in germ.blocks)
+
+
 def mean_shift(block):
     """The block's S- weighted angle total sum_t t * S-(t), t in (0, 2),
     with an N2 pair cancelling to 2 whatever the angle."""
@@ -146,10 +172,8 @@ def mean_shift(block):
 
 def mean_oracle(germ):
     """i1 + S+ - C plus every block's mean shift, summed as CertifiedReal."""
-    blocks = germ.blocks
-    total = CertifiedReal.rational(germ.i1 + s_plus_at_one(blocks)
-                                   - big_C(blocks))
-    for b in blocks:
+    total = CertifiedReal.rational(slope_oracle(germ))
+    for b in germ.blocks:
         total = total + mean_shift(b)
     return total
 
@@ -267,7 +291,7 @@ def delta_count_oracle(curve, m_i: int, delta):
     """Weighted count of angles with {m_i * alpha} in (0, delta); None
     when some angle cannot be placed on a side."""
     count = 0
-    for a in curve.alphas:
+    for a in angle_list(curve.germ.blocks):
         if a.exact:
             if (a.lo * m_i).denominator != 1:
                 return None
@@ -285,15 +309,15 @@ def verify_rounding_oracle(problem, cert):
     product formed as a CertifiedReal."""
     clauses = []
     for i, curve in enumerate(problem.curves):
-        m_i = cert.m[i]
-        name = curve.germ.name
-        lhs = m_i * curve.beta
-        for a in curve.alphas:
+        m_i, germ = cert.m[i], curve.germ
+        name, alphas = germ.name, angle_list(germ.blocks)
+        lhs = m_i * slope_oracle(germ)
+        for a in alphas:
             lhs += ceil_oracle(a * m_i)
         rhs = curve.rho * cert.N + cert.Delta[i]
         clauses.append(("rounding-sum", lhs == rhs,
                         {"curve": name, "lhs": lhs, "rhs": rhs}))
-        for j, a in enumerate(curve.alphas):
+        for j, a in enumerate(alphas):
             if a.exact:
                 clauses.append((
                     "rational-integrality", (a.lo * m_i).denominator == 1,

@@ -225,6 +225,9 @@ def test_bad_certificate_is_one_error_line(case, tmp_path, capsys):
                  str(cert), "--mbar", "6"] + extra) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    if case == "chi-cut":
+        assert err == ("error: certificate does not fit the system: "
+                       "chi length 1, want 3\n")
 
 
 def _curve(doc):

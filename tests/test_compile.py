@@ -2,7 +2,8 @@
 
 ``iteration._kernel`` reads each block's splitting rows once and derives
 S+, C, the weighted angles, the spectrum denominators and the mean index
-from that one pass; ``build_problem`` and the growth horizons read it.
+from that one pass; ``build_problem``, ``is_bumpy`` and the growth
+horizons read it.
 Each number must equal what the walkers of ``tests/oracle.py`` compute
 block by block in ``CertifiedReal`` arithmetic, or fail with the same
 exception, on every block kind: N1 at +1 and -1, D, trivial and
@@ -17,14 +18,14 @@ from math import lcm
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, _row
 from geoindex.iteration import (IndexGerm, _growth_horizon, _kernel,
-                                index_at, mean_index)
+                                index_at, is_bumpy, mean_index)
 from geoindex.jump import build_problem
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
                                    R, _conjugate, big_C)
 
-from .oracle import (horizon_oracle, index_oracle, mean_oracle,
-                     s_plus_at_one, spectrum_lcm, vertex_oracle,
-                     weighted_angles)
+from .oracle import (angle_list, bumpy_oracle, horizon_oracle, index_oracle,
+                     mean_oracle, s_plus_at_one, spectrum_lcm,
+                     vertex_oracle)
 
 CR = CertifiedReal
 GRIDS = (3, 4, 6, 10, 12, 60, 10 ** 4)
@@ -145,10 +146,8 @@ def test_compile_matches_block_walkers():
         assert k.s_plus == s_plus_at_one(blocks), germ
         assert k.c == big_C(blocks), germ
         assert k.slope == germ.i1 + k.s_plus - k.c
-        alphas = [t for t, w in weighted_angles(blocks) for _ in range(w)]
-        assert len(k.alphas) == len(alphas)
-        assert all(map(_same, k.alphas, alphas)), germ
-        assert k.rows == tuple(map(_row, alphas)), germ
+        assert k.rows == tuple(map(_row, angle_list(blocks))), germ
+        assert is_bumpy(germ) == bumpy_oracle(germ), germ
         assert k.M == spectrum_lcm(blocks), germ
         mean = _outcome(mean_oracle, germ)
         assert _same(_outcome(mean_index, germ), mean), germ
@@ -188,8 +187,7 @@ def _vertex_oracle(germs):
     """v by CertifiedReal division, failing where build_problem does."""
     abs_means = [m if m.sign_vs(0) > 0 else -m
                  for m in map(mean_oracle, germs)]
-    alphas = [[t for t, w in weighted_angles(g.blocks) for _ in range(w)]
-              for g in germs]
+    alphas = [angle_list(g.blocks) for g in germs]
     return tuple(vertex_oracle(abs_means, alphas,
                                lcm(*(spectrum_lcm(g.blocks) for g in germs))))
 

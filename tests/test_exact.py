@@ -111,6 +111,30 @@ def test_phi_is_integer_indicator():
         assert phi(CR.rational(num, den)) == 1
 
 
+@st.composite
+def _small_values(draw):
+    """Valid values with ends p/q, q small: points and intervals on,
+    around and between integers, exact or not, declared irrational or
+    not."""
+    q, q2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lo = Fraction(draw(st.integers(-4 * q, 4 * q)), q)
+    hi = lo + Fraction(draw(st.integers(0, q2 - 1)), q2)  # width below 1
+    return CR(lo, hi, lo == hi and draw(st.booleans()),
+              lo != hi and draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_small_values())
+def test_phi_is_ceil_minus_floor(x):
+    if x.irrational:
+        assert phi(x) == 1
+    try:
+        fl, cl = floor_int(x), ceil_int(x)
+    except PrecisionInsufficient:
+        return
+    assert phi(x) == cl - fl, x
+
+
 def test_refining_digits_never_flips_answers():
     # same underlying constant at increasing precision
     digits = "0.73205080756887729352"

@@ -28,17 +28,18 @@ HN = IndexGerm("Hn", -1, (D(CR.rational(2)), D(CR.rational(3))))
 def test_build_problem_hyperbolic():
     prob = build_problem([H], DELTA, DELTA, 1)
     assert prob.M == 1
-    assert prob.curves[0].beta == 1
-    assert prob.curves[0].alphas == ()
+    assert prob.curves[0].kernel.slope == 1
+    assert prob.curves[0].kernel.rows == ()
     assert [v.lo for v in prob.v] == [1]
 
 
 def test_build_problem_worked_example():
     prob = build_problem([B], DELTA, DELTA, 1)
     c = prob.curves[0]
-    assert c.beta == 0
-    assert sorted(a.lo for a in c.alphas) == [Fraction(1, 3), Fraction(1, 2)]
-    assert c.mean.lo == Fraction(5, 6)
+    assert c.kernel.slope == 0
+    assert sorted(Fraction(L, d) for L, _, d, _, _ in c.kernel.rows) == [
+        Fraction(1, 3), Fraction(1, 2)]
+    assert mean_index(c.germ).lo == Fraction(5, 6)
     assert prob.M == 6
     assert [v.lo for v in prob.v] == [Fraction(1, 5), Fraction(2, 5),
                                       Fraction(3, 5)]
@@ -47,7 +48,7 @@ def test_build_problem_worked_example():
 def test_build_problem_negative_mean():
     prob = build_problem([HN], DELTA, DELTA, 1)
     assert prob.curves[0].rho == -1
-    assert prob.curves[0].mean.lo == -1
+    assert mean_index(prob.curves[0].germ).lo == -1
 
 
 def test_build_problem_rejects_zero_mean():

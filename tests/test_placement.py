@@ -140,9 +140,8 @@ _BASE = build_problem([hyperbolic_germ("H", 1)], Fraction(1, 64))
 def _problem(extras, eps):
     """The hyperbolic germ's problem, on which every N certifies, with
     vertex coordinates added: only their sides decide N."""
-    v = _BASE.v + tuple(extras)
-    return JumpProblem(_BASE.curves, _BASE.M, 1, _BASE.delta, eps, v,
-                       tuple(map(_row, v)))
+    return JumpProblem(_BASE.curves, _BASE.M, 1, _BASE.delta, eps,
+                       _BASE.v_rows + tuple(map(_row, extras)))
 
 
 @st.composite

@@ -204,9 +204,9 @@ def _clauses(problem, cert):
 
 def _on_grid(rng, curve):
     """An iterate that puts m*alpha on or near an integer for some angle."""
-    if not curve.rows:
+    if not curve.kernel.rows:
         return rng.randint(1, 30)
-    _, _, d, _, _ = rng.choice(curve.rows)
+    _, _, d, _, _ = rng.choice(curve.kernel.rows)
     return d * rng.randint(1, 4) + rng.choice((-1, 0, 0, 1))
 
 

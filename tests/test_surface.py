@@ -1,0 +1,76 @@
+"""The public surface, and the library code the oracles may share.
+
+A simplification that drops a public name or a CLI subcommand must do so
+on purpose, by editing the lists below.  The oracles of
+``tests/oracle.py`` are only worth something if they do not run the
+code they check, so the last test reads that file's imports.
+"""
+
+import argparse
+import ast
+import inspect
+from pathlib import Path
+
+import geoindex
+from geoindex import cli
+
+PUBLIC_NAMES = {
+    "AdmissibilityError", "BasicBlock", "CertificateMismatch",
+    "CertifiedReal", "D", "DegenerateIterate", "GeodesicSystem",
+    "IdentityViolation", "ImpossibilityReport", "IndexGerm", "IndexProfile",
+    "JumpCertificate", "JumpProblem", "MorseCounts", "N1", "N2", "NotFound",
+    "PipelineConfig", "PrecisionBudget", "PrecisionInsufficient", "R",
+    "ScaleMismatch", "ScaledCertificate", "SplittingPair",
+    "TruncationUnsound", "Unbounded", "UnresolvedSpectrum", "ZeroMeanIndex",
+    "alternating_sums", "betti", "betti_alternating", "big_C",
+    "build_problem", "ceil_int", "check_certificate", "classify_2x2",
+    "critical_dim", "default_budget", "delta_invariance",
+    "deviation_bounds", "elliptic_height", "euler_block_identity",
+    "floor_int", "forced_top_indices", "frac_part", "gamma_invariant",
+    "germ_mbar", "index_at", "is_bumpy", "mbar", "mean_index",
+    "mod4_contradiction", "mod4_window_certificate", "morse_numbers_up_to",
+    "near_vertex", "nullity_at", "nullity_contribution", "parity_counts",
+    "phi", "replay", "run_pipeline", "sandwich", "scale", "screen_parities",
+    "search", "splitting_at", "splitting_sum", "sqrt_interval",
+    "verify_index_window", "verify_jump", "verify_rounding",
+}
+
+SUBCOMMANDS = {"index", "mean-index", "gamma", "mbar", "jump-search",
+               "verify-jump", "scale-jump", "morse", "anosov"}
+
+# The kernel, the rounding rows and the clause code of the search.
+SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_row", "_times",
+               "_floor", "_ceil", "_placement", "_quotient", "_delta_count",
+               "_rounding_clauses", "_jump_clauses"}
+# Still imported by the oracles, until they check candidates and growth
+# horizons without the search's code.
+KNOWN_SHARED = {"_assemble", "_growth_horizon"}
+# Block data the walkers read: the input, not a computation on it.
+BLOCK_INPUT = {"_rows"}
+
+
+def test_public_names_are_pinned():
+    names = {n for n, v in vars(geoindex).items()
+             if not n.startswith("_") and not inspect.ismodule(v)}
+    assert names == PUBLIC_NAMES
+
+
+def test_cli_subcommands_are_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == SUBCOMMANDS
+    assert set(cli._COMMANDS) == SUBCOMMANDS
+
+
+def test_oracles_import_no_search_code():
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text(
+        encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    assert not (imported | used) & SEARCH_CODE
+    private = {n for n in imported if n.startswith("_")}
+    assert private <= KNOWN_SHARED | BLOCK_INPUT, private
