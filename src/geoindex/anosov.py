@@ -244,8 +244,8 @@ def verify_index_window(germs: Sequence[IndexGerm], cert: JumpCertificate,
     return report
 
 
-def forced_top_indices(system: GeodesicSystem, cert: JumpCertificate,
-                       n_scale: int = 1) -> StageRecord:
+def forced_top_indices(system: GeodesicSystem, cert: JumpCertificate
+                       ) -> StageRecord:
     """Both even-index curves must top out exactly at 2N.
 
     Anything else leaves the degree-2N count at most 1 against a Betti
@@ -266,11 +266,8 @@ def forced_top_indices(system: GeodesicSystem, cert: JumpCertificate,
     witness = {"tops": tops, "two_N": two_n,
                "M_2N_bound": contributors, "betti_2N": 2,
                "mismatched": mismatch}
-    if mismatch:
-        return StageRecord("forced-top" if n_scale == 1 else "forced-top-scaled",
-                           "contradiction", witness)
-    return StageRecord("forced-top" if n_scale == 1 else "forced-top-scaled",
-                       "pass", witness)
+    return StageRecord("forced-top", "contradiction" if mismatch else "pass",
+                       witness)
 
 
 def sandwich(system: GeodesicSystem, cert: JumpCertificate
@@ -446,8 +443,7 @@ def run_pipeline(system: GeodesicSystem,
 
     scaled_cert = scaled.certificate
     scaled_window = verify_index_window(system.germs, scaled_cert, m_bar)
-    scaled_forced = forced_top_indices(system, scaled_cert,
-                                       n_scale=config.p_hat)
+    scaled_forced = forced_top_indices(system, scaled_cert)
     _, _, scaled_squeeze = sandwich(system, scaled_cert)
     stages.append(StageRecord(
         "scaled-window", "pass" if scaled_window.ok else "error",

@@ -22,12 +22,12 @@ for an exact angle p/q, or (2w, lo*d, hi*d, 2d, irrational) for an
 interval angle [lo, hi] over a common denominator d; the nullity as
 (period, weight) pairs, one per shear block or closing rational angle,
 plus a flag for an undeclared decimal angle, whose nullity is never
-certified; the rational spectrum rows (S-, p, q) that the Q count of the
-jump identities reads; and M, the lcm of the denominators of the
-rational spectrum points, S- = 0 points included.  It also keeps each
-weighted angle only as its integer row, once per unit of weight, which
-the jump problem reads as it is, and the ends of the mean (an N2 pair
-adds t + (2 - t) = 2) for the growth horizons.  A germ is bumpy when it
+certified; and M, the lcm of the denominators of the rational spectrum
+points, S- = 0 points included.  It also keeps each weighted angle as its
+integer row, once per unit of weight, which the jump problem reads as it
+is (the exact rows are also the rational points the Q count of the jump
+identities weighs), and the ends of the mean (an N2 pair adds
+t + (2 - t) = 2) for the growth horizons.  A germ is bumpy when it
 has no nullity period and no undeclared angle.
 
 An exact ceiling is one integer division.  For an interval angle, with
@@ -39,9 +39,10 @@ other value rules out L only when L is no integer, i.e. when
 m*lo*d mod 2d != 0.  Everything else raises ``PrecisionInsufficient``,
 exactly where the certified ceiling of ``exact`` is undecided.
 
-The compiled kernels and the results of ``mean_index``, ``germ_mbar``
-and ``bott_positive`` live in LRU caches of fixed size keyed by the
-germ, so a long-lived process holds a bounded number of them.  A germ
+The compiled kernels and the results of ``mean_index`` and
+``germ_mbar`` live in LRU caches of fixed size keyed by the germ, so a
+long-lived process holds a bounded number of them; ``bott_positive``
+keeps no cache, since a pipeline run asks it once per germ.  A germ
 hashes its fields once, at construction: hashing every Fraction of every
 block on each lookup would cost more than the evaluation itself.
 """
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _Row, _row,
                     _times)
@@ -103,7 +104,6 @@ class _Kernel(NamedTuple):
     interval: Tuple[Tuple[int, int, int, int, bool], ...]
     closing: Tuple[Tuple[int, int], ...]
     undeclared: bool
-    q_rows: Tuple[Tuple[int, int, int], ...]
     rows: Tuple[_Row, ...]
     M: int
     mean: Tuple[Fraction, Fraction, bool, bool]
@@ -113,7 +113,7 @@ class _Kernel(NamedTuple):
 def _kernel(germ: IndexGerm) -> _Kernel:
     s_plus = c = 0
     M = 1
-    exact, interval, q_rows, rows, closing = [], [], [], [], []
+    exact, interval, rows, closing = [], [], [], []
     undeclared = False
     lo = hi = Fraction(0)  # the angle part of the mean
     wide = []              # irrational flags of the angles that widen it
@@ -132,8 +132,6 @@ def _kernel(germ: IndexGerm) -> _Kernel:
             rows += [row] * w
             if L == H:  # exact, or a zero-width interval: m*t/2 is exact
                 exact.append((2 * w, L, 2 * d))
-                if t.exact:
-                    q_rows.append((w, L, d))
             else:
                 interval.append((2 * w, L, H, 2 * d, irrational))
             if isinstance(b, N2):
@@ -153,7 +151,7 @@ def _kernel(germ: IndexGerm) -> _Kernel:
     slope = germ.i1 + s_plus - c
     return _Kernel(slope, s_plus + c, s_plus, c, tuple(exact),
                    tuple(interval), tuple(closing), undeclared,
-                   tuple(q_rows), tuple(rows), M,
+                   tuple(rows), M,
                    (slope + lo, slope + hi, not wide, wide == [True]))
 
 
@@ -164,6 +162,9 @@ def _index(k: _Kernel, m: int) -> int:
     for w2, p, q2 in k.exact:
         total -= w2 * (-m * p // q2)
     for w2, lo, hi, d2, irrational in k.interval:
+        # exact._ceil((m*lo, m*hi, d2, irrational)) decides the same values
+        # and raises, but the tuple and call cost the iterate benchmark
+        # about 15% of its ops/s and 35% on its p90 (2-core x86 VM)
         low = m * lo
         ceil = low // d2 + 1
         if m * hi > ceil * d2 or not (irrational or low % d2):
@@ -262,7 +263,6 @@ def mbar(germs: Sequence[IndexGerm]) -> int:
     return max(germ_mbar(g) for g in germs)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def bott_positive(germ: IndexGerm) -> bool:
     """Certified i(m) >= i(1) for all m >= 1 (finite check + growth bound).
 
@@ -280,10 +280,10 @@ def bott_positive(germ: IndexGerm) -> bool:
 
 
 class IndexProfile:
-    """Memoized (index, nullity) table over a range of iterates.
+    """(index, nullity) table over a range of iterates.
 
     The profile holds its germ's compiled kernel for its own lifetime,
-    so a table of any length costs one cache lookup.
+    so a table of any length costs one cache lookup; no entry is stored.
     """
 
     def __init__(self, germ: IndexGerm, m_max: int):
@@ -292,16 +292,11 @@ class IndexProfile:
         self.germ = germ
         self.m_max = m_max
         self._kernel = _kernel(germ)
-        self._table: Dict[int, Tuple[int, int]] = {}
 
     def entry(self, m: int) -> Tuple[int, int]:
         if not 1 <= m <= self.m_max:
             raise ValueError(f"iterate {m} outside profile range")
-        pair = self._table.get(m)
-        if pair is None:
-            pair = self._table[m] = (_index(self._kernel, m),
-                                     _nullity(self._kernel, m))
-        return pair
+        return _index(self._kernel, m), _nullity(self._kernel, m)
 
     def index(self, m: int) -> int:
         return self.entry(m)[0]
@@ -310,4 +305,6 @@ class IndexProfile:
         return self.entry(m)[1]
 
     def rows(self) -> List[Tuple[int, int, int]]:
-        return [(m, *self.entry(m)) for m in range(1, self.m_max + 1)]
+        k = self._kernel
+        return [(m, _index(k, m), _nullity(k, m))
+                for m in range(1, self.m_max + 1)]

@@ -362,7 +362,8 @@ def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
             continue
         # Q_i(m) weighs the rational points p/q that 2m_i closes up
         # (m_i*p/q integral) and m closes up too (m*p/(2q) integral)
-        closed = [(w, p, 2 * q) for w, p, q in k.q_rows if m_i * p % q == 0]
+        closed = [(p, 2 * q) for p, _, q, exact, _ in k.rows
+                  if exact and m_i * p % q == 0]
         two_n = 2 * curve.rho * cert.N
         top = _index(k, 2 * m_i)
         want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
@@ -374,7 +375,7 @@ def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
             up, want = _index(k, 2 * m_i + m), two_n + base
             yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
             down = _index(k, 2 * m_i - m)
-            q_m = sum(w for w, p, q2 in closed if m * p % q2 == 0)
+            q_m = sum(m * p % q2 == 0 for p, q2 in closed)
             want = two_n - base - 2 * (k.s_plus + q_m)
             yield ("jump-down", down == want,
                    (who, at, ("got", down), ("want", want)))

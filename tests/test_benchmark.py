@@ -39,3 +39,17 @@ def test_traced_jump_scan_sees_verification():
     metrics = last["metrics"]
     assert metrics["jump.candidates"]["value"] > 0, metrics
     assert metrics["jump.verify_jump_s"]["value"] > 0, metrics
+
+
+# the tracer wraps IndexProfile.rows on the class: a traced iterate run
+# must time the profile rows through it
+def test_traced_iterate_sees_profile_rows():
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "iterate",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    assert last["failed"] == 0, last
+    metrics = last["metrics"]
+    assert metrics["iteration.profile_entry_us"]["value"] > 0, metrics

@@ -112,6 +112,28 @@ def test_kernel_matches_certified_oracle():
     assert min(seen.values()) >= 10, seen
 
 
+def test_profile_rows_match_entries():
+    # rows() and entry() are separate loops over the kernel: the table
+    # is the entries in order, or the first entry's raise
+    rng = random.Random(2024)
+    seen = {"table": 0, "raise": 0}
+    for k in range(100):
+        profile = IndexProfile(_germ(rng, k), 60)
+        want = []
+        try:
+            for m in range(1, 61):
+                want.append((m, *profile.entry(m)))
+        except PrecisionInsufficient as exc:
+            with pytest.raises(PrecisionInsufficient) as got:
+                profile.rows()
+            assert str(got.value) == str(exc)
+            seen["raise"] += 1
+        else:
+            assert profile.rows() == want
+            seen["table"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def test_wide_interval_with_certified_ceiling():
     # m*width/2 reaches 1 at m = 10, but [2, 3] has no integer strictly
     # inside and the value is irrational: ceil = 3
@@ -143,7 +165,8 @@ def test_germ_caches_are_bounded():
         bott_positive(germ)
     caches = [obj for obj in vars(iteration).values()
               if hasattr(obj, "cache_info")]
-    assert len(caches) >= 3
+    assert {c.__name__ for c in caches} == {"_kernel", "mean_index",
+                                            "germ_mbar"}
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
