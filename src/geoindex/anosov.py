@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .iteration import (IndexGerm, _index, _kernel, bott_positive,
-                        gamma_invariant, germ_mbar, index_at, is_bumpy, mbar,
-                        mean_index)
+from .iteration import (IndexGerm, _index, _index_range, _kernel,
+                        bott_positive, gamma_invariant, germ_mbar, index_at,
+                        is_bumpy, mbar, mean_index)
 from .jump import (JumpCertificate, ScaledCertificate, build_problem,
                    scale, search, verify_jump, verify_rounding)
 from .morse import betti, parity_counts
@@ -218,15 +218,19 @@ def verify_index_window(germs: Sequence[IndexGerm], cert: JumpCertificate,
         settled = 0
         if mean_hi > 0:
             settled = (below - (c_val - kernel.s_plus)) // mean_hi
-        for j in range(max(1, settled + 1), 2 * m_k):
-            val = _index(kernel, j)
+        rest = range(max(1, settled + 1), 2 * m_k)
+        for j, val in zip(rest, _index_range(kernel, rest)):
+            if val is None:
+                val = _index(kernel, j)  # marked: the point query raises
             if val > below:
                 report.ok = False
                 report.failures.append(
                     {"curve": germ.name, "side": "below", "iterate": j,
                      "index": val, "bound": below})
-        for m in range(1, m_bar + 1):
-            val = _index(kernel, 2 * m_k + m)
+        above = range(2 * m_k + 1, 2 * m_k + m_bar + 1)
+        for m, val in enumerate(_index_range(kernel, above), 1):
+            if val is None:
+                val = _index(kernel, 2 * m_k + m)
             if val < two_n + germ.i1:
                 report.ok = False
                 report.failures.append(

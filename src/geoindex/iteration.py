@@ -39,6 +39,20 @@ other value rules out L only when L is no integer, i.e. when
 m*lo*d mod 2d != 0.  Everything else raises ``PrecisionInsufficient``,
 exactly where the certified ceiling of ``exact`` is undecided.
 
+``_index`` and ``_nullity`` are the point queries.  A run of iterates,
+a ``range`` ascending or descending, goes through their range form,
+``_index_range`` and ``_nullity_range``: one term at a time across the
+whole run (m*slope - shift, one pass per exact angle, one per interval
+angle with its certification test; the nullity steps each closing
+period).  Where the point query would raise, the entry is None, and the
+caller that reaches it asks the point query, which raises its own
+error; so verdicts and raises come in the order of a point-by-point
+walk.  The jump identities, the index window, the Morse counts and the
+horizon walks of ``germ_mbar`` and ``bott_positive`` read runs; the
+walks take ``_CHUNK`` iterates per pass, so their memory is bounded for
+any horizon.  ``IndexProfile.rows`` still asks the point queries row by
+row.
+
 The compiled kernels and the results of ``mean_index`` and
 ``germ_mbar`` live in LRU caches of fixed size keyed by the germ, so a
 long-lived process holds a bounded number of them; ``bott_positive``
@@ -53,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _Row, _row,
                     _times)
@@ -61,6 +75,8 @@ from .normal_forms import BasicBlock, N1, N2, R, _rows, total_dim
 
 # Germs per cache: enough for every germ of a system under evaluation.
 CACHE_SIZE = 128
+# Iterates per range pass of a long walk: bounds its memory for any run.
+_CHUNK = 64
 
 
 class Unbounded(ValueError):
@@ -182,6 +198,65 @@ def _nullity(k: _Kernel, m: int) -> int:
     return sum(w for period, w in k.closing if m % period == 0)
 
 
+def _index_range(k: _Kernel, ms: range) -> List[Optional[int]]:
+    """[i(m) for m in ms] over a run ms = range(a, b, +-1), None exactly
+    where ``_index(k, m)`` raises.  One term at a time across the run:
+    the slope, then one pass per exact angle, then one per interval
+    angle with the certification test of ``_index``."""
+    if not ms:
+        return []
+    slope, shift = k.slope, k.shift
+    out = [m * slope - shift for m in ms]
+    for w2, p, q2 in k.exact:
+        out = [t - w2 * (-m * p // q2) for t, m in zip(out, ms)]
+    for w2, lo, hi, d2, irrational in k.interval:
+        for j, m in enumerate(ms):
+            low = m * lo
+            ceil = low // d2 + 1
+            if m * hi > ceil * d2 or not (irrational or low % d2):
+                out[j] = None
+            elif out[j] is not None:
+                out[j] += w2 * ceil
+    if ms[0] < 1 or ms[-1] < 1:  # the point query rejects these
+        return [None if m < 1 else t for t, m in zip(out, ms)]
+    return out
+
+
+def _nullity_range(k: _Kernel, ms: range) -> List[Optional[int]]:
+    """[nu(m) for m in ms] over a run ms = range(a, b, +-1), None exactly
+    where ``_nullity(k, m)`` raises: everywhere for an undeclared angle."""
+    if k.undeclared:
+        return [None] * len(ms)
+    out = _period_sums(k.closing, ms)
+    if ms and (ms[0] < 1 or ms[-1] < 1):
+        return [None if m < 1 else t for t, m in zip(out, ms)]
+    return out
+
+
+def _period_sums(pairs: Sequence[Tuple[int, int]],
+                 ms: range) -> List[int]:
+    """[sum(w for period, w in pairs if m % period == 0) for m in ms]
+    over a run ms = range(a, b, +-1), stepping each period."""
+    out = [0] * len(ms)
+    if out:
+        # out[j] is for m = ms[0] + step*j: period | m iff period | j - m0
+        m0 = ms[0] if ms.step < 0 else -ms[0]
+        for period, w in pairs:
+            for j in range(m0 % period, len(out), period):
+                out[j] += w
+    return out
+
+
+def _index_walk(k: _Kernel, ms: range) -> Iterator[Tuple[int, int]]:
+    """(m, i(m)) for m in the run ms, in order, ``_CHUNK`` iterates per
+    range pass; at a marked iterate ``_index`` raises its own error, so
+    a walk raises where, and only if, a point-by-point walk would."""
+    for start in range(0, len(ms), _CHUNK):
+        part = ms[start:start + _CHUNK]
+        for m, value in zip(part, _index_range(k, part)):
+            yield m, (_index(k, m) if value is None else value)
+
+
 def index_at(germ: IndexGerm, m: int) -> int:
     """Certified index of the m-th iterate."""
     return _index(_kernel(germ), m)
@@ -252,8 +327,8 @@ def germ_mbar(germ: IndexGerm) -> int:
     """
     target = germ.i1 + 4
     horizon = _growth_horizon(germ, target)
-    return next((j for j in range(horizon, 1, -1)
-                 if index_at(germ, j) < target), 1)
+    walk = _index_walk(_kernel(germ), range(horizon, 1, -1))
+    return next((j for j, value in walk if value < target), 1)
 
 
 def mbar(germs: Sequence[IndexGerm]) -> int:
@@ -276,7 +351,8 @@ def bott_positive(germ: IndexGerm) -> bool:
     except PrecisionInsufficient:
         return False
     horizon = _growth_horizon(germ, germ.i1)
-    return all(index_at(germ, m) >= germ.i1 for m in range(1, horizon + 1))
+    walk = _index_walk(_kernel(germ), range(1, horizon + 1))
+    return all(value >= germ.i1 for _, value in walk)
 
 
 class IndexProfile:

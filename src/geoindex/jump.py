@@ -50,13 +50,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor, _Row,
                     _placement, _row, _times, ceil_int)
-from .iteration import (IndexGerm, _index, _Kernel, _kernel, _nullity,
-                        mean_index)
+from .iteration import (IndexGerm, _index, _index_range, _Kernel, _kernel,
+                        _nullity, _nullity_range, _period_sums, mean_index)
 
 
 class ZeroMeanIndex(ValueError):
@@ -350,38 +350,58 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
 
 def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
                   m_bar: int) -> Iterator[tuple]:
-    """The clauses of ``verify_jump`` in order.  Each iterate is
-    evaluated, on the germ's compiled kernel, when its clause is reached,
-    so a consumer that stops at the first failure evaluates nothing
-    past it."""
+    """The clauses of ``verify_jump`` in order.  A curve's iterates are
+    evaluated on the germ's compiled kernel as two runs when the curve
+    is reached: 2m_i - m_bar .. 2m_i + m_bar around the top, then
+    1 .. m_bar once the top clause is through.  An iterate whose point
+    query raises is marked, and that query's error is raised when its
+    clause is reached.  So the verdicts and raises come in the order of
+    a point-by-point walk, and a consumer that stops at the first
+    failure evaluates no later curve."""
     for i, curve in enumerate(problem.curves):
         m_i, k = cert.m[i], curve.kernel
         who = ("curve", curve.germ.name)
         if 2 * m_i <= m_bar:
             yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
             continue
-        # Q_i(m) weighs the rational points p/q that 2m_i closes up
-        # (m_i*p/q integral) and m closes up too (m*p/(2q) integral)
-        closed = [(p, 2 * q) for p, _, q, exact, _ in k.rows
-                  if exact and m_i * p % q == 0]
         two_n = 2 * curve.rho * cert.N
-        top = _index(k, 2 * m_i)
+        # i(2m_i + d) for |d| <= m_bar is around[m_bar + d], and so is nu
+        window = range(2 * m_i - m_bar, 2 * m_i + m_bar + 1)
+        around = _index_range(k, window)
+        top = around[m_bar]
+        if top is None:
+            top = _index(k, 2 * m_i)  # marked: the point query raises
         want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
         yield ("jump-top", top == want,
                (who, ("m", 0), ("got", top), ("want", want)))
-        for m in range(1, m_bar + 1):
+        ms = range(1, m_bar + 1)
+        # Q_i(m) weighs the rational points p/q that 2m_i closes up
+        # (m_i*p/q integral) and m closes up too (m*p/(2q) integral)
+        qs = _period_sums([(2 * q // gcd(p, 2 * q), 1)
+                           for p, _, q, exact, _ in k.rows
+                           if exact and m_i * p % q == 0], ms)
+        nu_around = _nullity_range(k, window)
+        runs = zip(ms, _index_range(k, ms), around[m_bar + 1:],
+                   around[m_bar - 1::-1], qs, _nullity_range(k, ms),
+                   nu_around[m_bar + 1:], nu_around[m_bar - 1::-1])
+        reflected = two_n - 2 * k.s_plus  # (J-) less i(m) and 2Q_i(m)
+        for m, base, up, down, q_m, nu, nu_up, nu_down in runs:
             at = ("m", m)
-            base = _index(k, m)
-            up, want = _index(k, 2 * m_i + m), two_n + base
+            if base is None:
+                base = _index(k, m)  # marked: the point query raises
+            if up is None:
+                up = _index(k, 2 * m_i + m)
+            want = two_n + base
             yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
-            down = _index(k, 2 * m_i - m)
-            q_m = sum(m * p % q2 == 0 for p, q2 in closed)
-            want = two_n - base - 2 * (k.s_plus + q_m)
+            if down is None:
+                down = _index(k, 2 * m_i - m)
+            want = reflected - base - 2 * q_m
             yield ("jump-down", down == want,
                    (who, at, ("got", down), ("want", want)))
-            nu = _nullity(k, m)
-            yield ("jump-nullity", _nullity(k, 2 * m_i + m) == nu
-                   and _nullity(k, 2 * m_i - m) == nu, (who, at, ("nu", nu)))
+            if nu is None:  # only an undeclared angle marks, everywhere
+                nu = _nullity(k, m)
+            yield ("jump-nullity", nu_up == nu and nu_down == nu,
+                   (who, at, ("nu", nu)))
 
 
 def _iterates(problem: JumpProblem, N: int, chi: Sequence[int]) -> List[int]:

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from geoindex import jump
 from geoindex.exact import CertifiedReal, PrecisionInsufficient
-from geoindex.iteration import IndexGerm, germ_mbar, index_at, mean_index
-from geoindex.jump import (IdentityViolation, NotFound, ZeroMeanIndex,
-                           build_problem, delta_invariance, scale, search,
-                           verify_jump, verify_rounding)
+from geoindex.iteration import (IndexGerm, _index, _nullity, germ_mbar,
+                                index_at, mean_index)
+from geoindex.jump import (IdentityViolation, JumpCertificate, NotFound,
+                           ZeroMeanIndex, build_problem, delta_invariance,
+                           scale, search, verify_jump, verify_rounding)
 from geoindex.normal_forms import D, N1, R
 from geoindex.samples import worked_example_B
 
@@ -411,3 +413,125 @@ def test_jump_clauses_match_oracle():
     assert min(seen[k] for k in ("ok", "horizon-room", "jump-top", "jump-up",
                                  "jump-down", "jump-nullity",
                                  "PrecisionInsufficient")) >= 3, seen
+
+
+def _point_clauses(problem, cert, m_bar):
+    """The clause loop as it was, one point query per iterate: the
+    reference for the order of verdicts and raises."""
+    for i, curve in enumerate(problem.curves):
+        m_i, k = cert.m[i], curve.kernel
+        who = ("curve", curve.germ.name)
+        if 2 * m_i <= m_bar:
+            yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
+            continue
+        closed = [(p, 2 * q) for p, _, q, exact, _ in k.rows
+                  if exact and m_i * p % q == 0]
+        two_n = 2 * curve.rho * cert.N
+        top = _index(k, 2 * m_i)
+        want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
+        yield ("jump-top", top == want,
+               (who, ("m", 0), ("got", top), ("want", want)))
+        for m in range(1, m_bar + 1):
+            at = ("m", m)
+            base = _index(k, m)
+            up, want = _index(k, 2 * m_i + m), two_n + base
+            yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
+            down = _index(k, 2 * m_i - m)
+            q_m = sum(m * p % q2 == 0 for p, q2 in closed)
+            want = two_n - base - 2 * (k.s_plus + q_m)
+            yield ("jump-down", down == want,
+                   (who, at, ("got", down), ("want", want)))
+            nu = _nullity(k, m)
+            yield ("jump-nullity", _nullity(k, 2 * m_i + m) == nu
+                   and _nullity(k, 2 * m_i - m) == nu, (who, at, ("nu", nu)))
+
+
+def _prefix(clauses, *args):
+    """The verdicts up to the first raise, and the raise."""
+    got = []
+    try:
+        for verdict in clauses(*args):
+            got.append(verdict)
+    except PrecisionInsufficient as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _result(fn, *args, **kwargs):
+    try:
+        report = fn(*args, **kwargs)
+    except (PrecisionInsufficient, IdentityViolation, NotFound) as exc:
+        return type(exc).__name__, str(exc)
+    return getattr(report, "_verdicts", report)
+
+
+# an interval angle strictly around 2/5: the ceiling of m*t/2 is
+# undecided at every multiple of 5, so inside the runs for most m_i
+W = IndexGerm("w", 2, (R(CR.interval(Fraction(2, 5) - Fraction(1, 10 ** 9),
+                                     Fraction(2, 5) + Fraction(1, 10 ** 9),
+                                     irrational=True)),
+                       D(CR.rational(2))))
+# an undeclared decimal angle: every nullity raises, and its declared twin
+U = IndexGerm("u", 2, (R(CR.interval(Fraction("0.4142"), Fraction("0.4143"))),
+                       D(CR.rational(2))))
+UD = IndexGerm("u", 2, (R(CR.interval(Fraction("0.4142"), Fraction("0.4143"),
+                                      irrational=True)),
+                        D(CR.rational(2))))
+
+
+def _constructed(problem):
+    """Certificates around the undecided iterates of W: every m_i
+    residue mod 5, N set from the last curve's top iterate, so that its
+    jump-top clause passes where that iterate is decided and the parity
+    allows, and a strict run reaches the raise."""
+    for m_i in range(100, 110):
+        k = problem.curves[-1].kernel
+        try:
+            two_n = _index(k, 2 * m_i) + k.s_plus + k.c
+        except PrecisionInsufficient:
+            two_n = 0
+        yield JumpCertificate(
+            N=two_n // 2, m=(m_i,) * len(problem.curves),
+            chi=(0,) * len(problem.v_rows), Delta=(0,) * len(problem.curves),
+            rho=tuple(c.rho for c in problem.curves), delta=problem.delta,
+            epsilon=problem.epsilon, M=problem.M, M0=problem.M0,
+            names=tuple(c.germ.name for c in problem.curves))
+
+
+def test_clause_raises_come_in_point_order(monkeypatch):
+    delta = Fraction(1, 64)
+    cases, searches = [], []
+    for germs in ((W,), (W, HN), (H, W), (U,), (HN, U)):
+        problem = build_problem(germs, delta, delta)
+        for m_bar in (4, 8):
+            cases += [(problem, c, m_bar) for c in _constructed(problem)]
+            searches.append((problem, 1, 20000, m_bar))
+    twin = build_problem([UD], delta, delta)
+    cert = search(twin, 1, 20000, m_bar=8)
+    cases.append((build_problem([U], delta, delta), cert, 8))
+    for germs in jump_corpus(4):
+        problem = build_problem(germs, delta, delta)
+        searches.append((problem, 1, 10 ** 7, 8))
+
+    def outcomes():
+        return ([_prefix(jump._jump_clauses, *args) for args in cases],
+                [_result(verify_jump, *args, strict=strict)
+                 for args in cases for strict in (False, True)],
+                [_result(search, *args[:3], m_bar=args[3])
+                 for args in searches])
+
+    got = outcomes()
+    monkeypatch.setattr(jump, "_jump_clauses", _point_clauses)
+    want = outcomes()
+    assert got == want
+    prefixes, verdicts, found = want
+    seen = Counter()
+    for (_, raised), (_, cert, _) in zip(prefixes, cases):
+        if raised and not raised.endswith(f"iterate {2 * cert.m[0]}"):
+            seen["raise in a run"] += 1
+    seen.update(v[0] for v in verdicts if isinstance(v, tuple))
+    seen.update(f[0] for f in found if isinstance(f, tuple))
+    seen["certificate"] = sum(isinstance(f, JumpCertificate) for f in found)
+    assert min(seen[k] for k in ("raise in a run", "PrecisionInsufficient",
+                                 "IdentityViolation", "NotFound",
+                                 "certificate")) >= 2, seen

@@ -9,14 +9,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoindex import iteration
 from geoindex.exact import CertifiedReal, PrecisionInsufficient
-from geoindex.iteration import (IndexGerm, IndexProfile, bott_positive,
-                                germ_mbar, index_at, nullity_at)
+from geoindex.iteration import (IndexGerm, IndexProfile, _index,
+                                _index_range, _index_walk, _kernel, _nullity,
+                                _nullity_range, bott_positive, germ_mbar,
+                                index_at, nullity_at)
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
                                    R)
 
+from .corpus import random_germ
 from .oracle import index_oracle, nullity_oracle, weighted_angles
 
 CR = CertifiedReal
@@ -132,6 +137,115 @@ def test_profile_rows_match_entries():
             assert profile.rows() == want
             seen["table"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _points(query, k, ms):
+    """The point query over a run, None wherever it raises."""
+    out = []
+    for m in ms:
+        try:
+            out.append(query(k, m))
+        except (PrecisionInsufficient, ValueError):
+            out.append(None)
+    return out
+
+
+def _runs(rng):
+    """Ascending and descending runs: from 1, across 0, at large
+    iterates, and across several walk chunks."""
+    far = rng.randint(10 ** 6, 10 ** 7)
+    long = 3 * iteration._CHUNK + 5
+    return (range(1, 61), range(60, 0, -1), range(-3, 9), range(4, -4, -1),
+            range(far, far + 40), range(far, far - 40, -1), range(7, 7),
+            range(1, long + 1), range(long, 0, -1))
+
+
+def _walk(k, ms, walk):
+    """The (m, i(m)) pairs of a walk up to its raise, and the raise."""
+    pairs = []
+    try:
+        for pair in walk(k, ms):
+            pairs.append(pair)
+    except PrecisionInsufficient as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+def _point_walk(k, ms):
+    return ((m, _index(k, m)) for m in ms)
+
+
+def _check_ranges(germ, rng, seen):
+    k = _kernel(germ)
+    for ms in _runs(rng):
+        index = _points(_index, k, ms)
+        assert _index_range(k, ms) == index, (germ, ms)
+        assert _nullity_range(k, ms) == _points(_nullity, k, ms), (germ, ms)
+        if ms and ms[-1] > 0 and ms[0] > 0:
+            assert _walk(k, ms, _index_walk) == _walk(k, ms, _point_walk)
+        seen["marked" if None in index else "unmarked"] += 1
+
+
+def test_range_kernel_matches_point_queries():
+    rng = random.Random(2024)
+    seen = {"marked": 0, "unmarked": 0}
+    for k in range(100):
+        _check_ranges(_germ(rng, k), rng, seen)
+    assert min(seen.values()) >= 10, seen
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32))
+def test_range_kernel_matches_point_queries_on_random_germs(seed):
+    rng = random.Random(seed)
+    _check_ranges(random_germ(rng, "h"), rng, {"marked": 0, "unmarked": 0})
+
+
+def _result(fn, germ):
+    try:
+        return fn(germ)
+    except (PrecisionInsufficient, ValueError) as exc:  # Unbounded too
+        return type(exc).__name__, str(exc)
+
+
+def _point_germ_mbar(germ):
+    """The horizon walk down as it was, one point query per iterate."""
+    target = germ.i1 + 4
+    horizon = iteration._growth_horizon(germ, target)
+    return next((j for j in range(horizon, 1, -1)
+                 if index_at(germ, j) < target), 1)
+
+
+def _point_bott_positive(germ):
+    """The horizon walk up as it was, one point query per iterate."""
+    mean = iteration.mean_index(germ)
+    try:
+        if not mean.gt(0):
+            return False
+    except PrecisionInsufficient:
+        return False
+    horizon = iteration._growth_horizon(germ, germ.i1)
+    return all(index_at(germ, m) >= germ.i1 for m in range(1, horizon + 1))
+
+
+# horizons of 200 and 600 iterates, several chunks long
+SLOW = (IndexGerm("slow", 1, (R(CR.rational(Fraction(1, 100))),), n=2),
+        IndexGerm("slow-irrational", 1, (R(CR.interval(
+            Fraction(999_999, 10 ** 8), Fraction(1_000_001, 10 ** 8),
+            irrational=True)),), n=2))
+
+
+@pytest.mark.parametrize("chunk", [iteration._CHUNK, 1, 3])
+def test_horizon_walks_match_point_walks(monkeypatch, chunk):
+    assert iteration._growth_horizon(SLOW[0], 1) > 3 * iteration._CHUNK
+    monkeypatch.setattr(iteration, "_CHUNK", chunk)
+    rng = random.Random(2024)
+    germs = [_germ(rng, k) for k in range(100)] + list(SLOW)
+    for germ in germs:
+        assert (_result(germ_mbar.__wrapped__, germ)
+                == _result(_point_germ_mbar, germ)), germ
+        assert _result(bott_positive, germ) == _result(
+            _point_bott_positive, germ), germ
 
 
 def test_wide_interval_with_certified_ceiling():

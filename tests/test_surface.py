@@ -39,9 +39,10 @@ SUBCOMMANDS = {"index", "mean-index", "gamma", "mbar", "jump-search",
                "verify-jump", "scale-jump", "morse", "anosov"}
 
 # The kernel, the rounding rows and the clause code of the search.
-SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_row", "_times",
-               "_floor", "_ceil", "_placement", "_quotient", "_delta_count",
-               "_rounding_clauses", "_jump_clauses"}
+SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_index_range",
+               "_nullity_range", "_period_sums", "_index_walk", "_row",
+               "_times", "_floor", "_ceil", "_placement", "_quotient",
+               "_delta_count", "_rounding_clauses", "_jump_clauses"}
 # Still imported by the oracles, until they check candidates and growth
 # horizons without the search's code.
 KNOWN_SHARED = {"_assemble", "_growth_horizon"}
