@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .iteration import (IndexGerm, _index, _index_range, _kernel,
-                        bott_positive, gamma_invariant, germ_mbar, index_at,
-                        is_bumpy, mbar, mean_index)
+from .iteration import (IndexGerm, _index, _kernel, bott_positive,
+                        gamma_invariant, germ_mbar, index_at, is_bumpy, mbar,
+                        mean_index)
 from .jump import (JumpCertificate, ScaledCertificate, build_problem,
                    scale, search, verify_jump, verify_rounding)
 from .morse import betti, parity_counts
@@ -206,31 +206,32 @@ def verify_index_window(germs: Sequence[IndexGerm], cert: JumpCertificate,
     which suffices once i(c^m) >= i(c) + 4 (the horizon property) and
     C_k - Delta_k <= 2; both are checked and recorded, the latter being
     automatic for 4-dimensional block data.
+
+    Every curve needs rho = 1 and a mean with a positive upper end, as
+    in every admissible system; otherwise ValueError is raised before
+    any iterate is evaluated.
     """
+    for k, germ in enumerate(germs):
+        if cert.rho[k] != 1 or mean_index(germ).hi <= 0:
+            raise ValueError(f"index window of curve {germ.name!r} needs "
+                             f"rho = 1 and a positive mean index")
     report = WindowReport(ok=True)
     for k, germ in enumerate(germs):
         m_k = cert.m[k]
-        two_n = 2 * cert.rho[k] * cert.N
+        two_n = 2 * cert.N
         below = two_n - germ.i1
         kernel = _kernel(germ)
         c_val = kernel.c
-        mean_hi = mean_index(germ).hi
-        settled = 0
-        if mean_hi > 0:
-            settled = (below - (c_val - kernel.s_plus)) // mean_hi
-        rest = range(max(1, settled + 1), 2 * m_k)
-        for j, val in zip(rest, _index_range(kernel, rest)):
-            if val is None:
-                val = _index(kernel, j)  # marked: the point query raises
+        settled = (below - (c_val - kernel.s_plus)) // mean_index(germ).hi
+        for j in range(max(1, settled + 1), 2 * m_k):
+            val = _index(kernel, j)
             if val > below:
                 report.ok = False
                 report.failures.append(
                     {"curve": germ.name, "side": "below", "iterate": j,
                      "index": val, "bound": below})
-        above = range(2 * m_k + 1, 2 * m_k + m_bar + 1)
-        for m, val in enumerate(_index_range(kernel, above), 1):
-            if val is None:
-                val = _index(kernel, 2 * m_k + m)
+        for m in range(1, m_bar + 1):
+            val = _index(kernel, 2 * m_k + m)
             if val < two_n + germ.i1:
                 report.ok = False
                 report.failures.append(

@@ -39,19 +39,19 @@ other value rules out L only when L is no integer, i.e. when
 m*lo*d mod 2d != 0.  Everything else raises ``PrecisionInsufficient``,
 exactly where the certified ceiling of ``exact`` is undecided.
 
-``_index`` and ``_nullity`` are the point queries.  A run of iterates,
-a ``range`` ascending or descending, goes through their range form,
-``_index_range`` and ``_nullity_range``: one term at a time across the
-whole run (m*slope - shift, one pass per exact angle, one per interval
-angle with its certification test; the nullity steps each closing
-period).  Where the point query would raise, the entry is None, and the
-caller that reaches it asks the point query, which raises its own
-error; so verdicts and raises come in the order of a point-by-point
-walk.  The jump identities, the index window, the Morse counts and the
-horizon walks of ``germ_mbar`` and ``bott_positive`` read runs; the
-walks take ``_CHUNK`` iterates per pass, so their memory is bounded for
-any horizon.  ``IndexProfile.rows`` still asks the point queries row by
-row.
+``_index`` and ``_nullity`` are the point queries.  The jump identities
+read runs of iterates, a ``range`` ascending or descending, through
+their range form, ``_index_range`` and ``_nullity_range``: one term at
+a time across the whole run (m*slope - shift, one pass per exact angle,
+one per interval angle with its certification test; the nullity steps
+each closing period).  Where the point query would raise, the entry is
+None, and the caller that reaches it asks the point query, which raises
+its own error; so verdicts and raises come in the order of a
+point-by-point walk.  Every other walk (the horizon walks of
+``germ_mbar`` and ``bott_positive``, the index window, the Morse
+counts and ``IndexProfile.rows``) asks the point queries iterate by
+iterate, which raise in point order and hold no run in memory; on the
+horizon walks and the window a range pass costs more than it saves.
 
 The compiled kernels and the results of ``mean_index`` and
 ``germ_mbar`` live in LRU caches of fixed size keyed by the germ, so a
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _Row, _row,
                     _times)
@@ -75,8 +75,6 @@ from .normal_forms import BasicBlock, N1, N2, R, _rows, total_dim
 
 # Germs per cache: enough for every germ of a system under evaluation.
 CACHE_SIZE = 128
-# Iterates per range pass of a long walk: bounds its memory for any run.
-_CHUNK = 64
 
 
 class Unbounded(ValueError):
@@ -247,16 +245,6 @@ def _period_sums(pairs: Sequence[Tuple[int, int]],
     return out
 
 
-def _index_walk(k: _Kernel, ms: range) -> Iterator[Tuple[int, int]]:
-    """(m, i(m)) for m in the run ms, in order, ``_CHUNK`` iterates per
-    range pass; at a marked iterate ``_index`` raises its own error, so
-    a walk raises where, and only if, a point-by-point walk would."""
-    for start in range(0, len(ms), _CHUNK):
-        part = ms[start:start + _CHUNK]
-        for m, value in zip(part, _index_range(k, part)):
-            yield m, (_index(k, m) if value is None else value)
-
-
 def index_at(germ: IndexGerm, m: int) -> int:
     """Certified index of the m-th iterate."""
     return _index(_kernel(germ), m)
@@ -327,8 +315,9 @@ def germ_mbar(germ: IndexGerm) -> int:
     """
     target = germ.i1 + 4
     horizon = _growth_horizon(germ, target)
-    walk = _index_walk(_kernel(germ), range(horizon, 1, -1))
-    return next((j for j, value in walk if value < target), 1)
+    k = _kernel(germ)
+    return next((j for j in range(horizon, 1, -1) if _index(k, j) < target),
+                1)
 
 
 def mbar(germs: Sequence[IndexGerm]) -> int:
@@ -351,8 +340,8 @@ def bott_positive(germ: IndexGerm) -> bool:
     except PrecisionInsufficient:
         return False
     horizon = _growth_horizon(germ, germ.i1)
-    walk = _index_walk(_kernel(germ), range(1, horizon + 1))
-    return all(value >= germ.i1 for _, value in walk)
+    k = _kernel(germ)
+    return all(_index(k, m) >= germ.i1 for m in range(1, horizon + 1))
 
 
 class IndexProfile:

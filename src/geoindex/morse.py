@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .iteration import (IndexGerm, _index_walk, _kernel, _nullity,
-                        gamma_invariant, index_at, is_bumpy, nullity_at)
+from .iteration import (IndexGerm, _index, _kernel, _nullity, gamma_invariant,
+                        index_at, is_bumpy, nullity_at)
 from .jump import JumpCertificate, JumpProblem, verify_jump
 
 
@@ -116,7 +116,8 @@ def morse_numbers_up_to(germs: Sequence[IndexGerm], problem: JumpProblem,
     counts: Dict[int, int] = {}
     for k, germ in enumerate(germs):
         kernel = _kernel(germ)
-        for m, im in _index_walk(kernel, range(1, 2 * cert.m[k] + 1)):
+        for m in range(1, 2 * cert.m[k] + 1):
+            im = _index(kernel, m)
             if 0 <= im <= q_max and (im - germ.i1) % 2 == 0:
                 if _nullity(kernel, m) > 0:
                     raise DegenerateIterate(

@@ -38,13 +38,13 @@ kernel code (``_kernel``, ``_index``, ``_nullity``) or the clause
 generator of ``jump`` runs in it.
 
 ``germ_mbar`` walks down once from the growth horizon.
-``germ_mbar_oracle`` tries every candidate m0 in turn against every
-iterate up to that horizon.
+``germ_mbar_oracle`` takes that horizon from ``horizon_oracle`` and
+tries every candidate m0 in turn against every iterate up to it, by
+``index_oracle``.
 
 ``tests/test_surface.py`` pins which library code this module
-may import.  Two imports still share code with the search:
-``candidate_oracle`` accepts through ``jump._assemble`` and
-``germ_mbar_oracle`` starts from ``iteration._growth_horizon``.
+may import.  One import still shares code with the search:
+``candidate_oracle`` accepts through ``jump._assemble``.
 """
 
 import re
@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
-from geoindex.iteration import Unbounded, _growth_horizon, index_at
+from geoindex.iteration import Unbounded
 from geoindex.jump import _assemble
 from geoindex.normal_forms import (N1, N2, R, _rows, big_C,
                                    nullity_contribution)
@@ -394,9 +394,9 @@ def germ_mbar_oracle(germ) -> int:
     """Least m0 with i(m + m0) >= i(1) + 4 for every m >= 1, trying each
     m0 in turn against every iterate up to the growth horizon."""
     target = germ.i1 + 4
-    horizon = _growth_horizon(germ, target)
+    horizon = horizon_oracle(germ, target)
     for m0 in range(1, horizon + 1):
-        if all(index_at(germ, m + m0) >= target
+        if all(index_oracle(germ, m + m0) >= target
                for m in range(1, max(1, horizon - m0) + 1)):
             return m0
     return horizon + 1

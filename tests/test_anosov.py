@@ -22,7 +22,7 @@ from geoindex.samples import (all_odd_system, forced_top_system,
                               mismatch_system, mod4_system, perturbed,
                               two_odd_one_even_system)
 
-from .corpus import anosov_corpus, screen_corpus
+from .corpus import anosov_corpus, jump_corpus, screen_corpus
 from .test_byte_stability import ANOSOV
 
 CR = CertifiedReal
@@ -432,3 +432,20 @@ def test_window_reports_every_failing_iterate_below():
                 want = [j for j in range(1, 2 * m_k)
                         if index_at(germ, j) > 2 * n - germ.i1]
                 assert got == want, (germ.name, n, m_k)
+
+
+def test_window_rejects_a_negative_curve_before_any_iterate(monkeypatch):
+    # a rho = -1 curve settles no iterate and fails nearly every one
+    # below 2m_k: the check must refuse it, not walk and list them
+    germs = jump_corpus(1)[0]
+    cert = search(build_problem(germs, Fraction(1, 64), Fraction(1, 64), 1),
+                  1, 10_000_000, m_bar=8)
+    negative = [g.name for g, r in zip(germs, cert.rho) if r == -1]
+    assert negative and cert.rho[0] == 1
+
+    def no_iterate(kernel, m):
+        raise AssertionError(f"iterate {m} evaluated")
+
+    monkeypatch.setattr(anosov, "_index", no_iterate)
+    with pytest.raises(ValueError, match=repr(negative[0])):
+        verify_index_window(germs, cert, 8)

@@ -3,7 +3,9 @@
 A simplification that drops a public name or a CLI subcommand must do so
 on purpose, by editing the lists below.  The oracles of
 ``tests/oracle.py`` are only worth something if they do not run the
-code they check, so the last test reads that file's imports.
+code they check, so one test reads that file's imports.  The range
+kernel pays only on the jump identities' runs, so another pins which
+library modules may name it.
 """
 
 import argparse
@@ -40,14 +42,17 @@ SUBCOMMANDS = {"index", "mean-index", "gamma", "mbar", "jump-search",
 
 # The kernel, the rounding rows and the clause code of the search.
 SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_index_range",
-               "_nullity_range", "_period_sums", "_index_walk", "_row",
-               "_times", "_floor", "_ceil", "_placement", "_quotient",
-               "_delta_count", "_rounding_clauses", "_jump_clauses"}
-# Still imported by the oracles, until they check candidates and growth
-# horizons without the search's code.
-KNOWN_SHARED = {"_assemble", "_growth_horizon"}
+               "_nullity_range", "_period_sums", "_row", "_times", "_floor",
+               "_ceil", "_placement", "_quotient", "_delta_count",
+               "_rounding_clauses", "_jump_clauses"}
+# Still imported by the oracles, until they check candidates without
+# the search's code.
+KNOWN_SHARED = {"_assemble"}
 # Block data the walkers read: the input, not a computation on it.
 BLOCK_INPUT = {"_rows"}
+# The range kernel, and the modules that define and read it.
+RANGE_KERNEL = {"_index_range", "_nullity_range", "_period_sums"}
+RANGE_MODULES = {"iteration.py", "jump.py"}
 
 
 def test_public_names_are_pinned():
@@ -75,3 +80,19 @@ def test_oracles_import_no_search_code():
     assert not (imported | used) & SEARCH_CODE
     private = {n for n in imported if n.startswith("_")}
     assert private <= KNOWN_SHARED | BLOCK_INPUT, private
+
+
+def test_range_kernel_stays_in_iteration_and_jump():
+    for path in sorted(Path(geoindex.__file__).parent.glob("*.py")):
+        if path.name in RANGE_MODULES:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        assert not named & RANGE_KERNEL, path.name
