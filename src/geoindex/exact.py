@@ -51,7 +51,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Optional, Tuple, Union
 
 
@@ -299,14 +299,7 @@ class CertifiedReal:
         """
         if not isinstance(r, (int, Fraction)):
             r = Fraction(r)
-        if self.hi < r or (self.irrational and self.hi == r):
-            return -1
-        if self.lo > r or (self.irrational and self.lo == r):
-            return 1
-        if self.lo == self.hi:
-            return 0
-        raise PrecisionInsufficient(
-            f"cannot compare {self.describe()} with {r}")
+        return _sign((self.lo, self.hi, 1, self.irrational), r)
 
     def lt(self, r: Rationalish) -> bool:
         return self.sign_vs(r) < 0
@@ -415,6 +408,28 @@ def _times(row: _Row, m: int) -> Tuple[int, int, int, bool]:
     if hi - lo >= d:
         raise ValueError("interval radius must stay below 1/2")
     return lo, hi, d, irrational and lo != hi
+
+
+def _lowest(lo: int, hi: int, d: int, exact: bool,
+            irrational: bool) -> _Row:
+    """[lo/d, hi/d] over its least common denominator."""
+    g = gcd(lo, hi, d)
+    return lo // g, hi // g, d // g, exact, irrational
+
+
+def _sign(x: tuple, r: Rationalish) -> int:
+    """Certified sign of [lo/d, hi/d] - r, x = (lo, hi, d, irrational)."""
+    lo, hi, d, irrational = x
+    rd = r * d
+    if hi < rd or (irrational and hi == rd):
+        return -1
+    if lo > rd or (irrational and lo == rd):
+        return 1
+    if lo == hi:
+        return 0
+    raise PrecisionInsufficient(
+        f"cannot compare [{float(lo / d)!r}, {float(hi / d)!r}]"
+        f"{'~irr' if irrational else '~'} with {r}")
 
 
 def _floor(x: Tuple[int, int, int, bool]) -> int:

@@ -16,7 +16,7 @@ whenever C > 0; that bound is what turns the "for all m" conditions
 below into finite checks.
 
 Every per-germ number comes from one compile, a single pass over the
-splitting rows of the germ's blocks, into plain integers: the slope
+splitting table of the germ's blocks, into plain integers: the slope
 i1 + S+ - C, the shift S+ + C, S+ and C; per weighted angle (2w, p, 2q)
 for an exact angle p/q, or (2w, lo*d, hi*d, 2d, irrational) for an
 interval angle [lo, hi] over a common denominator d; the nullity as
@@ -26,9 +26,11 @@ certified; and M, the lcm of the denominators of the rational spectrum
 points, S- = 0 points included.  It also keeps each weighted angle as its
 integer row, once per unit of weight, which the jump problem reads as it
 is (the exact rows are also the rational points the Q count of the jump
-identities weighs), and the ends of the mean (an N2 pair adds
-t + (2 - t) = 2) for the growth horizons.  A germ is bumpy when it
-has no nullity period and no undeclared angle.
+identities weighs), and the mean as a row, its ends summed over one
+denominator (an N2 pair adds t + (2 - t) = 2); the conjugate 2 - t of an
+angle row (L, H, d) is (2d - H, 2d - L, d).  ``mean_index`` turns the
+mean row into a value; everything else reads the row.  A germ is bumpy
+when it has no nullity period and no undeclared angle.
 
 An exact ceiling is one integer division.  For an interval angle, with
 L = m*lo/2 and H = m*hi/2, the only possible certified ceiling is
@@ -69,9 +71,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _Row, _row,
-                    _times)
-from .normal_forms import BasicBlock, N1, N2, R, _rows, total_dim
+from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _lowest,
+                    _Row, _row, _sign, _times)
+from .normal_forms import BasicBlock, N1, N2, R, _table, total_dim
 
 # Germs per cache: enough for every germ of a system under evaluation.
 CACHE_SIZE = 128
@@ -120,7 +122,7 @@ class _Kernel(NamedTuple):
     undeclared: bool
     rows: Tuple[_Row, ...]
     M: int
-    mean: Tuple[Fraction, Fraction, bool, bool]
+    mean: _Row
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -129,44 +131,48 @@ def _kernel(germ: IndexGerm) -> _Kernel:
     M = 1
     exact, interval, rows, closing = [], [], [], []
     undeclared = False
-    lo = hi = Fraction(0)  # the angle part of the mean
+    lo, hi, den = 0, 0, 1  # the angle part of the mean, [lo/den, hi/den]
     wide = []              # irrational flags of the angles that widen it
     for b in germ.blocks:
-        for point in _rows(b):
-            t, w = point.t, point.s_minus
-            if t.exact and t.lo == 0:
-                s_plus += point.s_plus
+        if isinstance(b, N1):
+            closing.append((1 if b.eigenvalue == 1 else 2, 1))
+        elif isinstance(b, (R, N2)):
+            tl, th, td, t_exact, t_irrational = angle = _row(b.t)
+            if t_exact:  # t = tl/td in lowest terms
+                closing.append((2 * td // gcd(tl, 2 * td), 2))
+            undeclared = undeclared or not (t_exact or t_irrational)
+        for a, sign, sp, w in _table(b):  # the point a + sign*t
+            if not (a or sign):  # the eigenvalue 1
+                s_plus += sp
                 continue
+            row = ((a, a, 1, True, False) if not sign else angle if sign > 0
+                   else (a * td - th, a * td - tl, td, t_exact or tl == th,
+                         t_irrational))
+            L, H, d, point, irrational = row
             c += w
-            if t.exact:
-                M = lcm(M, t.lo.denominator)
+            if point:
+                M = lcm(M, d)
             if not w:
                 continue
-            L, H, d, _, irrational = row = _row(t)
             rows += [row] * w
             if L == H:  # exact, or a zero-width interval: m*t/2 is exact
                 exact.append((2 * w, L, 2 * d))
             else:
                 interval.append((2 * w, L, H, 2 * d, irrational))
-            if isinstance(b, N2):
-                lo, hi = lo + w, hi + w  # w*t + w*(2 - t) = 2w per pair
+            if isinstance(b, N2):  # w*t + w*(2 - t) = 2w per pair
+                lo, hi = lo + w * den, hi + w * den
             else:
-                lo, hi = lo + w * t.lo, hi + w * t.hi
+                common = lcm(den, d)
+                up, at = common // den, w * (common // d)
+                lo, hi, den = lo * up + L * at, hi * up + H * at, common
                 if L != H:
                     wide.append(irrational)
-        if isinstance(b, N1):
-            closing.append((1 if b.eigenvalue == 1 else 2, 1))
-        elif isinstance(b, (R, N2)):
-            if b.t.exact:
-                p, q2 = b.t.lo.numerator, 2 * b.t.lo.denominator
-                closing.append((q2 // gcd(p, q2), 2))
-            elif not b.t.irrational:
-                undeclared = True
     slope = germ.i1 + s_plus - c
+    mean = _lowest(slope * den + lo, slope * den + hi, den, not wide,
+                   wide == [True])
     return _Kernel(slope, s_plus + c, s_plus, c, tuple(exact),
                    tuple(interval), tuple(closing), undeclared,
-                   tuple(rows), M,
-                   (slope + lo, slope + hi, not wide, wide == [True]))
+                   tuple(rows), M, mean)
 
 
 def _index(k: _Kernel, m: int) -> int:
@@ -262,7 +268,8 @@ def mean_index(germ: IndexGerm) -> CertifiedReal:
     Exact whenever it mathematically is: block-internal conjugate angle
     pairs cancel before any interval arithmetic happens.
     """
-    return CertifiedReal(*_kernel(germ).mean)
+    L, H, d, exact, irrational = _kernel(germ).mean
+    return CertifiedReal(Fraction(L, d), Fraction(H, d), exact, irrational)
 
 
 def deviation_bounds(germ: IndexGerm) -> Tuple[int, int]:
@@ -292,17 +299,19 @@ def is_bumpy(germ: IndexGerm) -> bool:
 
 def _growth_horizon(germ: IndexGerm, target: int) -> int:
     """Smallest certified H with i(m) >= target for every m >= H."""
-    mean = mean_index(germ)
-    if not mean.gt(0):
+    k = _kernel(germ)
+    if _sign(_times(k.mean, 1), 0) <= 0:  # raising as mean_index(germ).gt(0)
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
-    if mean.lo == 0:  # declared irrational, so positive, but not bounded away
+    L, H, d, exact, irrational = k.mean
+    if L == 0:  # declared irrational, so positive, but not bounded away
         raise PrecisionInsufficient(f"mean index of {germ.name!r} has an end "
                                     f"at 0: 1/mean is unbounded")
-    # m*mean - (S+ + C) >= target suffices; 1/mean = [d/H, d/L].  As
-    # target >= i1, target + S+ + C >= mean > 0: a too wide 1/mean raises
-    L, H, d, _, irrational = _row(mean)
-    inverse = (d * L, d * H, L * H, mean.exact, irrational)
-    return max(1, _ceil(_times(inverse, target + _kernel(germ).shift)))
+    # m >= n/mean suffices, n = target + S+ + C >= mean > 0 as target >= i1
+    n = target + k.shift
+    if n * d * (H - L) >= L * H:  # n/mean = [n*d/H, n*d/L]
+        raise ValueError(f"1/mean of {germ.name!r} is [{d / H!r}, {d / L!r}]"
+                         f", too wide for a growth horizon")
+    return max(1, _ceil(_times((d * L, d * H, L * H, exact, irrational), n)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -333,14 +342,13 @@ def bott_positive(germ: IndexGerm) -> bool:
     Requires certified positive mean growth; a germ whose index drifts
     down, or whose drift cannot be sign-certified, is reported False.
     """
-    mean = mean_index(germ)
+    k = _kernel(germ)
     try:
-        if not mean.gt(0):
+        if _sign(_times(k.mean, 1), 0) <= 0:
             return False
     except PrecisionInsufficient:
         return False
     horizon = _growth_horizon(germ, germ.i1)
-    k = _kernel(germ)
     return all(_index(k, m) >= germ.i1 for m in range(1, horizon + 1))
 
 

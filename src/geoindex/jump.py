@@ -33,8 +33,10 @@ wins, and enlarging the range never changes the result.
 
 A curve keeps only its germ, rho_i and the germ's compiled kernel
 (``iteration._kernel``): beta_i is its slope, the alpha_{i,j} are its
-integer rows.  The vertex coordinates are kept as integer rows, and
-``v`` reads them back as values.
+integer rows.  The vertex coordinates are built on integers from those
+rows and the kernel's mean row, as CertifiedReal division forms them
+(a 1/|mean| too wide to divide by names its curve); they are kept as
+rows, and ``v`` reads them back as values.
 
 A check keeps each clause as a verdict (name, ok, witness items).  A
 VerificationReport builds ClauseReports only when ``clauses`` or
@@ -53,10 +55,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor, _Row,
-                    _placement, _row, _times, ceil_int)
+from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor,
+                    _lowest, _placement, _Row, _sign, _times)
 from .iteration import (IndexGerm, _index, _index_range, _Kernel, _kernel,
-                        _nullity, _nullity_range, _period_sums, mean_index)
+                        _nullity, _nullity_range, _period_sums)
 
 
 class ZeroMeanIndex(ValueError):
@@ -142,8 +144,10 @@ class ScaledCertificate:
     @property
     def certificate(self) -> JumpCertificate:
         """The scaled tuple as a certificate at the scaled tolerances."""
+        return self._at(*_scaled_tolerances(self.base, self.p_hat))
+
+    def _at(self, delta_hat: Fraction, eps_hat: Fraction) -> JumpCertificate:
         base = self.base
-        delta_hat, eps_hat = _scaled_tolerances(base, self.p_hat)
         return JumpCertificate(
             N=self.N_hat, m=self.m_hat, chi=self.chi_hat,
             Delta=self.Delta_hat, rho=base.rho, delta=delta_hat,
@@ -182,7 +186,7 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
     eps = delta / (2 * max(M*|mean|, 1)).
     """
     delta = Fraction(delta)
-    if not 0 < delta < Fraction(1, 2):
+    if not 0 < 2 * delta.numerator < delta.denominator:
         raise ValueError("delta must lie in (0, 1/2)")
     if M0 < 1:
         raise ValueError("M0 must be positive")
@@ -190,65 +194,67 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
         raise ValueError("empty system")
 
     curves: List[CurveProblem] = []
-    sizes: List[CertifiedReal] = []       # |D_i|, kept only while building
+    sizes: List[_Row] = []                # |D_i|, kept only while building
     M = 1
     for germ in germs:
-        mean = mean_index(germ)
+        k = _kernel(germ)
         try:
-            sign = mean.sign_vs(0)
+            rho = _sign(_times(k.mean, 1), 0)
         except PrecisionInsufficient as exc:
             raise ZeroMeanIndex(
                 f"mean index of {germ.name!r} straddles 0: {exc}")
-        if sign == 0:
+        if rho == 0:
             raise ZeroMeanIndex(f"germ {germ.name!r} has mean index 0")
-        if 0 in (mean.lo, mean.hi):  # declared irrational, so not 0 itself
+        L, H, d, exact, irrational = k.mean
+        if 0 in (L, H):  # declared irrational, so not 0 itself
             raise ZeroMeanIndex(f"mean index of {germ.name!r} has an end at "
                                 f"0: 1/mean is unbounded")
-        rho = 1 if sign > 0 else -1
-        k = _kernel(germ)
         M = lcm(M, k.M)
         curves.append(CurveProblem(germ, rho, k))
-        sizes.append(mean if rho > 0 else -mean)
+        sizes.append(k.mean if rho > 0 else (-H, -L, d, exact, irrational))
 
     mu_max = max(len(c.kernel.rows) for c in curves)
-    if delta * mu_max >= Fraction(1, 2):
+    if 2 * mu_max * delta.numerator >= delta.denominator:
         raise ValueError(
             f"delta too large: delta*max(mu) = {delta * mu_max} >= 1/2")
 
     if eps is None:
-        scale = Fraction(1)
-        for size in sizes:
-            cand = M * size
-            if cand.gt(scale):
-                scale = Fraction(ceil_int(cand))
+        scale = 1
+        for L, H, d, exact, irrational in sizes:  # cand = M*|mean|
+            cand = _times(_lowest(M * L, M * H, d, exact, irrational), 1)
+            if _sign(cand, scale) > 0:
+                scale = _ceil(cand)
         eps = delta / (2 * scale)
     eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 2):
+    if not 0 < 2 * eps.numerator < eps.denominator:
         raise ValueError("epsilon must lie in (0, 1/2)")
 
     one = (1, 1, 1, True, False)          # the row of the exact 1
-    means = list(map(_row, sizes))
-    v = [_quotient(one, mean, M) for mean in means]
-    for c, mean in zip(curves, means):
+    v = [_quotient(one, size, c.germ.name, M)
+         for c, size in zip(curves, sizes)]
+    for c, size in zip(curves, sizes):
         for row in c.kernel.rows:
-            if row == mean and (row[3] or row[4]):
+            if row == size and (row[3] or row[4]):
                 v.append(one)  # same declared real above and below the bar
             else:
-                v.append(_quotient(row, mean))
+                v.append(_quotient(row, size, c.germ.name))
     return JumpProblem(tuple(curves), M, M0, delta, eps, tuple(v))
 
 
-def _quotient(x: _Row, y: _Row, m: int = 1) -> _Row:
-    """x/(m*y), x, y > 0 and m >= 1, as CertifiedReal division forms it,
-    flags and ValueErrors included: [x.lo/(m*y.hi), x.hi/(m*y.lo)],
-    irrational iff one side is and the other exact."""
+def _quotient(x: _Row, y: _Row, name: str, m: int = 1) -> _Row:
+    """x/(m*y) for x > 0 and y = |mean| of curve name, m >= 1, as
+    CertifiedReal division forms it, flags and ValueErrors included (one
+    from 1/(m*y) names the curve): [x.lo/(m*y.hi), x.hi/(m*y.lo)]."""
     p, r, q, exact, irrational = x
     A, B, d, y_irrational = _times(y, m)
-    if d * (B - A) >= A * B:
+    if d * (B - A) >= A * B:  # 1/(m*y) = [d/B, d/A]
+        raise ValueError(f"1/|mean| of {name!r} is [{m * d / B!r}, "
+                         f"{m * d / A!r}], too wide for vertex coordinates")
+    lo, hi, den = p * d * A, r * d * B, q * A * B
+    if hi - lo >= den:
         raise ValueError("interval radius must stay below 1/2")
-    return _row(CertifiedReal.interval(
-        Fraction(p * d, q * B), Fraction(r * d, q * A),
-        (irrational and A == B) or (y_irrational and exact)))
+    irrational = (irrational and A == B) or (y_irrational and exact)
+    return _lowest(lo, hi, den, lo == hi and not irrational, irrational)
 
 
 def _near(row: _Row, eps: Fraction, m: int) -> Optional[int]:
@@ -485,7 +491,7 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     if p_hat < 1:
         raise ValueError("p_hat must be positive")
     mu_max = max(len(c.kernel.rows) for c in problem.curves)
-    if p_hat * cert.delta * mu_max >= Fraction(1, 2):
+    if 2 * p_hat * mu_max * cert.delta.numerator >= cert.delta.denominator:
         raise ValueError("scaled delta violates the smallness hypothesis")
     N_hat = p_hat * cert.N
     delta_hat, eps_hat = _scaled_tolerances(cert, p_hat)
@@ -524,7 +530,8 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
         chi_hat=tuple(chi_hat), Delta_hat=tuple(delta_hat_counts),
         # recorded as passed: a failure raises below
         checks=tuple(checks) + (("scaled-identities", True),))
-    fail = verify_jump(problem, scaled.certificate, m_bar).first_failure()
+    fail = verify_jump(problem, scaled._at(delta_hat, eps_hat),
+                       m_bar).first_failure()
     if fail is not None:
         raise ScaleMismatch(f"scaled identity fails: {fail.name} "
                             f"{fail.witness}")

@@ -11,7 +11,7 @@ spectral class, as a diamond-sum of 2x2 and 4x4 blocks:
 Angles are stored as t = theta/pi.  Each block contributes a fixed pair
 of splitting numbers (S+, S-) at each of its unit-circle eigenvalues,
 additive under the diamond sum.  The full table lives in one place
-(``_rows``) so a convention flip is a one-line change; only the zero
+(``_table``) so a convention flip is a one-line change; only the zero
 off-spectrum rule, the N1(1, b) rule at omega = 1, and additivity are
 pinned by the classical splitting-number axioms, and the remaining rows
 are regression-tested through mean-index consistency.
@@ -115,42 +115,28 @@ class SplittingPair:
                              self.s_minus + other.s_minus)
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """One unit-circle eigenvalue of a block with its splitting data.
-
-    t is theta/pi in [0, 2); t = 0 is the eigenvalue 1, t = 1 is -1.
-    nu is the complex kernel dimension at the point, bounding both
-    splitting numbers.
-    """
-    t: CertifiedReal
-    s_plus: int
-    s_minus: int
-    nu: int
-
-
 _ZERO = CertifiedReal.rational(0)
 _ONE = CertifiedReal.rational(1)
 _D_EXCLUDED = (_ZERO, _ONE, CertifiedReal.rational(-1))  # no D eigenvalue
 
 
-def _rows(block: BasicBlock) -> Tuple[SpectrumPoint, ...]:
-    """The splitting-number table, one row per unit-circle eigenvalue."""
+def _table(block: BasicBlock) -> Tuple[Tuple[int, int, int, int], ...]:
+    """The splitting-number table: a row (a, b, S+, S-) per unit-circle
+    eigenvalue exp(i*pi*(a + b*t)), t the angle of an R or N2 block; the
+    complex kernel dimension is 1 at each."""
     if isinstance(block, N1):
         if block.eigenvalue == 1:
             s = 1 if block.b_class in (B_POSITIVE, B_ZERO) else 0
-            return (SpectrumPoint(_ZERO, s, s, 1),)
+            return ((0, 0, s, s),)
         s = 1 if block.b_class in (B_NEGATIVE, B_ZERO) else 0
-        return (SpectrumPoint(_ONE, s, s, 1),)
+        return ((1, 0, s, s),)
     if isinstance(block, D):
         return ()
     if isinstance(block, R):
-        return (SpectrumPoint(block.t, 0, 1, 1),
-                SpectrumPoint(_conjugate(block.t), 1, 0, 1))
+        return ((0, 1, 0, 1), (2, -1, 1, 0))
     if isinstance(block, N2):
         s = 1 if block.nontrivial else 0
-        return (SpectrumPoint(block.t, s, s, 1),
-                SpectrumPoint(_conjugate(block.t), s, s, 1))
+        return ((0, 1, s, s), (2, -1, s, s))
     raise TypeError(f"not a basic block: {block!r}")
 
 
@@ -177,10 +163,13 @@ def splitting_at(block: BasicBlock, omega_t: CertifiedReal) -> SplittingPair:
     overlapping irrational literals, for instance).
     """
     unresolved = False
-    for row in _rows(block):
-        eq = omega_t.eq_certified(row.t)
+    for a, b, s_plus, s_minus in _table(block):
+        # the point a + b*t: a itself, t, or its conjugate 2 - t
+        t = ((_ONE if a else _ZERO) if b == 0
+             else block.t if b > 0 else _conjugate(block.t))
+        eq = omega_t.eq_certified(t)
         if eq is True:
-            return SplittingPair(row.s_plus, row.s_minus)
+            return SplittingPair(s_plus, s_minus)
         if eq is None:
             unresolved = True
     if unresolved:
@@ -201,8 +190,8 @@ def splitting_sum(blocks: Sequence[BasicBlock],
 
 def big_C(blocks: Sequence[BasicBlock]) -> int:
     """Sum of S- over the whole punctured circle (theta in (0, 2*pi))."""
-    return sum(row.s_minus for b in blocks for row in _rows(b)
-               if not (row.t.exact and row.t.lo == 0))
+    return sum(s_minus for block in blocks
+               for a, b, _, s_minus in _table(block) if a or b)
 
 
 def nullity_contribution(block: BasicBlock, m: int) -> int:

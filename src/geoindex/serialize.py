@@ -33,10 +33,13 @@ def number_to_str(x: CertifiedReal) -> str:
             and _is_power_of_ten(radius.denominator)):
         k = len(str(radius.denominator)) - 1
         return f"{x.literal}~{k}"
-    # synthesize: widen to a power-of-ten radius covering the interval
-    k = 1
-    while Fraction(1, 10 ** (k + 1)) >= 2 * radius and k < 390:
-        k += 1
+    # synthesize: widen to a power-of-ten radius covering the interval,
+    # k the least k >= 1 with 10**-(k + 1) < a/b, the width, up to 390;
+    # 10**j > b/a holds at j = e + 1 and fails at j = e - 1
+    a, b = 2 * radius.numerator, radius.denominator
+    e = max(0, len(str(b)) - len(str(a)))
+    j = e if a * 10 ** e > b else e + 1
+    k = min(390, max(1, j - 1))
     scale = 10 ** k
     center = (x.lo + x.hi) / 2
     scaled = round(center * scale)
@@ -45,9 +48,7 @@ def number_to_str(x: CertifiedReal) -> str:
 
 
 def _is_power_of_ten(n: int) -> bool:
-    while n % 10 == 0:
-        n //= 10
-    return n == 1
+    return str(n).rstrip("0") == "1"
 
 
 def _scaled_to_decimal(scaled: int, k: int) -> str:

@@ -24,13 +24,18 @@ holds them only as the germ's compiled kernel.
 
 ``parse_oracle`` reads a number literal the way the library did before
 it built decimal ends from integers: through ``Fraction`` string parsing
-and ``CertifiedReal.decimal``.
+and ``CertifiedReal.decimal``.  ``number_to_str_oracle`` writes one the
+way it did before it counted digits: it widens the radius of an interval
+one power of ten at a time.
 
 The library compiles each germ once, in one pass over its blocks'
-splitting rows.  The walkers below read the same rows block by block, and
-``mean_oracle``, ``horizon_oracle`` and ``vertex_oracle`` do the germ's
-mean, growth horizon and vertex coordinates in ``CertifiedReal``
-arithmetic, rounded by ``ceil_oracle``.
+splitting table, into integers, and builds the jump problem on them.
+The walkers below read the table as ``CertifiedReal`` spectrum points
+block by block, and ``mean_oracle``, ``horizon_oracle`` and
+``problem_oracle`` do the germ's mean, growth horizon and the jump
+problem's signs, tolerance and vertex coordinates in ``CertifiedReal``
+arithmetic, rounded by ``ceil_oracle``: the constructions the library
+used before it built them on integers.
 
 ``verify_jump_oracle`` re-checks the jump identities (J0), (J+), (J-)
 and (J=) with ``index_oracle`` and ``nullity_oracle``; none of the
@@ -50,11 +55,12 @@ may import.  One import still shares code with the search:
 import re
 from fractions import Fraction
 from math import ceil, floor, lcm
+from typing import NamedTuple
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
 from geoindex.iteration import Unbounded
-from geoindex.jump import _assemble
-from geoindex.normal_forms import (N1, N2, R, _rows, big_C,
+from geoindex.jump import ZeroMeanIndex, _assemble
+from geoindex.normal_forms import (N1, N2, R, _table, big_C,
                                    nullity_contribution)
 
 
@@ -122,11 +128,49 @@ def parse_oracle(text: str, irrational: bool = False, budget=None):
     raise ValueError(f"unparseable number literal: {text!r}")
 
 
+def number_to_str_oracle(x) -> str:
+    """``serialize.number_to_str`` with the power-of-ten radius found by
+    widening one digit at a time, ``Fraction`` against ``Fraction``."""
+    if x.exact:
+        return str(x.lo)
+    radius = (x.hi - x.lo) / 2
+    den = radius.denominator
+    while den % 10 == 0:
+        den //= 10
+    if x.literal is not None and radius.numerator == 1 and den == 1:
+        return f"{x.literal}~{len(str(radius.denominator)) - 1}"
+    k = 1
+    while Fraction(1, 10 ** (k + 1)) >= 2 * radius and k < 390:
+        k += 1
+    scaled = round((x.lo + x.hi) / 2 * 10 ** k)
+    sign = "-" if scaled < 0 else ""
+    digits = str(abs(scaled)).rjust(k + 1, "0")
+    return f"{sign}{digits[:-k]}.{digits[-k:]}~{k}"
+
+
 # -- block walkers ---------------------------------------------------------
+
+class SpectrumPoint(NamedTuple):
+    """One unit-circle eigenvalue exp(i*pi*t) of a block, t in [0, 2),
+    with its splitting numbers and complex kernel dimension nu."""
+    t: CertifiedReal
+    s_plus: int
+    s_minus: int
+    nu: int
+
+
+def _point(block, a: int, b: int):
+    """The table's point a + b*t: a, the block's angle t as given, or
+    a - t in CertifiedReal arithmetic."""
+    if b == 0:
+        return CertifiedReal.rational(a)
+    return block.t if b > 0 else CertifiedReal.rational(a) - block.t
+
 
 def spectrum_rows(blocks):
     """All unit-circle spectrum rows of a diamond sum, duplicates kept."""
-    return [row for b in blocks for row in _rows(b)]
+    return [SpectrumPoint(_point(blk, a, b), s_plus, s_minus, 1)
+            for blk in blocks for a, b, s_plus, s_minus in _table(blk)]
 
 
 def s_plus_at_one(blocks) -> int:
@@ -164,7 +208,7 @@ def mean_shift(block):
     if isinstance(block, N2):
         return CertifiedReal.rational(2 if block.nontrivial else 0)
     total = CertifiedReal.rational(0)
-    for row in _rows(block):
+    for row in spectrum_rows([block]):
         if row.s_minus and not (row.t.exact and row.t.lo == 0):
             total = total + row.t * row.s_minus
     return total
@@ -189,27 +233,89 @@ def spectrum_lcm(blocks) -> int:
 
 def horizon_oracle(germ, target: int) -> int:
     """ceil((target + S+ + C) / mean), at least 1, by CertifiedReal
-    division; Unbounded unless the mean is certified positive, and
-    PrecisionInsufficient where it has an end at 0 (1/mean unbounded)."""
+    division; Unbounded unless the mean is certified positive,
+    PrecisionInsufficient where it has an end at 0 (1/mean unbounded),
+    and ValueError where (target + S+ + C)/mean is too wide to be a
+    value, each with the growth horizon's message."""
     mean = mean_oracle(germ)
     if not mean.gt(0):
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
     if mean.lo == 0:
-        raise PrecisionInsufficient(f"1/{mean.describe()} is unbounded")
+        raise PrecisionInsufficient(f"mean index of {germ.name!r} has an end "
+                                    f"at 0: 1/mean is unbounded")
     shift = s_plus_at_one(germ.blocks) + big_C(germ.blocks)
-    return max(1, ceil_oracle(CertifiedReal.rational(target + shift) / mean))
+    try:
+        ratio = CertifiedReal.rational(target + shift) / mean
+    except ValueError:  # the only failure left: the quotient is too wide
+        raise ValueError(f"1/mean of {germ.name!r} is "
+                         f"[{float(1 / mean.hi)!r}, {float(1 / mean.lo)!r}], "
+                         f"too wide for a growth horizon") from None
+    return max(1, ceil_oracle(ratio))
 
 
-def vertex_oracle(abs_means, alphas, M: int):
-    """v = (1/(M*|D_i|) ..., alpha_ij/|D_i| ...) by CertifiedReal division."""
-    v = [CertifiedReal.rational(1) / (M * m) for m in abs_means]
-    for m, curve_alphas in zip(abs_means, alphas):
+def vertex_oracle(sizes, alphas, M: int, names):
+    """v = (1/(M*|D_i|) ..., alpha_ij/|D_i| ...) by CertifiedReal division,
+    sizes the |D_i| of the curves names; a ValueError that names the
+    curve where 1/(M*|D_i|) or 1/|D_i| is too wide to be a value."""
+    def inverse(x, size, name):
+        try:
+            return CertifiedReal.rational(1) / x
+        except ValueError:  # 1/x is formed first, then multiplied by 1
+            raise ValueError(
+                f"1/|mean| of {name!r} is [{float(1 / size.hi)!r}, "
+                f"{float(1 / size.lo)!r}], too wide for vertex coordinates"
+            ) from None
+
+    v = [inverse(M * m, m, name) for m, name in zip(sizes, names)]
+    for m, curve_alphas, name in zip(sizes, alphas, names):
         for a in curve_alphas:
             if a.eq_certified(m) is True:
                 v.append(CertifiedReal.rational(1))
             else:
-                v.append(a / m)
+                v.append(a * inverse(m, m, name))  # a/m as division forms it
     return v
+
+
+def problem_oracle(germs, delta, eps=None):
+    """``build_problem`` in CertifiedReal arithmetic: (rho, M, epsilon, v)
+    with rho the signs of the means, raising the exceptions
+    ``build_problem`` raises, with its messages, in its order."""
+    delta = Fraction(delta)
+    if not 0 < delta < Fraction(1, 2):
+        raise ValueError("delta must lie in (0, 1/2)")
+    rho, sizes = [], []
+    for germ in germs:
+        mean = mean_oracle(germ)
+        try:
+            sign = mean.sign_vs(0)
+        except PrecisionInsufficient as exc:
+            raise ZeroMeanIndex(
+                f"mean index of {germ.name!r} straddles 0: {exc}") from None
+        if sign == 0:
+            raise ZeroMeanIndex(f"germ {germ.name!r} has mean index 0")
+        if 0 in (mean.lo, mean.hi):
+            raise ZeroMeanIndex(f"mean index of {germ.name!r} has an end at "
+                                f"0: 1/mean is unbounded")
+        rho.append(sign)
+        sizes.append(mean if sign > 0 else -mean)
+    M = lcm(*(spectrum_lcm(g.blocks) for g in germs))
+    alphas = [angle_list(g.blocks) for g in germs]
+    mu_max = max(map(len, alphas))
+    if delta * mu_max >= Fraction(1, 2):
+        raise ValueError(
+            f"delta too large: delta*max(mu) = {delta * mu_max} >= 1/2")
+    if eps is None:
+        scale = Fraction(1)
+        for size in sizes:
+            cand = M * size
+            if cand.gt(scale):
+                scale = Fraction(ceil_oracle(cand))
+        eps = delta / (2 * scale)
+    eps = Fraction(eps)
+    if not 0 < eps < Fraction(1, 2):
+        raise ValueError("epsilon must lie in (0, 1/2)")
+    return (tuple(rho), M, eps,
+            vertex_oracle(sizes, alphas, M, [g.name for g in germs]))
 
 
 # -- iterated index --------------------------------------------------------

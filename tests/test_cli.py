@@ -346,6 +346,36 @@ def test_mean_with_an_end_at_zero_is_one_error_line(tmp_path, capsys):
             f"unbounded\n")
 
 
+def test_mean_whose_inverse_is_too_wide_is_named(tmp_path, capsys):
+    # mean index [0.0004, 0.0006], declared irrational: positive and away
+    # from 0, but 1/mean, [1666.7, 2500], is too wide for a growth
+    # horizon or a vertex coordinate; the error names the curve
+    hyperbolic = [{"type": "D", "lambda": "2"}, {"type": "D", "lambda": "3"}]
+    doc = {"manifold": {"dim": 3},
+           "curves": [{"name": "a", "initial_index": 1,
+                       "blocks": [{"type": "R",
+                                   "theta_over_pi": "0.0005~4",
+                                   "irrational": True},
+                                  {"type": "D", "lambda": "2"}]},
+                      {"name": "b", "initial_index": 2,
+                       "blocks": hyperbolic},
+                      {"name": "c", "initial_index": 3,
+                       "blocks": hyperbolic}]}
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    inverse = "[1666.6666666666667, 2500.0]"
+    for argv, line in (
+            (["mbar"], f"1/mean of 'a' is {inverse}, too wide for a growth "
+                       f"horizon"),
+            (["anosov"], f"1/mean of 'a' is {inverse}, too wide for a growth "
+                         f"horizon"),
+            (["jump-search", "--n-max", "1000"],
+             f"1/|mean| of 'a' is {inverse}, too wide for vertex "
+             f"coordinates")):
+        assert main(argv[:1] + ["--system", str(p)] + argv[1:]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def test_value_errors_print_their_message_alone(tmp_path, capsys):
     # AdmissibilityError and Unbounded are ValueErrors: "error: <message>"
     lam = D(CertifiedReal.rational(2))

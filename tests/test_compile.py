@@ -1,20 +1,21 @@
-"""The per-germ compile against the block-walking oracles.
+"""The per-germ compile and the jump problem's set-up against the
+block-walking oracles.
 
-``iteration._kernel`` reads each block's splitting rows once and derives
+``iteration._kernel`` reads each block's splitting table once and derives
 S+, C, the weighted angles, the spectrum denominators and the mean index
-from that one pass; ``build_problem``, ``is_bumpy`` and the growth
-horizons read it.
-Each number must equal what the walkers of ``tests/oracle.py`` compute
-block by block in ``CertifiedReal`` arithmetic, or fail with the same
-exception, on every block kind: N1 at +1 and -1, D, trivial and
-nontrivial N2, and R with an exact, a decimal-interval, a
-declared-irrational and a zero-width-interval angle.
+as integer rows from that one pass; ``build_problem``, ``is_bumpy`` and
+the growth horizons read it, on integers.
+Each number must equal, as the same integer tuple, what the walkers and
+reference builders of ``tests/oracle.py`` compute in ``CertifiedReal``
+arithmetic, or fail with the same exception and message, on every block
+kind: N1 at +1 and -1, D, trivial and nontrivial N2, and R with an
+exact, a decimal-interval, a declared-irrational and a zero-width-interval
+angle.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, _row
 from geoindex.iteration import (IndexGerm, _growth_horizon, _kernel,
@@ -24,8 +25,8 @@ from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
                                    R, _conjugate, big_C)
 
 from .oracle import (angle_list, bumpy_oracle, horizon_oracle, index_oracle,
-                     mean_oracle, s_plus_at_one, spectrum_lcm,
-                     vertex_oracle)
+                     mean_oracle, problem_oracle, s_plus_at_one, spectrum_lcm,
+                     weighted_angles)
 
 CR = CertifiedReal
 GRIDS = (3, 4, 6, 10, 12, 60, 10 ** 4)
@@ -92,6 +93,14 @@ def _kind(t):
             else "decimal")
 
 
+def _failure(fn, *args):
+    """The value, or "type: message" of the exception raised."""
+    try:
+        return fn(*args)
+    except (PrecisionInsufficient, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _same(a, b):
     """Equal CertifiedReals, flags included, or the same failure."""
     if isinstance(a, CR) and isinstance(b, CR):
@@ -147,10 +156,13 @@ def test_compile_matches_block_walkers():
         assert k.c == big_C(blocks), germ
         assert k.slope == germ.i1 + k.s_plus - k.c
         assert k.rows == tuple(map(_row, angle_list(blocks))), germ
+        assert (k.exact, k.interval) == _angle_terms(blocks), germ
         assert is_bumpy(germ) == bumpy_oracle(germ), germ
         assert k.M == spectrum_lcm(blocks), germ
         mean = _outcome(mean_oracle, germ)
         assert _same(_outcome(mean_index, germ), mean), germ
+        if isinstance(mean, CR):
+            assert k.mean == _row(mean), germ
         seen["mean", mean.exact if isinstance(mean, CR) else mean] += 1
         for b in blocks:
             if isinstance(b, N1):
@@ -164,8 +176,22 @@ def test_compile_matches_block_walkers():
     # every block kind and angle kind; exact, interval and too wide means
     assert len(seen) == 3 + 2 + 1 + 4 + 2 * 4 and min(seen.values()) >= 1, seen
     wide = _EDGES["edge.widemean"]
+    assert _kernel(wide).mean == (11, 17, 5, False, False)  # [2.2, 3.4]
     assert [index_at(wide, m) for m in (1, 2)] == [3, 6]
     assert index_oracle(wide, 2) == 6
+
+
+def _angle_terms(blocks):
+    """The kernel's exact and interval terms from the walkers: (2w, p, 2q)
+    per weighted point angle, (2w, lo, hi, 2d, irrational) per other."""
+    exact, interval = [], []
+    for t, w in weighted_angles(blocks):
+        L, H, d, _, irrational = _row(t)
+        if L == H:
+            exact.append((2 * w, L, 2 * d))
+        else:
+            interval.append((2 * w, L, H, 2 * d, irrational))
+    return tuple(exact), tuple(interval)
 
 
 def test_growth_horizons_match_certified_division():
@@ -185,11 +211,8 @@ def test_growth_horizons_match_certified_division():
 
 def _vertex_oracle(germs):
     """v by CertifiedReal division, failing where build_problem does."""
-    abs_means = [m if m.sign_vs(0) > 0 else -m
-                 for m in map(mean_oracle, germs)]
-    alphas = [angle_list(g.blocks) for g in germs]
-    return tuple(vertex_oracle(abs_means, alphas,
-                               lcm(*(spectrum_lcm(g.blocks) for g in germs))))
+    return tuple(problem_oracle(germs, Fraction(1, 1000),
+                                Fraction(1, 1000))[3])
 
 
 # mean = t = [1/50, 21/1000]: 1/mean is wider than 1, so t/mean, about
@@ -230,3 +253,92 @@ def test_vertex_coordinates_match_certified_division():
         seen["irrational"] += any(x.irrational for x in want)
     assert _outcome(_vertex_oracle, _NARROW_QUOTIENT) == "ValueError"
     assert min(seen.values()) >= 20, seen
+
+
+# germs on which the set-up fails, one way each, and their neighbours
+_LAM = D(CR.rational(2))
+_HOSTILE = tuple(
+    [IndexGerm(f"h.n1.{b}.{i1}", i1, (N1(-1, b), _LAM))
+     for b in (B_POSITIVE, B_ZERO, B_NEGATIVE) for i1 in (-1, 0, 1)] + [
+        # zero-width intervals not flagged exact
+        IndexGerm("h.point", 1, (R(CR(Fraction(1, 3), Fraction(1, 3),
+                                      False)), _LAM)),
+        IndexGerm("h.point.n2", 1, (N2(CR(Fraction(5, 4), Fraction(5, 4),
+                                          False), True),)),
+        # undeclared decimal angles: the mean [-1/5, 1/5] straddles 0
+        IndexGerm("h.undeclared", 1, (R(CR.parse("0.5~1")),
+                                      R(CR.parse("0.5~1")))),
+        # declared-irrational means [0, 1/5] and [-1/5, 0]
+        IndexGerm("h.end.lo", 1, (R(CR.interval(Fraction(0), Fraction(1, 5),
+                                                True)), _LAM)),
+        IndexGerm("h.end.hi", 0, (R(CR.interval(Fraction(4, 5), Fraction(1),
+                                                True)), _LAM)),
+        # 1/mean is about [1666.7, 2500]; [1, 2] and 2/mean = [2, 3] are
+        # exactly 1 wide
+        IndexGerm("h.wide", 1, (R(CR.parse("0.0005~4", irrational=True)),
+                                _LAM)),
+        IndexGerm("h.wide.1", 1, (R(CR.interval(Fraction(1, 2), Fraction(1),
+                                                True)), _LAM)),
+        IndexGerm("h.wide.2", 1, (R(CR.interval(Fraction(2, 3), Fraction(1),
+                                                True)), _LAM)),
+        # M*|mean| = [9/10, 11/10] against 1, [29/10, 31/10] to round up
+        IndexGerm("h.eps", 1, (R(CR.interval(Fraction(9, 10),
+                                             Fraction(11, 10), True)), _LAM)),
+        IndexGerm("h.ceil", 3, (R(CR.interval(Fraction(9, 10),
+                                              Fraction(11, 10), True)),
+                                _LAM)),
+        # two weighted angles: delta = 1/4 puts delta*max(mu) at 1/2
+        IndexGerm("h.two", 4, (R(CR.rational(Fraction(1, 3))),
+                               R(CR.rational(Fraction(2, 5))))),
+    ])
+
+
+def _problem(germs, delta, eps):
+    p = build_problem(germs, delta, eps)
+    return tuple(c.rho for c in p.curves), p.M, p.epsilon, p.v_rows
+
+
+def _problem_oracle(germs, delta, eps):
+    rho, M, eps, v = problem_oracle(germs, delta, eps)
+    return rho, M, eps, tuple(map(_row, v))
+
+
+def _agree(got, want):
+    """The same value, or the same exception with the same message; an
+    undecided ceiling is worded by each side's own rounding."""
+    undecided = "PrecisionInsufficient: ceiling of"
+    if isinstance(got, str) and got.startswith(undecided):
+        return isinstance(want, str) and want.startswith(
+            "PrecisionInsufficient:")
+    return got == want
+
+
+def test_setup_raises_like_the_reference_builders():
+    rng = random.Random(9)
+    pool = list(_HOSTILE) + _germs(150)
+    outcomes = []
+    for germ in pool:
+        assert _failure(mean_index, germ) == _failure(mean_oracle, germ)
+        for target in (germ.i1, germ.i1 + 4):
+            got = _failure(_growth_horizon, germ, target)
+            assert _agree(got, _failure(horizon_oracle, germ, target)), germ
+            outcomes.append(got)
+    systems = [[g] for g in _HOSTILE] + [[g, _EDGES["edge.n2"]]
+                                         for g in _HOSTILE]
+    systems += [rng.sample(pool, rng.randint(1, 3)) for _ in range(300)]
+    for system in systems:
+        for delta, eps in ((Fraction(1, 1000), Fraction(1, 1000)),
+                           (Fraction(1, 64), None),
+                           (Fraction(1, 4), Fraction(1, 7))):
+            got = _failure(_problem, system, delta, eps)
+            want = _failure(_problem_oracle, system, delta, eps)
+            assert _agree(got, want), (system, delta, eps)
+            outcomes.append(got)
+    raised = [x for x in outcomes if isinstance(x, str)]
+    for phrase in ("nonpositive mean index", "has mean index 0",
+                   "straddles 0", "has an end at 0", "cannot compare",
+                   "ceiling of", "1/mean of", "1/|mean| of",
+                   "delta too large: delta*max(mu) = 1/2",
+                   "interval radius must stay below 1/2"):
+        assert any(phrase in x for x in raised), phrase
+    assert len(outcomes) - len(raised) >= 500

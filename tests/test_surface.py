@@ -5,7 +5,8 @@ on purpose, by editing the lists below.  The oracles of
 ``tests/oracle.py`` are only worth something if they do not run the
 code they check, so one test reads that file's imports.  The range
 kernel pays only on the jump identities' runs, so another pins which
-library modules may name it.
+library modules may name it.  The jump problem is set up on integers,
+so a third keeps the value constructions out of that path.
 """
 
 import argparse
@@ -44,15 +45,23 @@ SUBCOMMANDS = {"index", "mean-index", "gamma", "mbar", "jump-search",
 SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_index_range",
                "_nullity_range", "_period_sums", "_row", "_times", "_floor",
                "_ceil", "_placement", "_quotient", "_delta_count",
-               "_rounding_clauses", "_jump_clauses"}
+               "_rounding_clauses", "_jump_clauses", "_lowest", "_sign"}
 # Still imported by the oracles, until they check candidates without
 # the search's code.
 KNOWN_SHARED = {"_assemble"}
 # Block data the walkers read: the input, not a computation on it.
-BLOCK_INPUT = {"_rows"}
+BLOCK_INPUT = {"_table"}
 # The range kernel, and the modules that define and read it.
 RANGE_KERNEL = {"_index_range", "_nullity_range", "_period_sums"}
 RANGE_MODULES = {"iteration.py", "jump.py"}
+# The set-up of a jump problem, from the compiled kernel to the scaled
+# certificate, and the value constructions it must not call: the
+# CertifiedReal constructors, the mean and the conjugate angle 2 - t.
+INTEGER_SETUP = {"iteration.py": {"_kernel", "_growth_horizon"},
+                 "jump.py": {"build_problem", "_quotient", "_assemble",
+                             "scale"}}
+VALUE_CALLS = {"CertifiedReal", "interval", "rational", "mean_index",
+               "_conjugate"}
 
 
 def test_public_names_are_pinned():
@@ -96,3 +105,17 @@ def test_range_kernel_stays_in_iteration_and_jump():
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
         assert not named & RANGE_KERNEL, path.name
+
+
+def test_jump_setup_builds_no_values():
+    src = Path(geoindex.__file__).parent
+    for module, names in INTEGER_SETUP.items():
+        tree = ast.parse((src / module).read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            called = {getattr(node.func, "id", getattr(node.func, "attr",
+                                                       None))
+                      for node in ast.walk(defs[name])
+                      if isinstance(node, ast.Call)}
+            assert not called & VALUE_CALLS, (module, name)
