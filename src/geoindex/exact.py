@@ -101,7 +101,7 @@ def _scaled(m: re.Match, K: int) -> int:
     return -c if m[1] else c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertifiedReal:
     """An exact rational or a decimal interval with declared (ir)rationality.
 
@@ -459,19 +459,25 @@ def _placement(row: _Row, eps: Fraction) -> Callable[[int], Optional[int]]:
     decides it) or a comparison is undecided, and ValueError where
     ``_times`` raises it.  The jump search calls it for every N, so the
     product is formed here and not through ``_times``, and the common
-    answer, far from both ends, is tested first.
+    answer, far from both ends, is tested first.  A point row (L == H,
+    not declared irrational) is placed by one remainder, {m*x} = f/d:
+    its floor is decided and its width 0, so it never raises.
     """
     L, H, d, _, irrational = row
     a, b = eps.numerator, eps.denominator
     if not 0 < 2 * a <= b:
         raise ValueError("eps must lie in (0, 1/2]")
     a *= d  # an end e/d of {m*x} is below eps iff e*b < a
+    if L == H and not irrational:
+        def place(m: int) -> Optional[int]:
+            f = m * L % d
+            return 0 if f * b < a else 1 if (d - f) * b < a else None
+
+        return place
     # A declared-irrational m*x is none of its ends, so an end at eps or
     # at an integer decides (at m = 0 the product is exact 0, and this
-    # still gives its side 0).  A point is its one end, so a point at eps
-    # is certified not below it.
-    near, top = a + irrational, d + irrational
-    far = a - (irrational or L == H)
+    # still gives its side 0).
+    near, top, far = a + irrational, d + irrational, a - irrational
 
     def place(m: int) -> Optional[int]:
         if m >= 0:

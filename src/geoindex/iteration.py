@@ -83,7 +83,7 @@ class Unbounded(ValueError):
     """A horizon query was made for a germ whose index does not grow."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexGerm:
     """Initial index plus end-matrix block decomposition of a path."""
 

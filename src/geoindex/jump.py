@@ -451,26 +451,31 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     Deterministic: the scan runs over multiples of M0 in increasing
     order, and a candidate is only returned once every rounding and jump
     clause has been recomputed and passed.  Once some N*v_j is too wide
-    to place, so is every larger N, and NotFound is raised at once.
+    to place, so is every larger N, and NotFound is raised at once.  The
+    coordinates are placed in index order, so an N rejected by the first
+    one costs one call of its compiled placement.
     """
     if n_min > n_max:
         raise ValueError("empty search range")
-    places = [_placement(row, problem.epsilon) for row in problem.v_rows]
+    head, *rest = [_placement(row, problem.epsilon) for row in problem.v_rows]
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
     for N in range(first, n_max + 1, M0):
-        chi: List[int] = []
-        for place in places:
-            try:
-                side = place(N)
-            except PrecisionInsufficient:
-                break
-            except ValueError:  # N*v_j is too wide
-                raise NotFound(n_max) from None
+        try:
+            side = head(N)
             if side is None:
-                break
-            chi.append(side)
-        else:
+                continue
+            chi = [side]
+            for place in rest:
+                side = place(N)
+                if side is None:
+                    break
+                chi.append(side)
+        except PrecisionInsufficient:
+            continue
+        except ValueError:  # N*v_j is too wide
+            raise NotFound(n_max) from None
+        if side is not None:
             cert = _assemble(problem, N, chi, m_bar)
             if cert is not None:
                 return cert

@@ -57,7 +57,7 @@ def validate_angle(t: CertifiedReal) -> CertifiedReal:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class N1:
     """2x2 shear block at eigenvalue +1 or -1; only the sign class of b."""
     eigenvalue: int
@@ -70,7 +70,7 @@ class N1:
             raise ValueError(f"b_class must be one of {_B_CLASSES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class D:
     """2x2 hyperbolic block with real eigenvalues lam, 1/lam."""
     lam: CertifiedReal
@@ -82,7 +82,7 @@ class D:
                                  f"{excluded.lo}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class R:
     """2x2 rotation block by theta = t*pi."""
     t: CertifiedReal
@@ -91,7 +91,7 @@ class R:
         validate_angle(self.t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class N2:
     """4x4 block with double eigenvalue pair on the circle."""
     t: CertifiedReal

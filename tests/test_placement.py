@@ -137,17 +137,24 @@ def test_narrowing_never_flips_a_decision(case, m, eps):
 _BASE = build_problem([hyperbolic_germ("H", 1)], Fraction(1, 64))
 
 
-def _problem(extras, eps):
+def _problem(extras, eps, before):
     """The hyperbolic germ's problem, on which every N certifies, with
-    vertex coordinates added: only their sides decide N."""
-    return JumpProblem(_BASE.curves, _BASE.M, 1, _BASE.delta, eps,
-                       _BASE.v_rows + tuple(map(_row, extras)))
+    vertex coordinates added before or after its own: only their sides
+    decide N.  Placed before, the first extra coordinate is the head of
+    the scan and also sets the iterate."""
+    extras = tuple(map(_row, extras))
+    rows = extras + _BASE.v_rows if before else _BASE.v_rows + extras
+    return JumpProblem(_BASE.curves, _BASE.M, 1, _BASE.delta, eps, rows)
 
 
 @st.composite
 def _coordinate(draw):
-    """Declared irrational, an end at p/q, q small: N*end is an integer
-    for every multiple N of q."""
+    """An exact p/q, q up to 60, so that it rejects most N; or declared
+    irrational with an end at p/q, q small: N*end is an integer for
+    every multiple N of q."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 60))
+        return CR.rational(draw(st.integers(0, 2 * q)), q)
     q = draw(st.integers(1, 6))
     c = Fraction(draw(st.integers(0, 2 * q)), q)
     w = Fraction(1, draw(st.integers(2, 400)))
@@ -160,12 +167,15 @@ N_MAX = 60
 
 @SETTINGS
 @given(st.lists(_coordinate(), min_size=1, max_size=2),
-       st.sampled_from(EPSILONS))
-@example([CR.interval(Fraction(1, 3), Fraction(1, 2), True)], Fraction(1, 2))
+       st.sampled_from(EPSILONS), st.booleans())
+@example([CR.interval(Fraction(1, 3), Fraction(1, 2), True)], Fraction(1, 2),
+         False)
 @example([CR.interval(Fraction(33, 100), Fraction(1, 3), True)],
-         Fraction(1, 64))
-def test_search_finds_the_first_oracle_certificate(extras, eps):
-    problem = _problem(extras, eps)
+         Fraction(1, 64), False)
+@example([CR.rational(1), CR.rational(7, 12)], Fraction(1, 64), True)
+@example([CR.rational(5, 47)], Fraction(1, 64), True)
+def test_search_finds_the_first_oracle_certificate(extras, eps, before):
+    problem = _problem(extras, eps, before)
     want = next((cert for n in range(1, N_MAX + 1)
                  if (cert := candidate_oracle(problem, n, 1)) is not None),
                 None)

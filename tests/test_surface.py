@@ -6,16 +6,20 @@ on purpose, by editing the lists below.  The oracles of
 code they check, so one test reads that file's imports.  The range
 kernel pays only on the jump identities' runs, so another pins which
 library modules may name it.  The jump problem is set up on integers,
-so a third keeps the value constructions out of that path.
+so a third keeps the value constructions out of that path.  The value
+types are slotted, so a kept germ carries no per-instance dict.
 """
 
 import argparse
 import ast
+import copy
+import dataclasses
 import inspect
+import pickle
 from pathlib import Path
 
 import geoindex
-from geoindex import cli
+from geoindex import CertifiedReal, D, IndexGerm, N1, N2, R, cli
 
 PUBLIC_NAMES = {
     "AdmissibilityError", "BasicBlock", "CertificateMismatch",
@@ -119,3 +123,21 @@ def test_jump_setup_builds_no_values():
                       for node in ast.walk(defs[name])
                       if isinstance(node, ast.Call)}
             assert not called & VALUE_CALLS, (module, name)
+
+
+def test_value_types_are_slotted_and_copy_as_before():
+    t = CertifiedReal.parse("0.4142135~6", irrational=True)
+    germs = [IndexGerm("n1", 1, (N1(-1, "positive"),
+                                 D(CertifiedReal.rational(2)))),
+             IndexGerm("r", 2, (R(t), R(CertifiedReal.rational(1, 3)))),
+             IndexGerm("n2", 1, (N2(t, nontrivial=True),))]
+    values = [t, CertifiedReal.parse("3/7")] + germs
+    values += [b for g in germs for b in g.blocks]
+    assert {type(v) for v in values} == {CertifiedReal, IndexGerm, N1, D,
+                                         R, N2}
+    for v in values:
+        assert not hasattr(v, "__dict__"), type(v)
+        for twin in (dataclasses.replace(v), copy.deepcopy(v),
+                     pickle.loads(pickle.dumps(v))):
+            assert twin == v and hash(twin) == hash(v)
+            assert repr(twin) == repr(v)
