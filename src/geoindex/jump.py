@@ -38,9 +38,16 @@ rows and the kernel's mean row, as CertifiedReal division forms them
 (a 1/|mean| too wide to divide by names its curve); they are kept as
 rows, and ``v`` reads them back as values.
 
-A check keeps each clause as a verdict (name, ok, witness items).  A
-VerificationReport builds ClauseReports only when ``clauses`` or
-``first_failure`` is read; the search and ``scale`` read only verdicts.
+A check decides on whole runs and forms its clauses (name, ok, witness
+items) only when they are read.  A curve's jump identities compare its
+index and nullity runs around 2m_i with its runs on 1..m_bar as lists;
+the rounding identities, the recount and vertex closeness are decided
+on integers.  A clause walk runs only for ``clauses``, ``first_failure``
+and ``_verdicts``, for ``strict`` to name the failing triple, and for a
+run holding a marked iterate: that curve is walked in point order, so
+its point query raises where a point-by-point walk raises.  Placements
+are compiled once per problem and tolerance, the runs on 1..m_bar once
+per curve and horizon.
 
 Scaling: a certificate produced at tolerances (delta/p, eps/p) survives
 multiplication of N by p with chi unchanged, m_i multiplied by p, and
@@ -52,8 +59,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor,
                     _lowest, _placement, _Row, _sign, _times)
@@ -95,6 +104,8 @@ class CurveProblem:
     germ: IndexGerm
     rho: int
     kernel: _Kernel                       # beta_i = slope, alpha_{i,j} = rows
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)    # compiled rows, runs on 1..m_bar
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,8 @@ class JumpProblem:
     delta: Fraction
     epsilon: Fraction
     v_rows: Tuple[_Row, ...]              # v on integers (_row)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)    # compiled v_rows
 
     @property
     def germs(self) -> Tuple[IndexGerm, ...]:
@@ -257,11 +270,20 @@ def _quotient(x: _Row, y: _Row, name: str, m: int = 1) -> _Row:
     return _lowest(lo, hi, den, lo == hi and not irrational, irrational)
 
 
-def _near(row: _Row, eps: Fraction, m: int) -> Optional[int]:
-    """The vertex side of m*x for x = row, None where m*x is far from
-    the integers or its side is undecided."""
+def _compiled(owner, rows: Sequence[_Row], eps: Fraction) -> tuple:
+    """The rows' placements at eps, compiled once per owner and eps (a
+    Fraction hashes slowly, so eps is keyed by its two integers)."""
+    key = eps.numerator, eps.denominator
+    if key not in owner._memo:
+        owner._memo[key] = tuple(_placement(row, eps) for row in rows)
+    return owner._memo[key]
+
+
+def _near(place: Callable[[int], Optional[int]], m: int) -> Optional[int]:
+    """The vertex side of m*x by x's compiled placement, None where m*x
+    is far from the integers or its side is undecided."""
     try:
-        return _placement(row, eps)(m)
+        return place(m)
     except PrecisionInsufficient:
         return None
 
@@ -273,12 +295,12 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     clause violated or undecidable).
     """
     count = 0
-    for row in curve.kernel.rows:
+    for j, row in enumerate(curve.kernel.rows):
         if row[3]:  # exact
             if m_i * row[0] % row[2]:
                 return None  # rational angle must close up exactly
             continue
-        side = _near(row, delta, m_i)
+        side = _near(_compiled(curve, curve.kernel.rows, delta)[j], m_i)
         if side is None:
             return None
         if side == 0:
@@ -293,50 +315,67 @@ class ClauseReport:
     witness: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
 class VerificationReport:
-    _verdicts: List[tuple]
+    """A check's verdict; its clauses (name, ok, witness items) are
+    walked only when read."""
+
+    def __init__(self, ok: bool, walk: Callable[[], Iterable[tuple]]):
+        self.ok, self._walk = ok, walk
+
+    @cached_property
+    def _verdicts(self) -> List[tuple]:
+        return list(self._walk())
 
     @property
     def clauses(self) -> List[ClauseReport]:
         return [ClauseReport(n, ok, dict(w)) for n, ok, w in self._verdicts]
 
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self._verdicts)
-
     def first_failure(self) -> Optional[ClauseReport]:
-        return next((ClauseReport(n, ok, dict(w))
-                     for n, ok, w in self._verdicts if not ok), None)
+        return None if self.ok else next(
+            (c for c in self.clauses if not c.ok), None)
 
 
 def verify_rounding(problem: JumpProblem, cert: JumpCertificate) -> VerificationReport:
     """Re-check the rounding identities (R1)-(R3) and the Delta recount."""
-    return VerificationReport(list(_rounding_clauses(problem, cert)))
+    return VerificationReport(*_rounding_clauses(problem, cert))
 
 
-def _rounding_clauses(problem: JumpProblem,
-                      cert: JumpCertificate) -> Iterator[tuple]:
+def _rounding_clauses(problem: JumpProblem, cert: JumpCertificate
+                      ) -> Tuple[bool, Callable[[], Iterator[tuple]]]:
+    """The verdict, on integers, and the walk that forms the clauses.  A
+    curve passes on its rounding sum and its recount: a recount equal
+    to Delta_i has placed every angle and found every rational closed."""
+    ok, sums = True, []
     for curve, m_i, delta_i in zip(problem.curves, cert.m, cert.Delta):
-        who, k = ("curve", curve.germ.name), curve.kernel
+        k = curve.kernel
         lhs = m_i * k.slope + sum(_ceil(_times(row, m_i)) for row in k.rows)
         rhs = curve.rho * cert.N + delta_i
-        yield "rounding-sum", lhs == rhs, (who, ("lhs", lhs), ("rhs", rhs))
-        for j, row in enumerate(k.rows):
-            L, _, d, exact, _ = row
-            if exact:
-                yield ("rational-integrality", m_i * L % d == 0,
-                       (who, ("alpha", str(Fraction(L, d))), ("m", m_i)))
-            else:
-                yield ("angle-closeness",
-                       _near(row, problem.delta, m_i) is not None,
-                       (who, ("alpha_index", j)))
         recount = _delta_count(curve, m_i, problem.delta)
-        yield ("delta-count", recount == delta_i,
-               (who, ("recount", recount), ("Delta", delta_i)))
-    for j, row in enumerate(problem.v_rows):
-        side = _near(row, problem.epsilon, cert.N)
-        yield "vertex-closeness", side == cert.chi[j], (("coordinate", j),)
+        ok = ok and lhs == rhs and recount == delta_i
+        sums.append((curve, m_i, lhs, rhs, recount, delta_i))
+    places = _compiled(problem, problem.v_rows, problem.epsilon)
+    sides = [_near(place, cert.N) == cert.chi[j]
+             for j, place in enumerate(places)]
+
+    def walk() -> Iterator[tuple]:
+        for curve, m_i, lhs, rhs, recount, delta_i in sums:
+            who, rows = ("curve", curve.germ.name), curve.kernel.rows
+            yield "rounding-sum", lhs == rhs, (who, ("lhs", lhs), ("rhs", rhs))
+            places = _compiled(curve, rows, problem.delta)
+            for j, (row, place) in enumerate(zip(rows, places)):
+                L, _, d, exact, _ = row
+                if exact:
+                    yield ("rational-integrality", m_i * L % d == 0,
+                           (who, ("alpha", str(Fraction(L, d))), ("m", m_i)))
+                else:
+                    yield ("angle-closeness", _near(place, m_i) is not None,
+                           (who, ("alpha_index", j)))
+            yield ("delta-count", recount == delta_i,
+                   (who, ("recount", recount), ("Delta", delta_i)))
+        for j, side in enumerate(sides):
+            yield "vertex-closeness", side, (("coordinate", j),)
+
+    return ok and all(sides), walk
 
 
 def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
@@ -345,69 +384,90 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
 
     With strict=True the first failure raises IdentityViolation.
     """
-    verdicts: List[tuple] = []
-    for name, ok, items in _jump_clauses(problem, cert, m_bar):
-        verdicts.append((name, ok, items))
-        if strict and not ok:
-            w = dict(items)
-            raise IdentityViolation(w.pop("curve"), w.pop("m"), name, str(w))
-    return VerificationReport(verdicts)
+    if m_bar < 0:
+        raise ValueError(f"m_bar must be nonnegative, got {m_bar}")
+    oks = []
+    for ok, clauses in _jump_clauses(problem, cert, m_bar):
+        if ok is None or strict and not ok:  # the clauses decide
+            ok = True
+            for name, clause_ok, items in clauses:
+                if strict and not clause_ok:
+                    w = dict(items)
+                    raise IdentityViolation(w.pop("curve"), w.pop("m"),
+                                            name, str(w))
+                ok = ok and clause_ok
+        oks.append(ok)
+    return VerificationReport(all(oks), lambda: (
+        c for _, clauses in _jump_clauses(problem, cert, m_bar)
+        for c in clauses))
 
 
 def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
-                  m_bar: int) -> Iterator[tuple]:
-    """The clauses of ``verify_jump`` in order.  A curve's iterates are
-    evaluated on the germ's compiled kernel as two runs when the curve
-    is reached: 2m_i - m_bar .. 2m_i + m_bar around the top, then
-    1 .. m_bar once the top clause is through.  An iterate whose point
-    query raises is marked, and that query's error is raised when its
-    clause is reached.  So the verdicts and raises come in the order of
-    a point-by-point walk, and a consumer that stops at the first
-    failure evaluates no later curve."""
+                  m_bar: int) -> Iterator[Tuple[Optional[bool], Iterator]]:
+    """Per curve, in order: its verdict, by comparing runs of iterates,
+    and its clauses, walked only if read.  The runs are evaluated on the
+    germ's compiled kernel: 2m_i - m_bar .. 2m_i + m_bar, and 1 .. m_bar,
+    the same for every certificate.  A run entry whose point query
+    raises is marked (None); the verdict is then None, and only the
+    clauses decide."""
     for i, curve in enumerate(problem.curves):
         m_i, k = cert.m[i], curve.kernel
         who = ("curve", curve.germ.name)
         if 2 * m_i <= m_bar:
-            yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
+            yield False, iter((("horizon-room", False,
+                                (who, ("m", m_bar), ("m_i", m_i))),))
             continue
         two_n = 2 * curve.rho * cert.N
         # i(2m_i + d) for |d| <= m_bar is around[m_bar + d], and so is nu
         window = range(2 * m_i - m_bar, 2 * m_i + m_bar + 1)
-        around = _index_range(k, window)
-        top = around[m_bar]
-        if top is None:
-            top = _index(k, 2 * m_i)  # marked: the point query raises
-        want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
-        yield ("jump-top", top == want,
-               (who, ("m", 0), ("got", top), ("want", want)))
         ms = range(1, m_bar + 1)
+        around, nu_around = _index_range(k, window), _nullity_range(k, window)
+        if m_bar not in curve._memo:
+            curve._memo[m_bar] = _index_range(k, ms), _nullity_range(k, ms)
+        base, nus = curve._memo[m_bar]
         # Q_i(m) weighs the rational points p/q that 2m_i closes up
         # (m_i*p/q integral) and m closes up too (m*p/(2q) integral)
         qs = _period_sums([(2 * q // gcd(p, 2 * q), 1)
                            for p, _, q, exact, _ in k.rows
                            if exact and m_i * p % q == 0], ms)
-        nu_around = _nullity_range(k, window)
-        runs = zip(ms, _index_range(k, ms), around[m_bar + 1:],
-                   around[m_bar - 1::-1], qs, _nullity_range(k, ms),
-                   nu_around[m_bar + 1:], nu_around[m_bar - 1::-1])
+        top = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
         reflected = two_n - 2 * k.s_plus  # (J-) less i(m) and 2Q_i(m)
-        for m, base, up, down, q_m, nu, nu_up, nu_down in runs:
-            at = ("m", m)
-            if base is None:
-                base = _index(k, m)  # marked: the point query raises
-            if up is None:
-                up = _index(k, 2 * m_i + m)
-            want = two_n + base
-            yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
-            if down is None:
-                down = _index(k, 2 * m_i - m)
-            want = reflected - base - 2 * q_m
-            yield ("jump-down", down == want,
-                   (who, at, ("got", down), ("want", want)))
-            if nu is None:  # only an undeclared angle marks, everywhere
-                nu = _nullity(k, m)
-            yield ("jump-nullity", nu_up == nu and nu_down == nu,
-                   (who, at, ("nu", nu)))
+        clauses = _jump_walk(k, who, m_i, two_n, top, reflected, around,
+                             nu_around, base, nus, qs)
+        if None in around or None in base or None in nus:
+            yield None, clauses
+            continue
+        yield (around[m_bar] == top
+               and around[m_bar + 1:] == [two_n + b for b in base]
+               and around[:m_bar][::-1] == [reflected - b - 2 * q
+                                            for b, q in zip(base, qs)]
+               and nu_around[m_bar + 1:] == nus == nu_around[:m_bar][::-1]
+               ), clauses
+
+
+def _jump_walk(k: _Kernel, who: tuple, m_i: int, two_n: int, top: int,
+               reflected: int, around: list, nu_around: list, base: list,
+               nus: list, qs: list) -> Iterator[tuple]:
+    """A curve's clauses, read off its runs in point order."""
+    m_bar = len(base)
+
+    def at(run, j, m, query=_index):  # a marked entry: the query raises
+        return query(k, m) if run[j] is None else run[j]
+
+    got = at(around, m_bar, 2 * m_i)
+    yield "jump-top", got == top, (who, ("m", 0), ("got", got), ("want", top))
+    for j, m in enumerate(range(1, m_bar + 1)):
+        b = at(base, j, m)
+        up, want = at(around, m_bar + m, 2 * m_i + m), two_n + b
+        yield ("jump-up", up == want,
+               (who, ("m", m), ("got", up), ("want", want)))
+        down = at(around, m_bar - m, 2 * m_i - m)
+        want = reflected - b - 2 * qs[j]
+        yield ("jump-down", down == want,
+               (who, ("m", m), ("got", down), ("want", want)))
+        nu = at(nus, j, m, _nullity)  # only an undeclared angle marks
+        same = nu_around[m_bar + m] == nu == nu_around[m_bar - m]
+        yield "jump-nullity", same, (who, ("m", m), ("nu", nu))
 
 
 def _iterates(problem: JumpProblem, N: int, chi: Sequence[int]) -> List[int]:
@@ -438,8 +498,8 @@ def _assemble(problem: JumpProblem, N: int, chi: List[int],
         names=tuple(c.germ.name for c in problem.curves))
     if not verify_rounding(problem, cert).ok:
         return None
-    for _, ok, _ in _jump_clauses(problem, cert, m_bar):
-        if not ok:
+    for ok, clauses in _jump_clauses(problem, cert, m_bar):
+        if not (ok or ok is None and all(c[1] for c in clauses)):
             return None
     return cert
 
@@ -457,7 +517,9 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     """
     if n_min > n_max:
         raise ValueError("empty search range")
-    head, *rest = [_placement(row, problem.epsilon) for row in problem.v_rows]
+    if m_bar < 0:
+        raise ValueError(f"m_bar must be nonnegative, got {m_bar}")
+    head, *rest = _compiled(problem, problem.v_rows, problem.epsilon)
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
     for N in range(first, n_max + 1, M0):
@@ -495,6 +557,8 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     """
     if p_hat < 1:
         raise ValueError("p_hat must be positive")
+    if m_bar < 0:
+        raise ValueError(f"m_bar must be nonnegative, got {m_bar}")
     mu_max = max(len(c.kernel.rows) for c in problem.curves)
     if 2 * p_hat * mu_max * cert.delta.numerator >= cert.delta.denominator:
         raise ValueError("scaled delta violates the smallness hypothesis")
@@ -503,8 +567,8 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
 
     checks: List[Tuple[str, bool]] = []
     chi_hat: List[int] = []
-    for j, row in enumerate(problem.v_rows):
-        side = _near(row, eps_hat, N_hat)
+    for j, place in enumerate(_compiled(problem, problem.v_rows, eps_hat)):
+        side = _near(place, N_hat)
         if side is None:
             raise ScaleMismatch(f"scaled vertex closeness fails at "
                                 f"coordinate {j}")

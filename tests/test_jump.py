@@ -11,10 +11,12 @@ from geoindex.exact import CertifiedReal, PrecisionInsufficient
 from geoindex.iteration import (IndexGerm, _index, _nullity, germ_mbar,
                                 index_at, mean_index)
 from geoindex.jump import (IdentityViolation, JumpCertificate, NotFound,
-                           ZeroMeanIndex, build_problem, delta_invariance,
-                           scale, search, verify_jump, verify_rounding)
-from geoindex.normal_forms import D, N1, R
-from geoindex.samples import worked_example_B
+                           ScaleMismatch, ZeroMeanIndex, build_problem,
+                           delta_invariance, scale, search, verify_jump,
+                           verify_rounding)
+from geoindex.morse import morse_numbers_up_to
+from geoindex.normal_forms import D, N1, N2, R
+from geoindex.samples import forced_top_system, worked_example_B
 
 from .corpus import jump_corpus
 from .oracle import candidate_oracle, verify_jump_oracle
@@ -415,35 +417,50 @@ def test_jump_clauses_match_oracle():
                                  "PrecisionInsufficient")) >= 3, seen
 
 
-def _point_clauses(problem, cert, m_bar):
-    """The clause loop as it was, one point query per iterate: the
-    reference for the order of verdicts and raises."""
+def _point_curves(problem, cert, m_bar):
+    """The reference for ``jump._jump_clauses``: no curve is decided by
+    comparing runs, so every consumer reads the clauses of each curve
+    from ``_point_clauses``."""
     for i, curve in enumerate(problem.curves):
-        m_i, k = cert.m[i], curve.kernel
-        who = ("curve", curve.germ.name)
-        if 2 * m_i <= m_bar:
-            yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
-            continue
-        closed = [(p, 2 * q) for p, _, q, exact, _ in k.rows
-                  if exact and m_i * p % q == 0]
-        two_n = 2 * curve.rho * cert.N
-        top = _index(k, 2 * m_i)
-        want = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
-        yield ("jump-top", top == want,
-               (who, ("m", 0), ("got", top), ("want", want)))
-        for m in range(1, m_bar + 1):
-            at = ("m", m)
-            base = _index(k, m)
-            up, want = _index(k, 2 * m_i + m), two_n + base
-            yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
-            down = _index(k, 2 * m_i - m)
-            q_m = sum(m * p % q2 == 0 for p, q2 in closed)
-            want = two_n - base - 2 * (k.s_plus + q_m)
-            yield ("jump-down", down == want,
-                   (who, at, ("got", down), ("want", want)))
-            nu = _nullity(k, m)
-            yield ("jump-nullity", _nullity(k, 2 * m_i + m) == nu
-                   and _nullity(k, 2 * m_i - m) == nu, (who, at, ("nu", nu)))
+        yield None, _point_clauses(curve, cert.m[i], cert.N, cert.Delta[i],
+                                   m_bar)
+
+
+def _point_clauses(curve, m_i, N, delta_i, m_bar):
+    """The clause loop of one curve as it was, one point query per
+    iterate: the reference for the order of verdicts and raises."""
+    k = curve.kernel
+    who = ("curve", curve.germ.name)
+    if 2 * m_i <= m_bar:
+        yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
+        return
+    closed = [(p, 2 * q) for p, _, q, exact, _ in k.rows
+              if exact and m_i * p % q == 0]
+    two_n = 2 * curve.rho * N
+    top = _index(k, 2 * m_i)
+    want = two_n - (k.s_plus + k.c - 2 * delta_i)
+    yield ("jump-top", top == want,
+           (who, ("m", 0), ("got", top), ("want", want)))
+    for m in range(1, m_bar + 1):
+        at = ("m", m)
+        base = _index(k, m)
+        up, want = _index(k, 2 * m_i + m), two_n + base
+        yield "jump-up", up == want, (who, at, ("got", up), ("want", want))
+        down = _index(k, 2 * m_i - m)
+        q_m = sum(m * p % q2 == 0 for p, q2 in closed)
+        want = two_n - base - 2 * (k.s_plus + q_m)
+        yield ("jump-down", down == want,
+               (who, at, ("got", down), ("want", want)))
+        nu = _nullity(k, m)
+        yield ("jump-nullity", _nullity(k, 2 * m_i + m) == nu
+               and _nullity(k, 2 * m_i - m) == nu, (who, at, ("nu", nu)))
+
+
+def _clauses(problem, cert, m_bar):
+    """Every clause of ``verify_jump`` in order, read through the engine
+    that ``jump`` holds."""
+    for _, clauses in jump._jump_clauses(problem, cert, m_bar):
+        yield from clauses
 
 
 def _prefix(clauses, *args):
@@ -460,9 +477,12 @@ def _prefix(clauses, *args):
 def _result(fn, *args, **kwargs):
     try:
         report = fn(*args, **kwargs)
-    except (PrecisionInsufficient, IdentityViolation, NotFound) as exc:
+    except (PrecisionInsufficient, IdentityViolation, NotFound,
+            ScaleMismatch, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return getattr(report, "_verdicts", report)
+    if hasattr(report, "_verdicts"):
+        return report.ok, report.first_failure(), report._verdicts
+    return report
 
 
 # an interval angle strictly around 2/5: the ceiling of m*t/2 is
@@ -498,7 +518,21 @@ def _constructed(problem):
             names=tuple(c.germ.name for c in problem.curves))
 
 
+# Certificates (germ, N, m_1, horizon) on which one kind of jump clause
+# fails alone, Delta = 0: jump-up and jump-down on V; jump-nullity on
+# Z, an N2 at a rational angle with S- = 0, whose index is 2m and whose
+# nullity closes up at every 6th iterate only.
+V = IndexGerm("v", 1, (R(CR.parse("0.41421356237~9", irrational=True)),
+                       N1(-1, "positive")))
+Z = IndexGerm("z", 2, (N2(CR.rational(Fraction(1, 3)), nontrivial=False),))
+LONE_FAILURES = ((V, 3, 7, 8), (V, 6, 14, 4), (Z, 10, 5, 8))
+
+
 def test_clause_raises_come_in_point_order(monkeypatch):
+    """Every consumer of the jump engine (the clauses, verify_jump's
+    verdicts, strict raises and failures, search and scale) gives what
+    it gives when each curve is walked point by point instead of being
+    decided by comparing runs."""
     delta = Fraction(1, 64)
     cases, searches = [], []
     for germs in ((W,), (W, HN), (H, W), (U,), (HN, U)):
@@ -509,29 +543,59 @@ def test_clause_raises_come_in_point_order(monkeypatch):
     twin = build_problem([UD], delta, delta)
     cert = search(twin, 1, 20000, m_bar=8)
     cases.append((build_problem([U], delta, delta), cert, 8))
+    for germ, N, m_1, m_bar in LONE_FAILURES:
+        problem = build_problem([germ], delta, delta)
+        cases.append((problem, JumpCertificate(
+            N=N, m=(m_1,), chi=(0,) * len(problem.v_rows), Delta=(0,),
+            rho=(1,), delta=delta, epsilon=delta, M=problem.M, M0=1,
+            names=(germ.name,)), m_bar))
     for germs in jump_corpus(4):
         problem = build_problem(germs, delta, delta)
         searches.append((problem, 1, 10 ** 7, 8))
+        half = build_problem(germs, delta / 2, delta / 2)  # scales by 2
+        cert = search(half, 1, 10 ** 7, m_bar=8)
+        cases += [(half, c, h) for c, h in _variants(cert, 8)]
 
     def outcomes():
-        return ([_prefix(jump._jump_clauses, *args) for args in cases],
+        return ([_prefix(_clauses, *args) for args in cases],
                 [_result(verify_jump, *args, strict=strict)
                  for args in cases for strict in (False, True)],
                 [_result(search, *args[:3], m_bar=args[3])
-                 for args in searches])
+                 for args in searches],
+                [_result(scale, problem, c, p_hat, m_bar)
+                 for problem, c, m_bar in cases for p_hat in (1, 2)])
 
     got = outcomes()
-    monkeypatch.setattr(jump, "_jump_clauses", _point_clauses)
+    monkeypatch.setattr(jump, "_jump_clauses", _point_curves)
     want = outcomes()
     assert got == want
-    prefixes, verdicts, found = want
+    prefixes, verdicts, found, scaled = want
     seen = Counter()
     for (_, raised), (_, cert, _) in zip(prefixes, cases):
         if raised and not raised.endswith(f"iterate {2 * cert.m[0]}"):
             seen["raise in a run"] += 1
-    seen.update(v[0] for v in verdicts if isinstance(v, tuple))
+    for v in verdicts:
+        seen[v[0] if isinstance(v[0], str) else ("ok", v[0])] += 1
     seen.update(f[0] for f in found if isinstance(f, tuple))
     seen["certificate"] = sum(isinstance(f, JumpCertificate) for f in found)
-    assert min(seen[k] for k in ("raise in a run", "PrecisionInsufficient",
-                                 "IdentityViolation", "NotFound",
-                                 "certificate")) >= 2, seen
+    seen.update(type(s).__name__ if not isinstance(s, tuple) else s[0]
+                for s in scaled)
+    assert min(seen[k] for k in (
+        "raise in a run", "PrecisionInsufficient", "IdentityViolation",
+        "NotFound", "certificate", ("ok", True), ("ok", False),
+        "ScaledCertificate", "ScaleMismatch")) >= 2, seen
+
+
+def test_negative_horizon_is_a_value_error():
+    germs = forced_top_system().germs
+    problem = build_problem(germs, Fraction(1, 64))
+    cert = search(problem, 1, 10 ** 6)
+    for call in (lambda: verify_jump(problem, cert, -1),
+                 lambda: scale(problem, cert, 2, -1),
+                 lambda: search(problem, 1, 10 ** 6, m_bar=-1),
+                 lambda: morse_numbers_up_to(germs, problem, cert, 2, -1)):
+        with pytest.raises(ValueError, match="m_bar"):
+            call()
+    # m_bar = 0 checks the top iterate alone
+    assert [c.name for c in verify_jump(problem, cert, 0).clauses] == [
+        "jump-top"] * len(germs)

@@ -210,9 +210,24 @@ def _on_grid(rng, curve):
     return d * rng.randint(1, 4) + rng.choice((-1, 0, 0, 1))
 
 
+def _summed(case):
+    """The certificate with N and Delta moved so that every rounding sum
+    holds (None where a sum is undecided), so that the Delta recount or
+    vertex closeness decides alone."""
+    problem, cert = case
+    try:
+        lhs = [w["lhs"] for name, _, w in verify_rounding_oracle(problem, cert)
+               if name == "rounding-sum"]
+    except (PrecisionInsufficient, ValueError):
+        return None
+    N = problem.curves[0].rho * (lhs[0] - cert.Delta[0])
+    return problem, replace(cert, N=N, Delta=tuple(
+        s - c.rho * N for s, c in zip(lhs, problem.curves)))
+
+
 def test_rounding_clauses_match_oracle():
     rng = random.Random(13)
-    seen = Counter()
+    seen, alone = Counter(), Counter()
     cases = []
     for problem in _problems(rng, 120):
         for _ in range(6):
@@ -227,9 +242,14 @@ def test_rounding_clauses_match_oracle():
         cert = search(problem, 1, 10 ** 6)
         for m in (cert.m, [2 * x for x in cert.m], [x + 1 for x in cert.m]):
             cases.append((problem, replace(cert, m=tuple(m))))
+    cases += [case for case in map(_summed, cases) if case is not None]
     for problem, cert in cases:
         want = _outcome(verify_rounding_oracle, problem, cert)
         assert _outcome(_clauses, problem, cert) == want, cert
+        verdict = _outcome(lambda p, c: verify_rounding(p, c).ok,
+                           problem, cert)
+        assert verdict == (want if isinstance(want, str)
+                           else all(ok for _, ok, _ in want)), cert
         for curve, m_i in zip(problem.curves, cert.m):
             count = _outcome(delta_count_oracle, curve, m_i, problem.delta)
             assert _outcome(jump._delta_count, curve, m_i,
@@ -239,8 +259,14 @@ def test_rounding_clauses_match_oracle():
         if isinstance(want, str):
             seen["raised", want] += 1
         else:
+            failed = {name for name, ok, _ in want if not ok}
+            if len(failed) == 1:
+                alone.update(failed)
             seen["angle-closeness", any(
                 name == "angle-closeness" and ok for name, ok, _ in want)] += 1
             seen["delta-count", any(
                 name == "delta-count" and ok for name, ok, _ in want)] += 1
     assert min(seen.values()) >= 10, seen
+    # each part of the verdict is the only one to fail somewhere
+    assert min(alone[name] for name in ("rounding-sum", "delta-count",
+                                        "vertex-closeness")) >= 2, alone

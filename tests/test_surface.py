@@ -48,8 +48,9 @@ SUBCOMMANDS = {"index", "mean-index", "gamma", "mbar", "jump-search",
 # The kernel, the rounding rows and the clause code of the search.
 SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_index_range",
                "_nullity_range", "_period_sums", "_row", "_times", "_floor",
-               "_ceil", "_placement", "_quotient", "_delta_count",
-               "_rounding_clauses", "_jump_clauses", "_lowest", "_sign"}
+               "_ceil", "_placement", "_compiled", "_quotient",
+               "_delta_count", "_rounding_clauses", "_jump_clauses",
+               "_jump_walk", "_lowest", "_sign"}
 # Still imported by the oracles, until they check candidates without
 # the search's code.
 KNOWN_SHARED = {"_assemble"}
