@@ -27,6 +27,9 @@ Two identical decimal literals (same digits, same radius, same flag)
 denote the *same* unknown real; distinct overlapping literals can never
 be certified equal.
 
+The type is frozen, so ``CertifiedReal.rational`` returns one shared
+instance per value, from a bounded cache: every ``D(2)`` block holds it.
+
 When an interval genuinely straddles an integer and the flag does not
 resolve it, the queries raise ``PrecisionInsufficient``.  There is no
 hidden refinement: inputs carry a fixed number of correct digits, and
@@ -51,6 +54,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Optional, Tuple, Union
 
@@ -145,7 +149,7 @@ class CertifiedReal:
     @staticmethod
     def rational(p: Rationalish, q: int = 1) -> "CertifiedReal":
         f = Fraction(p, q) if q != 1 else Fraction(p)
-        return CertifiedReal(f, f, exact=True)
+        return _exact(f.numerator, f.denominator)
 
     @staticmethod
     def decimal(digits: str, radius: Rationalish,
@@ -324,6 +328,13 @@ class CertifiedReal:
             return str(self.lo)
         tag = "~irr" if self.irrational else "~"
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]{tag}"
+
+
+@lru_cache(maxsize=4096)
+def _exact(n: int, d: int) -> CertifiedReal:
+    """The exact n/d, n/d in lowest terms, shared by every caller."""
+    f = Fraction(n, d)
+    return CertifiedReal(f, f, exact=True)
 
 
 def floor_int(x: CertifiedReal) -> int:

@@ -78,9 +78,13 @@ from .normal_forms import BasicBlock, N1, N2, R, _table, total_dim
 # Germs per cache: enough for every germ of a system under evaluation.
 CACHE_SIZE = 128
 
+# The farthest growth horizon walked (see _growth_horizon).
+_HORIZON_MAX = 10 ** 6
+
 
 class Unbounded(ValueError):
-    """A horizon query was made for a germ whose index does not grow."""
+    """A horizon query was made for a germ whose index does not grow, or
+    grows too slowly for a walk to reach its horizon."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +302,13 @@ def is_bumpy(germ: IndexGerm) -> bool:
 
 
 def _growth_horizon(germ: IndexGerm, target: int) -> int:
-    """Smallest certified H with i(m) >= target for every m >= H."""
+    """Smallest certified H with i(m) >= target for every m >= H.
+
+    Unbounded where H exceeds _HORIZON_MAX, before any walk: walking to
+    10**6 takes about a second of point queries, and a jump check at
+    m_bar = H holds about 7*H run entries per curve, hundreds of
+    megabytes.  Corpus, sample and benchmark germs stay within 10**4.
+    """
     k = _kernel(germ)
     if _sign(_times(k.mean, 1), 0) <= 0:  # raising as mean_index(germ).gt(0)
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
@@ -311,7 +321,12 @@ def _growth_horizon(germ: IndexGerm, target: int) -> int:
     if n * d * (H - L) >= L * H:  # n/mean = [n*d/H, n*d/L]
         raise ValueError(f"1/mean of {germ.name!r} is [{d / H!r}, {d / L!r}]"
                          f", too wide for a growth horizon")
-    return max(1, _ceil(_times((d * L, d * H, L * H, exact, irrational), n)))
+    horizon = max(1, _ceil(_times((d * L, d * H, L * H, exact, irrational),
+                                  n)))
+    if horizon > _HORIZON_MAX:
+        raise Unbounded(f"growth horizon of {germ.name!r} is {horizon} "
+                        f"iterates, beyond the {_HORIZON_MAX} a walk may take")
+    return horizon
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -341,6 +356,7 @@ def bott_positive(germ: IndexGerm) -> bool:
 
     Requires certified positive mean growth; a germ whose index drifts
     down, or whose drift cannot be sign-certified, is reported False.
+    A growth horizon too far to walk raises Unbounded.
     """
     k = _kernel(germ)
     try:

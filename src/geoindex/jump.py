@@ -31,6 +31,14 @@ accepted only after all identities above verify by direct recomputation.
 The scan over multiples of M0 is deterministic: smallest qualifying N
 wins, and enlarging the range never changes the result.
 
+The first coordinate chooses the N that are placed.  An exact one, L/d,
+places N by N*L mod d alone, so after its first period, lcm(d, M0), an N
+it rejects costs nothing: only that period's hits are visited.  The
+others are placed at each visited N in index order, as the every-N scan
+does.  Only the first coordinate is stepped: the full sieve waits on
+ROADMAP item 3, as the benchmark keeps every input it runs and could not
+hold the sieve's operations within its memory bound.
+
 A curve keeps only its germ, rho_i and the germ's compiled kernel
 (``iteration._kernel``): beta_i is its slope, the alpha_{i,j} are its
 integer rows.  The vertex coordinates are built on integers from those
@@ -175,14 +183,16 @@ def _scaled_tolerances(cert: JumpCertificate,
 
 def check_certificate(problem: JumpProblem, cert: JumpCertificate) -> None:
     """Reject a certificate that does not fit the problem: its curve
-    names, rho and M must be the problem's, with one chi entry per
-    vertex coordinate."""
+    names, rho and M must be the problem's, with one m and one Delta
+    entry per curve and one chi entry per vertex coordinate."""
+    q = len(problem.curves)
     want = (tuple(c.germ.name for c in problem.curves),
-            tuple(c.rho for c in problem.curves), problem.M,
+            tuple(c.rho for c in problem.curves), problem.M, q, q,
             len(problem.v_rows))
-    got = (cert.names, cert.rho, cert.M, len(cert.chi))
-    for field, g, w in zip(("curve names", "rho", "M", "chi length"),
-                           got, want):
+    got = (cert.names, cert.rho, cert.M, len(cert.m), len(cert.Delta),
+           len(cert.chi))
+    for field, g, w in zip(("curve names", "rho", "M", "m length",
+                            "Delta length", "chi length"), got, want):
         if g != w:
             raise CertificateMismatch(f"certificate does not fit the "
                                       f"system: {field} {g}, want {w}")
@@ -336,7 +346,9 @@ class VerificationReport:
 
 
 def verify_rounding(problem: JumpProblem, cert: JumpCertificate) -> VerificationReport:
-    """Re-check the rounding identities (R1)-(R3) and the Delta recount."""
+    """Re-check the rounding identities (R1)-(R3) and the Delta recount;
+    CertificateMismatch where the certificate does not fit the problem."""
+    check_certificate(problem, cert)
     return VerificationReport(*_rounding_clauses(problem, cert))
 
 
@@ -382,10 +394,12 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
                 strict: bool = False) -> VerificationReport:
     """Re-check (J0), (J+), (J-), (J=) for 1 <= m <= m_bar.
 
-    With strict=True the first failure raises IdentityViolation.
+    With strict=True the first failure raises IdentityViolation, and
+    CertificateMismatch is raised where the certificate does not fit.
     """
     if m_bar < 0:
         raise ValueError(f"m_bar must be nonnegative, got {m_bar}")
+    check_certificate(problem, cert)
     oks = []
     for ok, clauses in _jump_clauses(problem, cert, m_bar):
         if ok is None or strict and not ok:  # the clauses decide
@@ -511,9 +525,9 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     Deterministic: the scan runs over multiples of M0 in increasing
     order, and a candidate is only returned once every rounding and jump
     clause has been recomputed and passed.  Once some N*v_j is too wide
-    to place, so is every larger N, and NotFound is raised at once.  The
-    coordinates are placed in index order, so an N rejected by the first
-    one costs one call of its compiled placement.
+    to place, so is every larger N, and NotFound is raised at once.  After
+    its first period, an N rejected by an exact first coordinate costs
+    nothing: it is never visited (``_first_sides``).
     """
     if n_min > n_max:
         raise ValueError("empty search range")
@@ -522,12 +536,9 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     head, *rest = _compiled(problem, problem.v_rows, problem.epsilon)
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
-    for N in range(first, n_max + 1, M0):
+    for N, side in _first_sides(problem.v_rows[0], head, first, n_max, M0):
+        chi = [side]
         try:
-            side = head(N)
-            if side is None:
-                continue
-            chi = [side]
             for place in rest:
                 side = place(N)
                 if side is None:
@@ -544,6 +555,37 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     raise NotFound(n_max)
 
 
+def _first_sides(row: _Row, place: Callable[[int], Optional[int]],
+                 first: int, n_max: int, M0: int
+                 ) -> Iterator[Tuple[int, int]]:
+    """(N, side) for each N = first, first + M0, ... <= n_max that row,
+    compiled as place, sets near a vertex, in order; NotFound where N*row
+    is too wide.  An exact row's sides repeat with period lcm(d, M0), so
+    later periods reuse the first one's hits."""
+    L, H, d, _, irrational = row
+    periodic = L == H and not irrational
+    # an interval row never repeats: its one period spans the range
+    P = lcm(d, M0) if periodic else max(n_max, 0) + 1
+    offsets, sides = [], []
+    for N in range(first, min(first + P, n_max + 1), M0):
+        try:
+            side = place(N)
+        except PrecisionInsufficient:
+            continue
+        except ValueError:  # N*row is too wide
+            raise NotFound(n_max) from None
+        if side is not None:
+            if periodic:
+                offsets.append(N - first)
+                sides.append(side)
+            yield N, side
+    for start in range(first + P, n_max + 1, P):
+        for offset, side in zip(offsets, sides):
+            if start + offset > n_max:
+                return
+            yield start + offset, side
+
+
 def scale(problem: JumpProblem, cert: JumpCertificate,
           p_hat: int, m_bar: int = 1) -> ScaledCertificate:
     """Scale a certificate by p_hat and verify every scaling relation.
@@ -553,8 +595,10 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     are recomputed at p_hat times the certificate's own tolerances and
     must reproduce chi, p_hat*m, and Delta exactly (ScaleMismatch
     otherwise), after which the shifted index identities are re-checked
-    at the scaled N.
+    at the scaled N.  A certificate that does not fit the problem raises
+    CertificateMismatch first.
     """
+    check_certificate(problem, cert)
     if p_hat < 1:
         raise ValueError("p_hat must be positive")
     if m_bar < 0:

@@ -15,7 +15,9 @@ and ``ceil_oracle`` is it on -x.  ``near_vertex_oracle`` builds the
 fractional part x - floor_oracle(x) and its complement as
 ``CertifiedReal`` values and compares those with ``lt``;
 ``candidate_oracle`` places each coordinate of N*v with it, and
-``delta_count_oracle`` and ``verify_rounding_oracle`` form every product
+``search_oracle``, the every-N scan that the search's stepped stream of
+candidates must reproduce, does so at every N; ``delta_count_oracle``
+and ``verify_rounding_oracle`` form every product
 m_i*alpha and N*v as a ``CertifiedReal`` and round it with
 ``ceil_oracle`` and ``near_vertex_oracle``.  They take each curve's
 angles and slope i1 + S+ - C from the block walkers below
@@ -49,7 +51,8 @@ tries every candidate m0 in turn against every iterate up to it, by
 
 ``tests/test_surface.py`` pins which library code this module
 may import.  One import still shares code with the search:
-``candidate_oracle`` accepts through ``jump._assemble``.
+``candidate_oracle`` and ``search_oracle`` accept through
+``jump._assemble``.
 """
 
 import re
@@ -59,7 +62,7 @@ from typing import NamedTuple
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
 from geoindex.iteration import Unbounded
-from geoindex.jump import ZeroMeanIndex, _assemble
+from geoindex.jump import NotFound, ZeroMeanIndex, _assemble
 from geoindex.normal_forms import (N1, N2, R, _table, big_C,
                                    nullity_contribution)
 
@@ -368,6 +371,37 @@ def candidate_oracle(problem, N: int, m_bar: int):
             return None
         chi.append(side)
     return _assemble(problem, N, chi, m_bar)
+
+
+def search_oracle(problem, n_min: int, n_max: int, m_bar: int):
+    """The every-N scan: each multiple of M0 in [n_min, n_max] in
+    increasing order, the coordinates of N*v placed in index order by
+    ``near_vertex_oracle``.  An N is passed over at its first far or
+    undecided side; NotFound is raised at the first N*v_j too wide to be
+    a value, with that N as its ``at``; the first candidate ``_assemble``
+    accepts is returned."""
+    if n_min > n_max:
+        raise ValueError("empty search range")
+    v, M0 = problem.v, problem.M0
+    for N in range(-(-max(n_min, 1) // M0) * M0, n_max + 1, M0):
+        chi = []
+        for vj in v:
+            try:
+                side = near_vertex_oracle(vj * N, problem.epsilon)
+            except PrecisionInsufficient:
+                break
+            except ValueError:  # N*v_j is too wide
+                stop = NotFound(n_max)
+                stop.at = N
+                raise stop from None
+            if side is None:
+                break
+            chi.append(side)
+        else:
+            cert = _assemble(problem, N, chi, m_bar)
+            if cert is not None:
+                return cert
+    raise NotFound(n_max)
 
 
 def near_vertex_oracle(x, eps):

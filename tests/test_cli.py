@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -9,7 +10,7 @@ from geoindex import cli, serialize
 from geoindex.cli import main, parse_system
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm
-from geoindex.normal_forms import D, N1
+from geoindex.normal_forms import D, N1, R
 from geoindex.samples import mod4_system, worked_example_B
 
 
@@ -389,6 +390,28 @@ def test_value_errors_print_their_message_alone(tmp_path, capsys):
                         encoding="utf-8")
         assert main([command, "--system", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_horizon_beyond_any_walk_is_one_error_line(tmp_path, capsys):
+    # mean 1.41...e-19: mbar would walk down from 4.2e19 iterates and
+    # anosov's admissibility up to 1.4e19; both stop before the walk
+    sqrt2 = str(isqrt(2 * 10 ** 154))
+    angle = CertifiedReal.parse("0." + "0" * 18 + sqrt2 + "~96",
+                                irrational=True)
+    lam = D(CertifiedReal.rational(2))
+    slow = IndexGerm("slow", 1, (lam, R(angle)))
+    hyperbolic = [IndexGerm(name, i1, (lam, D(CertifiedReal.rational(3))))
+                  for name, i1 in (("h2", 2), ("h4", 4))]
+    for command, germs, horizon in (
+            ("mbar", [slow], 42426406871192851465),
+            ("anosov", [slow] + hyperbolic, 14142135623730950489)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(serialize.dumps(serialize.system_to_dict(germs)),
+                        encoding="utf-8")
+        assert main([command, "--system", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: growth horizon of 'slow' is {horizon} iterates, "
+            f"beyond the 1000000 a walk may take\n")
 
 
 def test_zero_denominator_is_one_error_line(tmp_path, capsys):

@@ -252,3 +252,9 @@ def test_declared_equality_semantics():
     assert a.eq_certified(CR.rational(1, 2)) is False
     r = CR.rational(Fraction(5857864376, 10 ** 10))
     assert a.eq_certified(r) is False         # rational vs irrational
+
+
+def test_equal_rationals_share_one_value():
+    assert CR.rational(2) is CR.rational(2)
+    assert CR.rational(1, 3) is CR.parse("2/6") is CR.rational(Fraction(3, 9))
+    assert CR.rational(2) + 1 is CR.rational(3)

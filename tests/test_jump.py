@@ -1,8 +1,10 @@
 """Jump problems: construction, search, verification, scaling."""
 
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -10,16 +12,16 @@ from geoindex import jump
 from geoindex.exact import CertifiedReal, PrecisionInsufficient
 from geoindex.iteration import (IndexGerm, _index, _nullity, germ_mbar,
                                 index_at, mean_index)
-from geoindex.jump import (IdentityViolation, JumpCertificate, NotFound,
-                           ScaleMismatch, ZeroMeanIndex, build_problem,
-                           delta_invariance, scale, search, verify_jump,
-                           verify_rounding)
+from geoindex.jump import (CertificateMismatch, IdentityViolation,
+                           JumpCertificate, NotFound, ScaleMismatch,
+                           ZeroMeanIndex, build_problem, delta_invariance,
+                           scale, search, verify_jump, verify_rounding)
 from geoindex.morse import morse_numbers_up_to
 from geoindex.normal_forms import D, N1, N2, R
 from geoindex.samples import forced_top_system, worked_example_B
 
 from .corpus import jump_corpus
-from .oracle import candidate_oracle, verify_jump_oracle
+from .oracle import candidate_oracle, search_oracle, verify_jump_oracle
 
 CR = CertifiedReal
 DELTA = Fraction(1, 100)
@@ -599,3 +601,131 @@ def test_negative_horizon_is_a_value_error():
     # m_bar = 0 checks the top iterate alone
     assert [c.name for c in verify_jump(problem, cert, 0).clauses] == [
         "jump-top"] * len(germs)
+
+
+def _stream(row, place, first, n_max, M0):
+    """The first coordinate's sides N by N, as the every-N scan sees
+    them; the search's NotFound where N*row is too wide."""
+    out = []
+    for N in range(first, n_max + 1, M0):
+        try:
+            side = place(N)
+        except PrecisionInsufficient:
+            continue
+        except ValueError:
+            out.append("NotFound")
+            break
+        if side is not None:
+            out.append((N, side))
+    return out
+
+
+def _sides(row, place, first, n_max, M0):
+    out = []
+    try:
+        out.extend(jump._first_sides(row, place, first, n_max, M0))
+    except NotFound:
+        out.append("NotFound")
+    return out
+
+
+def test_first_sides_step_an_exact_coordinate_over_its_period():
+    rng = random.Random(20)
+    stepped = 0
+    for _ in range(400):
+        d = rng.randint(1, 300)
+        L = rng.randint(-2 * d, 2 * d)
+        row = (L // gcd(L, d), L // gcd(L, d), d // gcd(L, d), True, False)
+        if rng.random() < 0.2:  # an interval row keeps the every-N stream
+            row = (L, L + rng.randint(1, 3), 1000 * d, False,
+                   rng.random() < 0.5)
+        eps = Fraction(1, rng.choice((3, 7, 64)))
+        M0 = rng.randint(1, 4)
+        first = M0 * rng.randint(1, 50)
+        n_max = first + rng.randint(-first - 2, 8 * lcm(d, M0))
+        place = jump._placement(row, eps)
+        want = _stream(row, place, first, n_max, M0)
+        assert _sides(row, place, first, n_max, M0) == want, (row, eps, M0)
+        stepped += row[3] and n_max >= first + lcm(row[2], M0)
+    assert stepped >= 200
+
+
+def _search_outcome(search_fn, problem, n_min, n_max):
+    try:
+        return repr(search_fn(problem, n_min, n_max))
+    except (NotFound, PrecisionInsufficient, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_search_matches_the_every_n_scan():
+    # the systems of jump_corpus(100) whose first vertex coordinate is
+    # exact with a period of at most 300, and two whose first one is an
+    # interval; n_min = 5 and 7 sit off a period's start, and n_max
+    # inside one
+    corpus = jump_corpus(100)
+    later = 0
+    for k, germs in enumerate(corpus):
+        L, H, d, _, irrational = build_problem(germs,
+                                               Fraction(1, 64)).v_rows[0]
+        if not (L == H and not irrational and d <= 300 or k in (3, 5)):
+            continue
+        for p, M0, n_min, n_max in ((1, 1, 5, 997), (3, 2, 7, 600),
+                                    (1, 3, 5, 997), (1, 2, -3, 0)):
+            problem = build_problem(germs, Fraction(1, 64 * p),
+                                    Fraction(1, 64 * p), M0)
+            got = _search_outcome(
+                lambda *a: search(*a, m_bar=8), problem, n_min, n_max)
+            want = _search_outcome(
+                lambda *a: search_oracle(*a, 8), problem, n_min, n_max)
+            assert got == want, (k, p, M0)
+            _, _, d, exact, _ = problem.v_rows[0]
+            if exact and got.startswith("JumpCertificate"):
+                first = -(-n_min // M0) * M0
+                later += search(problem, n_min, n_max,
+                                m_bar=8).N >= first + lcm(d, M0)
+    assert later >= 10
+
+
+def test_not_found_comes_where_a_later_coordinate_goes_too_wide(
+        monkeypatch):
+    # v_0 = 1/5 is exact; w's mean, known to 3 digits, makes N*v_1 too
+    # wide to place from N = 547 on, long after the first period
+    w = IndexGerm("w", 2, (R(CR.parse("0.4142135~3", irrational=True)),
+                           D(CR.rational(2))))
+    problem = build_problem([B, w], Fraction(1, 16), Fraction(1, 16), 1)
+    assert problem.v[0] == CR.rational(Fraction(1, 5))
+    placed = []
+    compiled = jump._compiled
+
+    def recording(owner, rows, eps):
+        places = compiled(owner, rows, eps)
+        if owner is not problem:
+            return places
+        return tuple((lambda N, place=place: placed.append(N) or place(N))
+                     for place in places)
+
+    monkeypatch.setattr(jump, "_compiled", recording)
+    with pytest.raises(NotFound) as stepped:
+        search(problem, 1, 10 ** 7, m_bar=8)
+    with pytest.raises(NotFound) as scanned:
+        search_oracle(problem, 1, 10 ** 7, 8)
+    assert str(stepped.value) == str(scanned.value)
+    assert max(placed) == scanned.value.at > 5
+
+
+def test_verifiers_reject_a_certificate_missing_a_curve():
+    problem = build_problem(forced_top_system().germs, Fraction(1, 256),
+                            Fraction(1, 256))
+    cert = search(problem, 1, 1000, m_bar=8)
+    assert (cert.N, cert.m) == (10, (10, 5, 7))
+    short = replace(cert, m=cert.m[:-1], Delta=cert.Delta[:-1],
+                    rho=cert.rho[:-1], names=cert.names[:-1])
+    for call in (lambda: verify_rounding(problem, short),
+                 lambda: verify_jump(problem, short, 8),
+                 lambda: scale(problem, short, 1, 8)):
+        with pytest.raises(CertificateMismatch, match="curve names"):
+            call()
+    for field in ("m", "Delta"):
+        with pytest.raises(CertificateMismatch, match=f"{field} length"):
+            verify_rounding(problem, replace(
+                cert, **{field: getattr(cert, field)[:-1]}))
