@@ -376,6 +376,9 @@ def run_pipeline(system: GeodesicSystem,
     config = config or PipelineConfig()
     stages: List[StageRecord] = []
     echo = serialize.system_to_dict(system.germs)
+    if not serialize._echoes_exactly(system.germs):
+        # decide on the system the report names, not a narrower one
+        system = GeodesicSystem(serialize.system_from_dict(echo))
 
     def finish(final: str) -> ImpossibilityReport:
         return ImpossibilityReport(echo, stages, final)

@@ -68,10 +68,9 @@ class PrecisionBudget:
     """Digit budget for parsing and derived constants (square roots etc.)."""
 
     max_digits: int = 200
-    refine_step: int = 50
 
     def __post_init__(self):
-        if self.max_digits < 1 or self.refine_step < 1:
+        if self.max_digits < 1:
             raise ValueError("precision budget must be positive")
 
 

@@ -20,13 +20,15 @@ Only the block data ever enters the index formulas, so a 4x4 matrix is
 never decomposed here; callers supply block decompositions directly.
 The one numeric classifier provided is for 2x2 symplectic matrices,
 where trace dichotomy plus Niven's theorem (cos is rational at a
-rational multiple of pi only for 0, +-1/2, +-1) settle everything.
+rational multiple of pi only for 0, +-1/2, +-1) settle everything, and
+an irrational angle is enclosed in integer arithmetic, proof included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence, Tuple, Union
 
 from .exact import (CertifiedReal, PrecisionBudget, PrecisionInsufficient,
@@ -241,6 +243,21 @@ def classify_2x2(matrix: Matrix2,
     |tr| > 2 gives D, |tr| < 2 gives R with the rotation direction read
     off the lower-left entry, tr = +-2 gives N1 with the shear class
     read off the off-diagonal structure.
+
+    A rational cosine h = tr/2 off Niven's set gives t = acos(h)/pi,
+    declared irrational and enclosed on integers at the scale S =
+    10**(max_digits + 10), about 10**-(max_digits + 6) wide.  Proof: t =
+    j*atan(x)/pi with j = 2, x = sqrt((1-h)/(1+h)) > 0, and lo <= S*x <=
+    hi = lo + 1 by isqrt.  A halving, x -> x/(1 + sqrt(1 + x*x)), doubles
+    j and increases with x, so lo rounded down and hi up still bound S*x;
+    three bring x under tan(pi/16) < 1/5.  In ``_atan``, P_0 = floor(S*u)
+    and P_k = floor(P_{k-1}*u*u) sit below S*u**(2k+1) by d_k < d_{k-1}/25
+    + 1 < 25/24, so each term floor(P_k/(2k+1)) is low by under 3, and at
+    the first P_n = 0 the alternating tail is under 25/24: the sum is
+    within 3n + 2 of S*atan(u).  That bounds S*atan(x) and, by Machin's
+    pi = 16*atan(1/5) - 4*atan(1/239), S*pi; as atan(x) > 0, the low
+    bound is taken at least 0, and the ends divide and round outward to
+    the grid 1/S.
     """
     budget = budget or default_budget()
     (a, b), (c, d) = matrix
@@ -289,17 +306,29 @@ def classify_2x2(matrix: Matrix2,
         t: CertifiedReal = CertifiedReal.rational(_NIVEN_ANGLES[half])
     else:
         # Niven: any other rational cosine forces theta/pi irrational
-        import mpmath  # only this branch needs it; it costs 4 MB to load
-        digits = budget.max_digits
-        scale = 10 ** digits
-        with mpmath.workdps(digits + 20):
-            val = mpmath.acos(mpmath.mpf(half.numerator)
-                              / mpmath.mpf(half.denominator)) / mpmath.pi
-            scaled = int(mpmath.floor(val * scale))
-        slack = Fraction(1, 10 ** (digits - 2))
-        t = CertifiedReal.interval(Fraction(scaled, scale) - slack,
-                                   Fraction(scaled + 1, scale) + slack,
+        S = 10 ** (budget.max_digits + 10)
+        p, q = half.numerator, half.denominator
+        lo = isqrt((q - p) * S * S // (q + p))
+        hi, j = lo + 1, 2
+        while 5 * hi > S:
+            lo = lo * S // (S + isqrt(S * S + lo * lo) + 1)
+            hi = -(-hi * S // (S + isqrt(S * S + hi * hi)))
+            j *= 2
+        (x_lo, _), (_, x_hi) = _atan(lo, S, S), _atan(hi, S, S)
+        (a5_lo, a5_hi), (a239_lo, a239_hi) = _atan(1, 5, S), _atan(1, 239, S)
+        pi_lo, pi_hi = 16 * a5_lo - 4 * a239_hi, 16 * a5_hi - 4 * a239_lo
+        t = CertifiedReal.interval(Fraction(j * max(x_lo, 0) * S // pi_hi, S),
+                                   Fraction(-(-j * x_hi * S // pi_lo), S),
                                    irrational=True)
     if c_sign < 0:
         t = _conjugate(t)
     return R(t)
+
+
+def _atan(a: int, b: int, S: int) -> Tuple[int, int]:
+    """Integers below and above S*atan(a/b), for 0 <= a/b <= 1/5."""
+    P, A, k = a * S // b, 0, 0
+    while P:
+        A += (-1) ** k * (P // (2 * k + 1))
+        P, k = P * a * a // (b * b), k + 1
+    return A - 3 * k - 2, A + 3 * k + 2

@@ -29,8 +29,7 @@ def number_to_str(x: CertifiedReal) -> str:
     if x.exact:
         return str(x.lo)
     radius = (x.hi - x.lo) / 2
-    if (x.literal is not None and radius.numerator == 1
-            and _is_power_of_ten(radius.denominator)):
+    if _writes_exactly(x):
         k = len(str(radius.denominator)) - 1
         return f"{x.literal}~{k}"
     # synthesize: widen to a power-of-ten radius covering the interval,
@@ -47,8 +46,21 @@ def number_to_str(x: CertifiedReal) -> str:
     return f"{digits}~{k}"
 
 
-def _is_power_of_ten(n: int) -> bool:
-    return str(n).rstrip("0") == "1"
+def _writes_exactly(x: CertifiedReal) -> bool:
+    """Whether number_to_str(x) parses back to x: x is exact, or its
+    literal at a power-of-ten radius (any other interval is widened)."""
+    return x.exact or (x.literal is not None
+                       and (r := (x.hi - x.lo) / 2).numerator == 1
+                       and str(r.denominator).rstrip("0") == "1")
+
+
+def _echoes_exactly(germs: Sequence[IndexGerm]) -> bool:
+    """Whether system_from_dict(system_to_dict(germs)) equals germs, judged
+    per number; D writes no irrational flag, so a flagged one fails."""
+    return all(_writes_exactly(b.lam) and not b.lam.irrational
+               if isinstance(b, D) else
+               isinstance(b, N1) or _writes_exactly(b.t)
+               for g in germs for b in g.blocks)
 
 
 def _scaled_to_decimal(scaled: int, k: int) -> str:
@@ -161,8 +173,9 @@ def system_from_dict(d: Dict[str, object]) -> Tuple[IndexGerm, ...]:
             optional=("max_digits", "refine_step"))
     if precision:
         try:
-            budget = PrecisionBudget(**{k: _int(v, k)
-                                        for k, v in precision.items()})
+            settings = {k: _int(v, k) for k, v in precision.items()}
+            settings.pop("refine_step", None)  # read by nothing: ignored
+            budget = PrecisionBudget(**settings)
         except ValueError as exc:
             raise SchemaError(f"bad precision settings: {exc}") from exc
     else:

@@ -67,6 +67,24 @@ def test_forced_top_contradiction():
     assert replay(report)
 
 
+def test_a_box_angle_is_decided_at_the_width_its_echo_names():
+    # c3's angle as a box of radius 1e-7 around 3/7 + 1e-5 has no decimal
+    # literal, so its echo widens it to radius 1e-6; the report must be
+    # about the system its echo names, and replay
+    c, r = Fraction(3, 7) + Fraction(1, 10 ** 5), Fraction(1, 10 ** 7)
+    box = R(CR.interval(c - r, c + r, irrational=True))
+    c1, c2, c3 = forced_top_system().germs
+    c3 = replace(c3, blocks=tuple(box if isinstance(b, R) else b
+                                  for b in c3.blocks))
+    report = run_pipeline(GeodesicSystem.of(c1, c2, c3), CONFIG)
+    assert report.final == "CONTRADICTION(forced-top)"
+    assert (report.system["curves"][2]["blocks"][0]["theta_over_pi"]
+            == "0.428581~6")
+    echoed = GeodesicSystem(serialize.system_from_dict(report.system))
+    assert run_pipeline(echoed, CONFIG).to_dict() == report.to_dict()
+    assert replay(report)
+
+
 def test_mismatch_dies_in_gamma_window():
     report = run_pipeline(mismatch_system(), CONFIG)
     assert report.final == "CONTRADICTION(gamma-window)"

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, subcommands, round trips, exit codes."""
 
 import json
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -11,7 +12,8 @@ from geoindex.cli import main, parse_system
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm
 from geoindex.normal_forms import D, N1, R
-from geoindex.samples import mod4_system, worked_example_B
+from geoindex.samples import (forced_top_system, mod4_system,
+                              worked_example_B)
 
 
 @pytest.fixture(autouse=True)
@@ -312,6 +314,13 @@ def test_precision_settings_influence_parsing(tmp_path):
     doc["precision"] = {"digits": 40}
     p.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["index", "--system", str(p)]) == 1  # unknown setting
+    # refine_step is read by nothing: accepted and ignored, but typed
+    doc["precision"] = {"max_digits": 40, "refine_step": 0}
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["index", "--system", str(p)]) == 0
+    doc["precision"] = {"max_digits": 40, "refine_step": "50"}
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["index", "--system", str(p)]) == 1
 
 
 def test_synthesized_irrational_roundtrip_preserves_decisions():
@@ -434,3 +443,105 @@ def test_anosov_settings_below_one_are_one_error_line(
         assumption_system, capsys, flags, line):
     assert main(["anosov", "--system", assumption_system] + flags) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
+
+
+# what a mutation writes: wrong types, ends of ranges, and values of the
+# right type that break a rule or change the data
+_JUNK = (None, True, 0, 1, -1, 2.5, 10 ** 30, "", "x", "1/0", "-3/7", "1/2",
+         "2", "0.5~3", "1e400", [], {}, ["R"], {"type": "R"},
+         {"type": "N1", "eigenvalue": 1, "b": "zero"})
+_WORDS = ("R", "D", "N1", "N2", "trivial", "nontrivial", "zero", "positive",
+          "negative", "c1", "c2", "B", "1/3", "2/5", "3", "-2", "1/7",
+          "0.3~1", "0.41421356~8", "0.9999~3", "1.5", "1/64", "1/1000")
+
+
+def _variant(value, rng):
+    """A value of value's own type, near it or from a short list."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return rng.choice((value - 1, value + 1, -value, 0, 2 * value))
+    if isinstance(value, str) and value and rng.random() < 0.5:
+        i = rng.randrange(len(value))
+        return value[:i] + rng.choice("0123456789~/.-") + value[i + 1:]
+    return rng.choice(_WORDS)
+
+
+def _mutated(doc, rng):
+    """doc after one or two random edits: a value changed within its type,
+    a key dropped, renamed or given junk, a list item dropped or doubled,
+    or the whole document replaced."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.02:
+            return rng.choice(_JUNK)
+        nodes, stack = [], [doc]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)) and node:
+                nodes.append(node)
+                stack.extend(node.values() if isinstance(node, dict)
+                             else node)
+        if not nodes:
+            return doc
+        node, op = rng.choice(nodes), rng.randrange(6)
+        key = (rng.choice(sorted(node)) if isinstance(node, dict)
+               else rng.randrange(len(node)))
+        if op < 3:
+            if not isinstance(node[key], (dict, list)):
+                node[key] = _variant(node[key], rng)
+        elif op == 3:
+            del node[key]
+        elif op == 4:
+            node[key] = rng.choice(_JUNK)
+        elif isinstance(node, dict):
+            node[key + "_"] = node.pop(key)
+        else:
+            node.insert(key, json.loads(json.dumps(node[key])))
+    return doc
+
+
+_SUBCOMMANDS = (["index", "--m-max", "8"], ["mean-index"], ["gamma"],
+                ["mbar"], ["jump-search", "--n-max", "2000"],
+                ["anosov", "--n-max", "2000"], ["verify-jump"],
+                ["scale-jump", "--p-hat", "2"], ["morse"])
+
+
+def test_mutated_documents_exit_cleanly(tmp_path, capsys):
+    # 300 seeded mutations of system and certificate documents through
+    # every subcommand: no traceback, an exit code in {0, 1, 2}, and an
+    # exit 1 prints one error: line or a failing verification report
+    rng = random.Random(2026)
+    bases = []
+    for k, germs in enumerate(([worked_example_B()],
+                               forced_top_system().germs,
+                               mod4_system(16, 29).germs)):
+        system = serialize.system_to_dict(germs)
+        path = tmp_path / f"cert{k}.json"
+        (tmp_path / "s.json").write_text(json.dumps(system), encoding="utf-8")
+        assert main(["jump-search", "--system", str(tmp_path / "s.json"),
+                     "--n-max", "2000", "--format", "json",
+                     "--output", str(path)]) == 0
+        bases.append((system, json.loads(path.read_text(encoding="utf-8"))))
+    codes = set()
+    for trial in range(300):
+        system, cert = rng.choice(bases)
+        argv = rng.choice(_SUBCOMMANDS)
+        with_cert = argv[0] in ("verify-jump", "scale-jump", "morse")
+        if with_cert and rng.random() < 0.5:
+            cert = _mutated(cert, rng)
+        else:
+            system = _mutated(system, rng)
+        (tmp_path / "s.json").write_text(json.dumps(system), encoding="utf-8")
+        (tmp_path / "c.json").write_text(json.dumps(cert), encoding="utf-8")
+        extra = (["--certificate", str(tmp_path / "c.json")] if with_cert
+                 else [])
+        code = main(argv[:1] + ["--system", str(tmp_path / "s.json")]
+                    + argv[1:] + extra)
+        out, err = capsys.readouterr()
+        codes.add(code)
+        assert code in (0, 1, 2), (trial, argv, system, cert)
+        if code == 1 and not (argv[0] == "verify-jump" and "FAIL" in out):
+            assert err.startswith("error:") and err.count("\n") == 1, (
+                trial, argv, err)
+    assert codes == {0, 1, 2}

@@ -1,11 +1,12 @@
 """Block table: splitting numbers, nullities, heights, 2x2 classification."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from geoindex.exact import CertifiedReal
+from geoindex.exact import CertifiedReal, PrecisionBudget
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
                                    R, SplittingPair, UnresolvedSpectrum,
                                    big_C, classify_2x2, elliptic_height,
@@ -217,3 +218,65 @@ def test_unresolved_cross_spectrum():
     b = CR.parse("0.7071067812~10", irrational=True)
     with pytest.raises(UnresolvedSpectrum):
         splitting_at(R(a), b)  # overlapping distinct literals
+
+
+# acos(h)/pi to 220 decimals for h off Niven's set, pinned from mpmath 1.3.0
+# (mpmath.acos(h) / mpmath.pi at 260 digits, rounded); the library does
+# not use mpmath
+ACOS_OVER_PI = {
+    Fraction(1, 4): (
+        "0.4195693767448337562290498066715157444159355687524632417"
+        "9972156661749281344040304684745050114813489818967666884"
+        "0480626145603115777872132011050838975966173040433688345"
+        "0792564736844978270421420734408208601100483063139828023"),
+    Fraction(1, 3): (
+        "0.3918265520306072701708555592224309113166286494394002872"
+        "8793829802200140867744224687021182617577451307952678273"
+        "0495457978237526235003385455266599415972920905797050905"
+        "0250199333569812995526103448325898487635390968573871701"),
+    Fraction(-2, 7): (
+        "0.5922308311056679665529802985847395327611447346681223328"
+        "3392186845136115928934560290661193121178535196798407538"
+        "9279222745309195298888155234386696713421034403782330704"
+        "5083431821306256096974693787353831609952543694290882659"),
+    Fraction(1, 10 ** 6): (
+        "0.4999996816901138161562768145351509364735175447792422897"
+        "7268898819283425505418436643932042412759617954452706202"
+        "6041069395175838535636330313048248928006112877063848226"
+        "6659409668036734209266084484275058354509840117541618985"),
+    Fraction(999, 1000): (
+        "0.0142364374062396550708063524160105321570871312893308262"
+        "9394844277548541613718721427767836181557091449648821384"
+        "9836997732001289854451263511380374437589730597058188470"
+        "0295160590321565249967265100737329630372935397756577772"),
+    Fraction(-999999, 10 ** 6): (
+        "0.9995498418044082586848750048226796194443619096675987954"
+        "4609452356348834379587785691660143302191866612551995354"
+        "7937161847644619014647119446610646838049069522012693675"
+        "9022992539485594301851624889921429761572231356796834146"),
+}
+
+
+@pytest.mark.parametrize("digits", [40, 100, 200])
+@pytest.mark.parametrize("h", sorted(ACOS_OVER_PI), ids=str)
+def test_classify_encloses_non_niven_angles_on_integers(h, digits,
+                                                         monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # any import fails
+    ref, err = Fraction(ACOS_OVER_PI[h]), Fraction(1, 10 ** 220)
+    for c, t_ref in ((1, ref), (-1, 2 - ref)):  # both rotation directions
+        m = ((CR.rational(2 * h), CR.rational(-c)),
+             (CR.rational(c), CR.rational(0)))
+        t = classify_2x2(m, PrecisionBudget(max_digits=digits)).t
+        assert t.irrational
+        assert t.lo < t_ref - err and t_ref + err < t.hi
+        assert t.hi - t.lo < Fraction(1, 10 ** digits)
+
+
+def test_classify_angle_below_the_grid_stays_positive():
+    # h = 1 - 10**-500 gives t of about 4.5e-251, far below the 1e-50 grid
+    # of a 40-digit budget; atan(x) > 0 keeps the low end at 0
+    h = 1 - Fraction(1, 10 ** 500)
+    m = ((CR.rational(2 * h), CR.rational(-1)),
+         (CR.rational(1), CR.rational(0)))
+    t = classify_2x2(m, PrecisionBudget(max_digits=40)).t
+    assert t.irrational and t.lo == 0 and 0 < t.hi < Fraction(1, 10 ** 40)

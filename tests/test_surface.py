@@ -7,7 +7,9 @@ code they check, so one test reads that file's imports.  The range
 kernel pays only on the jump identities' runs, so another pins which
 library modules may name it.  The jump problem is set up on integers,
 so a third keeps the value constructions out of that path.  The value
-types are slotted, so a kept germ carries no per-instance dict.
+types are slotted, so a kept germ carries no per-instance dict.  The
+package has no runtime dependency, so importing it loads only the
+standard library.
 """
 
 import argparse
@@ -15,7 +17,10 @@ import ast
 import copy
 import dataclasses
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import geoindex
@@ -142,3 +147,19 @@ def test_value_types_are_slotted_and_copy_as_before():
                      pickle.loads(pickle.dumps(v))):
             assert twin == v and hash(twin) == hash(v)
             assert repr(twin) == repr(v)
+
+
+def test_imports_load_only_the_standard_library():
+    # a fresh interpreter, so modules loaded before the import (a site
+    # .pth file's, say) are diffed away rather than counted
+    code = ("import sys; before = set(sys.modules); "
+            "import geoindex, geoindex.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(geoindex.__file__).parent.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "geoindex.cli" in loaded and "geoindex.normal_forms" in loaded
+    assert [m for m in loaded if m.partition(".")[0]
+            not in sys.stdlib_module_names | {"geoindex"}] == []
