@@ -18,10 +18,9 @@ are regression-tested through mean-index consistency.
 
 Only the block data ever enters the index formulas, so a 4x4 matrix is
 never decomposed here; callers supply block decompositions directly.
-The one numeric classifier provided is for 2x2 symplectic matrices,
-where trace dichotomy plus Niven's theorem (cos is rational at a
-rational multiple of pi only for 0, +-1/2, +-1) settle everything, and
-an irrational angle is enclosed in integer arithmetic, proof included.
+The one numeric classifier, for 2x2 symplectic matrices, needs trace
+dichotomy, Niven's theorem (cos is rational at a rational multiple of
+pi only for 0, +-1/2, +-1) and an integer enclosure of the other angles.
 """
 
 from __future__ import annotations
@@ -242,22 +241,15 @@ def classify_2x2(matrix: Matrix2,
 
     |tr| > 2 gives D, |tr| < 2 gives R with the rotation direction read
     off the lower-left entry, tr = +-2 gives N1 with the shear class
-    read off the off-diagonal structure.
-
-    A rational cosine h = tr/2 off Niven's set gives t = acos(h)/pi,
-    declared irrational and enclosed on integers at the scale S =
-    10**(max_digits + 10), about 10**-(max_digits + 6) wide.  Proof: t =
-    j*atan(x)/pi with j = 2, x = sqrt((1-h)/(1+h)) > 0, and lo <= S*x <=
-    hi = lo + 1 by isqrt.  A halving, x -> x/(1 + sqrt(1 + x*x)), doubles
-    j and increases with x, so lo rounded down and hi up still bound S*x;
-    three bring x under tan(pi/16) < 1/5.  In ``_atan``, P_0 = floor(S*u)
-    and P_k = floor(P_{k-1}*u*u) sit below S*u**(2k+1) by d_k < d_{k-1}/25
-    + 1 < 25/24, so each term floor(P_k/(2k+1)) is low by under 3, and at
-    the first P_n = 0 the alternating tail is under 25/24: the sum is
-    within 3n + 2 of S*atan(u).  That bounds S*atan(x) and, by Machin's
-    pi = 16*atan(1/5) - 4*atan(1/239), S*pi; as atan(x) > 0, the low
-    bound is taken at least 0, and the ends divide and round outward to
-    the grid 1/S.
+    read off the off-diagonal structure.  A rational cosine h = tr/2 off
+    Niven's set gives an irrational t = acos(h)/pi = j*atan(x)/pi, with
+    j = 2 and x = sqrt((1-h)/(1+h)) at first.  Proof of its enclosure: at
+    S = 10**(max_digits + 10), isqrt puts S*x in [lo, hi = lo + 1]; each
+    halving x -> x/(1 + sqrt(1 + x*x)), increasing in x, doubles j and
+    keeps S*x in [lo, hi] rounded outward, till x <= 1/5.  ``_atan`` and
+    Machin's pi = 16*atan(1/5) - 4*atan(1/239) bound atan(x) > 0 and pi;
+    t's ends round outward to the grid 1/G, G = 4*10**max_digits: width
+    1/G or 2/G, echoed at radius 10**-max_digits, within the budget.
     """
     budget = budget or default_budget()
     (a, b), (c, d) = matrix
@@ -307,8 +299,7 @@ def classify_2x2(matrix: Matrix2,
     else:
         # Niven: any other rational cosine forces theta/pi irrational
         S = 10 ** (budget.max_digits + 10)
-        p, q = half.numerator, half.denominator
-        lo = isqrt((q - p) * S * S // (q + p))
+        lo = isqrt(int((1 - half) / (1 + half) * S * S))
         hi, j = lo + 1, 2
         while 5 * hi > S:
             lo = lo * S // (S + isqrt(S * S + lo * lo) + 1)
@@ -317,8 +308,9 @@ def classify_2x2(matrix: Matrix2,
         (x_lo, _), (_, x_hi) = _atan(lo, S, S), _atan(hi, S, S)
         (a5_lo, a5_hi), (a239_lo, a239_hi) = _atan(1, 5, S), _atan(1, 239, S)
         pi_lo, pi_hi = 16 * a5_lo - 4 * a239_hi, 16 * a5_hi - 4 * a239_lo
-        t = CertifiedReal.interval(Fraction(j * max(x_lo, 0) * S // pi_hi, S),
-                                   Fraction(-(-j * x_hi * S // pi_lo), S),
+        G = 4 * 10 ** budget.max_digits
+        t = CertifiedReal.interval(Fraction(j * max(x_lo, 0) * G // pi_hi, G),
+                                   Fraction(-(-j * x_hi * G // pi_lo), G),
                                    irrational=True)
     if c_sign < 0:
         t = _conjugate(t)
@@ -326,7 +318,9 @@ def classify_2x2(matrix: Matrix2,
 
 
 def _atan(a: int, b: int, S: int) -> Tuple[int, int]:
-    """Integers below and above S*atan(a/b), for 0 <= a/b <= 1/5."""
+    """Integers below and above S*atan(u), u = a/b in [0, 1/5]: P_0 =
+    floor(S*u) and P_k = floor(P_{k-1}*u*u) are below S*u**(2k+1) by under
+    1/(1 - 1/25) = 25/24, so n terms err by under 3n and the tail by 2."""
     P, A, k = a * S // b, 0, 0
     while P:
         A += (-1) ** k * (P // (2 * k + 1))

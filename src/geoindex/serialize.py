@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import CertifiedReal, PrecisionBudget, default_budget
+from .exact import _DECIMAL, CertifiedReal, PrecisionBudget, default_budget
 from .iteration import IndexGerm
 from .jump import JumpCertificate, ScaledCertificate
 from .normal_forms import (BasicBlock, D, KIND_NONTRIVIAL, KIND_TRIVIAL,
@@ -28,14 +28,13 @@ from .normal_forms import (BasicBlock, D, KIND_NONTRIVIAL, KIND_TRIVIAL,
 def number_to_str(x: CertifiedReal) -> str:
     if x.exact:
         return str(x.lo)
-    radius = (x.hi - x.lo) / 2
-    if _writes_exactly(x):
-        k = len(str(radius.denominator)) - 1
+    k = _literal_digits(x)
+    if k:
         return f"{x.literal}~{k}"
     # synthesize: widen to a power-of-ten radius covering the interval,
     # k the least k >= 1 with 10**-(k + 1) < a/b, the width, up to 390;
     # 10**j > b/a holds at j = e + 1 and fails at j = e - 1
-    a, b = 2 * radius.numerator, radius.denominator
+    a, b = (x.hi - x.lo).as_integer_ratio()
     e = max(0, len(str(b)) - len(str(a)))
     j = e if a * 10 ** e > b else e + 1
     k = min(390, max(1, j - 1))
@@ -46,21 +45,19 @@ def number_to_str(x: CertifiedReal) -> str:
     return f"{digits}~{k}"
 
 
-def _writes_exactly(x: CertifiedReal) -> bool:
-    """Whether number_to_str(x) parses back to x: x is exact, or its
-    literal at a power-of-ten radius (any other interval is widened)."""
-    return x.exact or (x.literal is not None
-                       and (r := (x.hi - x.lo) / 2).numerator == 1
-                       and str(r.denominator).rstrip("0") == "1")
+def _literal_digits(x: CertifiedReal) -> int:
+    """k if number_to_str writes x as its decimal literal "literal~k"."""
+    r = (x.hi - x.lo) / 2
+    s = str(r.denominator)
+    return (len(s) - 1 if r.numerator == 1 and s.rstrip("0") == "1"
+            and _DECIMAL.fullmatch(x.literal or "") else 0)
 
 
 def _echoes_exactly(germs: Sequence[IndexGerm]) -> bool:
-    """Whether system_from_dict(system_to_dict(germs)) equals germs, judged
-    per number; D writes no irrational flag, so a flagged one fails."""
-    return all(_writes_exactly(b.lam) and not b.lam.irrational
-               if isinstance(b, D) else
-               isinstance(b, N1) or _writes_exactly(b.t)
-               for g in germs for b in g.blocks)
+    """Whether system_to_dict writes each number of germs as itself."""
+    numbers = (b.lam if isinstance(b, D) else b.t
+               for g in germs for b in g.blocks if not isinstance(b, N1))
+    return all(x.exact or _literal_digits(x) for x in numbers)
 
 
 def _scaled_to_decimal(scaled: int, k: int) -> str:

@@ -140,7 +140,8 @@ def number_to_str_oracle(x) -> str:
     den = radius.denominator
     while den % 10 == 0:
         den //= 10
-    if x.literal is not None and radius.numerator == 1 and den == 1:
+    if (x.literal is not None and re.fullmatch(r"-?\d+(\.\d+)?", x.literal)
+            and radius.numerator == 1 and den == 1):
         return f"{x.literal}~{len(str(radius.denominator)) - 1}"
     k = 1
     while Fraction(1, 10 ** (k + 1)) >= 2 * radius and k < 390:

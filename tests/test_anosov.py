@@ -16,7 +16,7 @@ from geoindex.cli import main
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm, germ_mbar, index_at
 from geoindex.jump import JumpCertificate, NotFound, build_problem, search
-from geoindex.normal_forms import D, N1, R
+from geoindex.normal_forms import D, N1, R, classify_2x2
 from geoindex.samples import (all_odd_system, forced_top_system,
                               gamma_window_system, hyperbolic_germ,
                               mismatch_system, mod4_system, perturbed,
@@ -82,6 +82,22 @@ def test_a_box_angle_is_decided_at_the_width_its_echo_names():
             == "0.428581~6")
     echoed = GeodesicSystem(serialize.system_from_dict(report.system))
     assert run_pipeline(echoed, CONFIG).to_dict() == report.to_dict()
+    assert replay(report)
+
+
+def test_a_classified_angle_is_echoed_within_the_default_budget():
+    # classify_2x2 encloses acos(h)/pi for h = 89/400, near 3/7, on the
+    # grid 1/(4*10**200); its echo must read back at the default budget
+    h = Fraction(89, 400)
+    block = classify_2x2(((CR.rational(2 * h), CR.rational(-1)),
+                          (CR.rational(1), CR.rational(0))))
+    c1, c2, c3 = forced_top_system().germs
+    c3 = replace(c3, blocks=tuple(block if isinstance(b, R) else b
+                                  for b in c3.blocks))
+    report = run_pipeline(GeodesicSystem.of(c1, c2, c3), CONFIG)
+    assert report.final == "CONTRADICTION(forced-top)"
+    echo = report.system["curves"][2]["blocks"][0]["theta_over_pi"]
+    assert echo.endswith("~200")
     assert replay(report)
 
 

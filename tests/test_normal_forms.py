@@ -273,8 +273,8 @@ def test_classify_encloses_non_niven_angles_on_integers(h, digits,
 
 
 def test_classify_angle_below_the_grid_stays_positive():
-    # h = 1 - 10**-500 gives t of about 4.5e-251, far below the 1e-50 grid
-    # of a 40-digit budget; atan(x) > 0 keeps the low end at 0
+    # h = 1 - 10**-500 gives t of about 4.5e-251, far below the grid
+    # 1/(4*10**40) of a 40-digit budget; atan(x) > 0 keeps the low end at 0
     h = 1 - Fraction(1, 10 ** 500)
     m = ((CR.rational(2 * h), CR.rational(-1)),
          (CR.rational(1), CR.rational(0)))

@@ -95,3 +95,13 @@ def test_number_to_str_matches_the_widening_loop():
     capped = CertifiedReal.interval(Fraction(1, 3), Fraction(1, 3)
                                     + Fraction(1, 10 ** 400), True)
     assert serialize.number_to_str(capped).endswith("~390")
+
+
+def test_a_literal_that_is_no_decimal_is_widened():
+    # CertifiedReal.decimal takes any Fraction literal, but only a decimal
+    # one parses back with its "~k"; "1/3~3" would not
+    x = CertifiedReal.decimal("1/3", Fraction(1, 1000), irrational=True)
+    text = serialize.number_to_str(x)
+    assert text == number_to_str_oracle(x) == "0.33~2"
+    back = CertifiedReal.parse(text, irrational=True)
+    assert back.lo <= x.lo and x.hi <= back.hi
