@@ -96,6 +96,12 @@ _DECIMAL = re.compile(r"(-?)(\d+)(?:\.(\d+))?(?:~(\d+))?")
 _RATIO = re.compile(r"(-?\d+)/(\d+)")
 
 
+def _digits(m: re.Match) -> int:
+    """The digits a "digits~k" literal m of _DECIMAL is read at: the
+    most of k and its fractional digits."""
+    return max(len(m[3] or ""), int(m[4]))
+
+
 def _scaled(m: re.Match, K: int) -> int:
     """The decimal m of _DECIMAL times 10**K, for K >= its fractional
     digits."""
@@ -184,7 +190,7 @@ class CertifiedReal:
         text = text.strip()
         m = _DECIMAL.fullmatch(text)
         if m and m[4] is not None:
-            K = max(len(m[3] or ""), int(m[4]))
+            K = _digits(m)
             if K > budget.max_digits:
                 raise ValueError(
                     f"literal carries more digits than the budget "

@@ -31,13 +31,23 @@ accepted only after all identities above verify by direct recomputation.
 The scan over multiples of M0 is deterministic: smallest qualifying N
 wins, and enlarging the range never changes the result.
 
-The first coordinate chooses the N that are placed.  An exact one, L/d,
-places N by N*L mod d alone, so after its first period, lcm(d, M0), an N
-it rejects costs nothing: only that period's hits are visited.  The
-others are placed at each visited N in index order, as the every-N scan
-does.  Only the first coordinate is stepped: the full sieve waits on
-ROADMAP item 3, as the benchmark keeps every input it runs and could not
-hold the sieve's operations within its memory bound.
+An exact coordinate, L/d, places N by N*L mod d alone, so its sides
+repeat with period lcm(d, M0).  When the first coordinate is exact, the
+exact ones choose the N that are placed, level by level in index order:
+level k keeps the N of level k-1 at which the k-th exact coordinate is
+near a vertex, records the hits of its first period, lcm(M0, the d of
+levels 1..k), and replays them after it, so once that period is over an
+N the level rejects costs nothing.  The interval coordinates are then
+placed at each N that survives, in index order.  The outcome is the
+every-N scan's: the candidates (every coordinate near, none undecided)
+do not depend on the order the coordinates are asked in, an exact one
+never raises, and one too wide at N is too wide at every larger N, so
+every candidate below that N is still visited first, in increasing
+order.  When the first coordinate is an interval, it is placed at every
+N and the others at each N it keeps, in index order.  Stepping an exact
+coordinate there (ROADMAP item 3) waits on item 2: the benchmark keeps
+every input it runs and could not hold the extra operations within its
+memory bound.
 
 A curve keeps only its germ, rho_i and the germ's compiled kernel
 (``iteration._kernel``): beta_i is its slope, the alpha_{i,j} are its
@@ -525,19 +535,28 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     Deterministic: the scan runs over multiples of M0 in increasing
     order, and a candidate is only returned once every rounding and jump
     clause has been recomputed and passed.  Once some N*v_j is too wide
-    to place, so is every larger N, and NotFound is raised at once.  After
-    its first period, an N rejected by an exact first coordinate costs
-    nothing: it is never visited (``_first_sides``).
+    to place, so is every larger N, and NotFound is raised at once.  When
+    the first coordinate is exact, every exact one is stepped over its
+    level's period (``_walk``): after that period an N one of them
+    rejects is never visited.  The others are placed at the N that
+    remain, and chi is read back in index order.
     """
     if n_min > n_max:
         raise ValueError("empty search range")
     if m_bar < 0:
         raise ValueError(f"m_bar must be nonnegative, got {m_bar}")
-    head, *rest = _compiled(problem, problem.v_rows, problem.epsilon)
+    rows = problem.v_rows
+    places = _compiled(problem, rows, problem.epsilon)
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
-    for N, side in _first_sides(problem.v_rows[0], head, first, n_max, M0):
-        chi = [side]
+    exact = [j for j, row in enumerate(rows) if _exact(row)]
+    stepped = exact if exact[:1] == [0] else [0]
+    order = stepped + [j for j in range(len(rows)) if j not in stepped]
+    rest = [places[j] for j in order[len(stepped):]]
+    at = sorted(range(len(order)), key=order.__getitem__)  # chi's order
+    for N, sides in _walk([rows[j] for j in stepped],
+                          [places[j] for j in stepped], first, n_max, M0):
+        chi = list(sides)
         try:
             for place in rest:
                 side = place(N)
@@ -548,42 +567,60 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
             continue
         except ValueError:  # N*v_j is too wide
             raise NotFound(n_max) from None
-        if side is not None:
-            cert = _assemble(problem, N, chi, m_bar)
+        if len(chi) == len(rows):
+            cert = _assemble(problem, N, [chi[k] for k in at], m_bar)
             if cert is not None:
                 return cert
     raise NotFound(n_max)
 
 
-def _first_sides(row: _Row, place: Callable[[int], Optional[int]],
-                 first: int, n_max: int, M0: int
-                 ) -> Iterator[Tuple[int, int]]:
-    """(N, side) for each N = first, first + M0, ... <= n_max that row,
-    compiled as place, sets near a vertex, in order; NotFound where N*row
-    is too wide.  An exact row's sides repeat with period lcm(d, M0), so
-    later periods reuse the first one's hits."""
-    L, H, d, _, irrational = row
-    periodic = L == H and not irrational
-    # an interval row never repeats: its one period spans the range
-    P = lcm(d, M0) if periodic else max(n_max, 0) + 1
-    offsets, sides = [], []
-    for N in range(first, min(first + P, n_max + 1), M0):
-        try:
+def _exact(row: _Row) -> bool:
+    """Whether row is a point that _placement places by one remainder."""
+    L, H, _, _, irrational = row
+    return L == H and not irrational
+
+
+def _walk(rows: Sequence[_Row], places: Sequence[Callable], first: int,
+          n_max: int, M0: int) -> Iterator[Tuple[int, tuple]]:
+    """(N, sides) for each N = first, first + M0, ... <= n_max at which
+    every row, compiled as places, sets N*row near a vertex, in order,
+    with the sides in row order; NotFound where N*rows[0] is too wide.
+    Every row but the first is exact.  Level k keeps the N of level k-1
+    at which row k is near.  Exact rows' sides repeat with period
+    lcm(M0, their d), so a level whose rows are all exact records the
+    hits of its first period and replays them after it; a level with an
+    interval row never repeats, and its one period spans the range."""
+    *below, row = rows
+    P = max(n_max, 0) + 1
+    if all(map(_exact, rows)):
+        P = lcm(M0, *(d for _, _, d, _, _ in rows))
+    end, place, hits = min(first + P, n_max + 1), places[-1], []
+    replay = end <= n_max
+    if below:  # row is exact: it never raises
+        for N, sides in _walk(below, places[:-1], first, end - 1, M0):
             side = place(N)
-        except PrecisionInsufficient:
-            continue
-        except ValueError:  # N*row is too wide
-            raise NotFound(n_max) from None
-        if side is not None:
-            if periodic:
-                offsets.append(N - first)
-                sides.append(side)
-            yield N, side
-    for start in range(first + P, n_max + 1, P):
-        for offset, side in zip(offsets, sides):
+            if side is not None:
+                sides += (side,)
+                if replay:
+                    hits.append((N - first, sides))
+                yield N, sides
+    else:
+        for N in range(first, end, M0):
+            try:
+                side = place(N)
+            except PrecisionInsufficient:
+                continue
+            except ValueError:  # N*row is too wide
+                raise NotFound(n_max) from None
+            if side is not None:
+                if replay:
+                    hits.append((N - first, (side,)))
+                yield N, (side,)
+    for start in range(end, n_max + 1, P):
+        for offset, sides in hits:
             if start + offset > n_max:
                 return
-            yield start + offset, side
+            yield start + offset, sides
 
 
 def scale(problem: JumpProblem, cert: JumpCertificate,

@@ -18,7 +18,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import _DECIMAL, CertifiedReal, PrecisionBudget, default_budget
+from .exact import (_DECIMAL, CertifiedReal, PrecisionBudget, _digits,
+                    default_budget)
 from .iteration import IndexGerm
 from .jump import JumpCertificate, ScaledCertificate
 from .normal_forms import (BasicBlock, D, KIND_NONTRIVIAL, KIND_TRIVIAL,
@@ -155,9 +156,17 @@ def germ_from_dict(d: Dict[str, object], n: int = 3,
 
 
 def system_to_dict(germs: Sequence[IndexGerm]) -> Dict[str, object]:
+    """The system document; it names the digit budget its literals need
+    where that is more than the built-in one, so it parses back."""
     n = germs[0].n if germs else 3
-    return {"manifold": {"dim": n},
-            "curves": [germ_to_dict(g) for g in germs]}
+    curves = [germ_to_dict(g) for g in germs]
+    d: Dict[str, object] = {"manifold": {"dim": n}, "curves": curves}
+    literals = (_DECIMAL.fullmatch(b[k]) for c in curves for b in c["blocks"]
+                for k in ("lambda", "theta_over_pi") if k in b)
+    digits = max((_digits(m) for m in literals if m and m[4]), default=0)
+    if digits > PrecisionBudget().max_digits:
+        d["precision"] = {"max_digits": digits}
+    return d
 
 
 def system_from_dict(d: Dict[str, object]) -> Tuple[IndexGerm, ...]:

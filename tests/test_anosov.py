@@ -101,6 +101,31 @@ def test_a_classified_angle_is_echoed_within_the_default_budget():
     assert replay(report)
 
 
+def test_an_echo_names_the_budget_its_literals_need():
+    # c3's angle as a 250-digit literal, read at a 300-digit budget, and
+    # as a box whose widened echo needs 230 digits: each echo must name
+    # the budget it is read at, or replay reads it at the default 200
+    doc = serialize.system_to_dict(forced_top_system().germs)
+    doc["precision"] = {"max_digits": 300}
+    doc["curves"][2]["blocks"][0]["theta_over_pi"] = (
+        "0.42858" + "1" * 245 + "~250")
+    c, r = Fraction(3, 7) + Fraction(1, 10 ** 5), Fraction(1, 10 ** 231)
+    box = R(CR.interval(c - r, c + r, irrational=True))
+    c1, c2, c3 = forced_top_system().germs
+    c3 = replace(c3, blocks=tuple(box if isinstance(b, R) else b
+                                  for b in c3.blocks))
+    for system, digits in (
+            (GeodesicSystem(serialize.system_from_dict(doc)), 250),
+            (GeodesicSystem.of(c1, c2, c3), 230)):
+        report = run_pipeline(system, CONFIG)
+        assert report.final == "CONTRADICTION(forced-top)"
+        assert report.system["precision"] == {"max_digits": digits}
+        assert replay(report)
+    # within the built-in budget the document keeps its bytes
+    assert "precision" not in serialize.system_to_dict(
+        forced_top_system().germs)
+
+
 def test_mismatch_dies_in_gamma_window():
     report = run_pipeline(mismatch_system(), CONFIG)
     assert report.final == "CONTRADICTION(gamma-window)"

@@ -1,6 +1,7 @@
 """Jump problems: construction, search, verification, scaling."""
 
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -603,51 +604,62 @@ def test_negative_horizon_is_a_value_error():
         "jump-top"] * len(germs)
 
 
-def _stream(row, place, first, n_max, M0):
-    """The first coordinate's sides N by N, as the every-N scan sees
-    them; the search's NotFound where N*row is too wide."""
+def _stream(places, first, n_max, M0):
+    """The rows' sides N by N, as the every-N scan sees them; the
+    search's NotFound where N*row is too wide."""
     out = []
     for N in range(first, n_max + 1, M0):
         try:
-            side = place(N)
+            sides = tuple(place(N) for place in places)
         except PrecisionInsufficient:
             continue
         except ValueError:
             out.append("NotFound")
             break
-        if side is not None:
-            out.append((N, side))
+        if None not in sides:
+            out.append((N, sides))
     return out
 
 
-def _sides(row, place, first, n_max, M0):
+def _walked(rows, places, first, n_max, M0):
     out = []
     try:
-        out.extend(jump._first_sides(row, place, first, n_max, M0))
+        out.extend(jump._walk(rows, places, first, n_max, M0))
     except NotFound:
         out.append("NotFound")
     return out
 
 
-def test_first_sides_step_an_exact_coordinate_over_its_period():
-    rng = random.Random(20)
-    stepped = 0
+def test_walk_steps_exact_coordinates_over_their_periods():
+    # 1 to 4 rows, all exact but perhaps the first: each level replays
+    # its first period's hits, lcm(M0, the d of its rows and those below)
+    rng = random.Random(22)
+    past_first = past_deeper = 0
     for _ in range(400):
-        d = rng.randint(1, 300)
-        L = rng.randint(-2 * d, 2 * d)
-        row = (L // gcd(L, d), L // gcd(L, d), d // gcd(L, d), True, False)
-        if rng.random() < 0.2:  # an interval row keeps the every-N stream
-            row = (L, L + rng.randint(1, 3), 1000 * d, False,
-                   rng.random() < 0.5)
-        eps = Fraction(1, rng.choice((3, 7, 64)))
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randint(1, 40)
+            L = rng.randint(-2 * d, 2 * d)
+            rows.append((L // gcd(L, d), L // gcd(L, d), d // gcd(L, d),
+                         True, False))
+        if rng.random() < 0.25:  # an interval first row is walked N by N
+            L, d = rng.randint(-80, 80), 1000 * rng.randint(1, 40)
+            rows[0] = (L, L + rng.randint(1, 3), d, False, rng.random() < 0.5)
+        eps = Fraction(1, rng.choice((3, 5, 7)))
         M0 = rng.randint(1, 4)
         first = M0 * rng.randint(1, 50)
-        n_max = first + rng.randint(-first - 2, 8 * lcm(d, M0))
-        place = jump._placement(row, eps)
-        want = _stream(row, place, first, n_max, M0)
-        assert _sides(row, place, first, n_max, M0) == want, (row, eps, M0)
-        stepped += row[3] and n_max >= first + lcm(row[2], M0)
-    assert stepped >= 200
+        periods = [lcm(M0, *(row[2] for row in rows[:k]))
+                   for k in range(1, len(rows) + 1)]
+        n_max = first + rng.randint(-first - 2, min(3 * periods[-1], 2000))
+        places = [jump._placement(row, eps) for row in rows]
+        want = _stream(places, first, n_max, M0)
+        assert _walked(rows, places, first, n_max, M0) == want, (rows, eps,
+                                                                 M0)
+        if rows[0][3]:
+            past_first += n_max >= first + periods[0]
+            past_deeper += any(P > periods[0] and n_max >= first + P
+                               for P in periods[1:])
+    assert past_first >= 200 and past_deeper >= 100
 
 
 def _search_outcome(search_fn, problem, n_min, n_max):
@@ -661,16 +673,19 @@ def test_search_matches_the_every_n_scan():
     # the systems of jump_corpus(100) whose first vertex coordinate is
     # exact with a period of at most 300, and two whose first one is an
     # interval; n_min = 5 and 7 sit off a period's start, and n_max
-    # inside one
+    # inside one.  Most have further exact coordinates: a certificate
+    # past the combined period of them all (deeper) comes from a replay
+    # of the deepest level
     corpus = jump_corpus(100)
-    later = 0
+    later = deeper = 0
     for k, germs in enumerate(corpus):
         L, H, d, _, irrational = build_problem(germs,
                                                Fraction(1, 64)).v_rows[0]
         if not (L == H and not irrational and d <= 300 or k in (3, 5)):
             continue
         for p, M0, n_min, n_max in ((1, 1, 5, 997), (3, 2, 7, 600),
-                                    (1, 3, 5, 997), (1, 2, -3, 0)):
+                                    (1, 3, 5, 997), (1, 2, -3, 0),
+                                    (4, 3, 1, 1500)):
             problem = build_problem(germs, Fraction(1, 64 * p),
                                     Fraction(1, 64 * p), M0)
             got = _search_outcome(
@@ -678,12 +693,14 @@ def test_search_matches_the_every_n_scan():
             want = _search_outcome(
                 lambda *a: search_oracle(*a, 8), problem, n_min, n_max)
             assert got == want, (k, p, M0)
-            _, _, d, exact, _ = problem.v_rows[0]
-            if exact and got.startswith("JumpCertificate"):
+            ds = [row[2] for row in problem.v_rows if jump._exact(row)]
+            if (jump._exact(problem.v_rows[0])
+                    and got.startswith("JumpCertificate")):
                 first = -(-n_min // M0) * M0
-                later += search(problem, n_min, n_max,
-                                m_bar=8).N >= first + lcm(d, M0)
-    assert later >= 10
+                N = search(problem, n_min, n_max, m_bar=8).N
+                later += N >= first + lcm(M0, ds[0])
+                deeper += (N >= first + lcm(M0, *ds) > first + lcm(M0, ds[0]))
+    assert later >= 10 and deeper >= 50
 
 
 def test_not_found_comes_where_a_later_coordinate_goes_too_wide(
@@ -711,6 +728,51 @@ def test_not_found_comes_where_a_later_coordinate_goes_too_wide(
         search_oracle(problem, 1, 10 ** 7, 8)
     assert str(stepped.value) == str(scanned.value)
     assert max(placed) == scanned.value.at > 5
+
+    # two exact coordinates, v_0 = 1/5 and v_2 = 1/7 (combined period 35),
+    # around w's v_1, too wide from N = 1000 on: the oracle meets it
+    # there, the walk at the first N >= 1000 where v_0 and v_2 are near
+    h5 = IndexGerm("h5", 5, (D(CR.rational(2)), D(CR.rational(3))))
+    h7 = IndexGerm("h7", 7, (D(CR.rational(2)), D(CR.rational(-2))))
+    problem = build_problem([h5, w, h7], Fraction(1, 16), Fraction(1, 16), 1)
+    rows = problem.v_rows
+    exact = [j for j, row in enumerate(rows) if jump._exact(row)]
+    assert exact == [0, 2] and [rows[j][2] for j in exact] == [5, 7]
+    placed.clear()
+    with pytest.raises(NotFound) as stepped:
+        search(problem, 1, 10 ** 7, m_bar=8)
+    with pytest.raises(NotFound) as scanned:
+        search_oracle(problem, 1, 10 ** 7, 8)
+    assert str(stepped.value) == str(scanned.value)
+    places = compiled(problem, rows, problem.epsilon)
+    N = scanned.value.at
+    while any(places[j](N) is None for j in exact):
+        N += 1
+    assert max(placed) == N > scanned.value.at == 1000
+
+
+def test_search_holds_little_memory():
+    # an interval first coordinate scanned N by N to a NotFound, and an
+    # exact-first problem certified past its second level's period: a
+    # level keeps at most its first period's hits
+    corpus = jump_corpus(100)
+    for k, n_max, want in ((18, 10 ** 5, None), (41, 10 ** 6, 397980)):
+        problem = build_problem(corpus[k], Fraction(1, 64), Fraction(1, 64))
+        ds = [row[2] for row in problem.v_rows if jump._exact(row)]
+        if want is None:
+            assert not jump._exact(problem.v_rows[0])
+        else:
+            assert want > lcm(*ds[:2]) > ds[0] and jump._exact(
+                problem.v_rows[0])
+        tracemalloc.start()
+        try:
+            N = search(problem, 1, n_max, m_bar=8).N
+        except NotFound:
+            N = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert N == want and peak < 64 * 1024, (k, N, peak)
 
 
 def test_verifiers_reject_a_certificate_missing_a_curve():
