@@ -12,7 +12,7 @@ to replay the violation.
 
 Stage chain:
 
-  admissibility     three germs, bumpy, i >= 1, positive mean, growth
+  admissibility     three germs on S^3, bumpy, i >= 1, positive mean, growth
   parity-screen     an even-index curve must exist, and two-odd-one-even
                     dies on a degree-2N count (at most one contributor
                     against Betti number 2)
@@ -107,9 +107,13 @@ class ImpossibilityReport:
 
 
 def admissibility(system: GeodesicSystem) -> Dict[str, object]:
-    """Hard hypotheses: bumpy, index >= 1, positive mean, index growth."""
+    """Hard hypotheses: S^3, bumpy, index >= 1, positive mean, growth."""
     notes: Dict[str, object] = {}
     for germ in system.germs:
+        if germ.n != 3:
+            raise AdmissibilityError(
+                f"germ {germ.name!r} is on a manifold of dimension "
+                f"{germ.n}; the pipeline holds for S^3 only")
         if not is_bumpy(germ):
             raise AdmissibilityError(f"germ {germ.name!r} is not bumpy")
         if germ.i1 < 1:

@@ -10,11 +10,10 @@ bottoms out in four queries on a real number ``a``:
 
 None of these may ever be answered from unverified floating point: a
 wrong floor silently corrupts an index value and everything built on it.
-A ``CertifiedReal`` is therefore either
-
-  * an exact rational (a ``Fraction``), or
-  * a decimal interval ``[lo, hi]`` enclosing an unknown real, together
-    with a ``declared_irrational`` flag.
+A ``CertifiedReal`` is an interval ``[lo, hi]`` of ``Fraction`` ends
+with a ``declared_irrational`` flag, and it is exact exactly when it is
+a point, ``lo == hi``: a zero-width value is the rational it names,
+however it was built, and a declared-irrational value has width.
 
 Rationality is declared by construction, never inferred numerically: a
 value parsed from "p/q" is rational, a value parsed from "0.414213~6" is
@@ -36,21 +35,20 @@ hidden refinement: inputs carry a fixed number of correct digits, and
 callers that own a finer source re-supply the value with more digits,
 up to the active ``PrecisionBudget``.
 
-The queries are answered on integer rows: ``_row`` writes a value over
-one common denominator, ``_times`` multiplies it by an integer, and
-``_floor`` and ``_ceil`` round the product; ``floor_int`` and
-``ceil_int`` are these at multiplier 1, and ``is_integer``, so ``phi``,
-asks whether the two agree.  ``_placement`` compiles once
-per row and tolerance where m*x sits against the integers and eps, for
-every multiplier m; ``near_vertex`` is it at m = 1.  One rule holds
-throughout: a declared-irrational value equals neither end of its
-interval, so an end on an integer, on eps or on any rational it is
-compared with is excluded.
+The queries are answered on integer rows (lo, hi, d, irrational), a
+point iff lo == hi: ``_row`` writes a value over one common denominator,
+``_times`` multiplies a row by an integer, and ``_floor`` and ``_ceil``
+round a row; ``floor_int`` and ``ceil_int`` round the value's own row,
+and ``is_integer``, so ``phi``, asks whether the two agree.
+``_placement`` compiles once per row and tolerance where m*x sits
+against the integers and eps, for every multiplier m; ``near_vertex`` is
+it at m = 1.  One rule holds throughout: a declared-irrational value
+equals neither end of its interval, so an end on an integer, on eps or
+on any rational it is compared with is excluded.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,19 +72,9 @@ class PrecisionBudget:
             raise ValueError("precision budget must be positive")
 
 
-_ENV_VAR = "GEOINDEX_PRECISION"
-
-
 def default_budget() -> PrecisionBudget:
-    """Default budget; GEOINDEX_PRECISION overrides the digit count."""
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return PrecisionBudget()
-    try:
-        digits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return PrecisionBudget(max_digits=digits)
+    """The built-in budget."""
+    return PrecisionBudget()
 
 
 Rationalish = Union[int, Fraction]
@@ -114,9 +102,10 @@ def _scaled(m: re.Match, K: int) -> int:
 class CertifiedReal:
     """An exact rational or a decimal interval with declared (ir)rationality.
 
-    Invariants: lo <= hi; exact values have lo == hi and are never flagged
-    irrational; interval width stays below 1 so integer straddles are
-    detectable; irrational values have positive width.
+    Invariants: lo <= hi; exact holds iff lo == hi, so a zero-width value
+    is stored as the exact rational it is; interval width stays below 1
+    so integer straddles are detectable; irrational values have positive
+    width.  A literal is kept only where it is the value's centre.
     """
 
     lo: Fraction
@@ -136,18 +125,21 @@ class CertifiedReal:
                 raise ValueError("exact value with nonzero width")
             if self.irrational:
                 raise ValueError("an exact rational cannot be irrational")
-        else:
-            if width >= lo.denominator * hi.denominator:
-                raise ValueError("interval radius must stay below 1/2")
-            if self.irrational and not width:
+        elif width >= lo.denominator * hi.denominator:
+            raise ValueError("interval radius must stay below 1/2")
+        elif not width:
+            if self.irrational:
                 raise ValueError("an irrational value cannot be a point")
+            object.__setattr__(self, "exact", True)
+        if self.literal is not None and Fraction(self.literal) * 2 != lo + hi:
+            object.__setattr__(self, "literal", None)
 
     def __hash__(self) -> int:
         # equal ends have equal lowest terms; hashing those skips the
         # modular inverse of Fraction.__hash__
         lo, hi = self.lo, self.hi
         return hash((lo.numerator, lo.denominator, hi.numerator,
-                     hi.denominator, self.exact, self.irrational))
+                     hi.denominator, self.irrational))
 
     # -- constructors -------------------------------------------------
 
@@ -163,19 +155,15 @@ class CertifiedReal:
         rad = Fraction(radius)
         if rad < 0:
             raise ValueError("radius must be >= 0")
-        if rad == 0:
-            if irrational:
-                raise ValueError("a zero-radius decimal is a rational point")
-            return CertifiedReal(center, center, exact=True, literal=digits)
-        return CertifiedReal(center - rad, center + rad, exact=False,
-                             irrational=irrational, literal=digits)
+        if rad == 0 and irrational:
+            raise ValueError("a zero-radius decimal is a rational point")
+        return _named(CertifiedReal(center - rad, center + rad, False,
+                                    irrational), digits)
 
     @staticmethod
     def interval(lo: Fraction, hi: Fraction,
                  irrational: bool = False) -> "CertifiedReal":
-        if lo == hi and not irrational:
-            return CertifiedReal(lo, hi, exact=True)
-        return CertifiedReal(lo, hi, exact=False, irrational=irrational)
+        return CertifiedReal(lo, hi, False, irrational)
 
     @staticmethod
     def parse(text: str, irrational: bool = False,
@@ -197,10 +185,9 @@ class CertifiedReal:
                     f"({budget.max_digits}) allows: {text!r}")
             # center c/10**K, radius r/10**K
             c, r = _scaled(m, K), 10 ** (K - int(m[4]))
-            return CertifiedReal(Fraction(c - r, 10 ** K),
-                                 Fraction(c + r, 10 ** K), exact=False,
-                                 irrational=irrational,
-                                 literal=text.partition("~")[0])
+            return _named(CertifiedReal(Fraction(c - r, 10 ** K),
+                                        Fraction(c + r, 10 ** K), False,
+                                        irrational), text.partition("~")[0])
         if irrational:
             raise ValueError(
                 f"irrational values need an explicit precision, e.g. "
@@ -298,7 +285,7 @@ class CertifiedReal:
         A declared-irrational value is never an integer."""
         if self.irrational:
             return False
-        x = _times(_row(self), 1)
+        x = _row(self)
         return _floor(x) == _ceil(x)
 
     def sign_vs(self, r: Rationalish) -> int:
@@ -335,6 +322,12 @@ class CertifiedReal:
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]{tag}"
 
 
+def _named(x: CertifiedReal, literal: str) -> CertifiedReal:
+    """x with the literal its ends were built from, attached unchecked."""
+    object.__setattr__(x, "literal", literal)
+    return x
+
+
 @lru_cache(maxsize=4096)
 def _exact(n: int, d: int) -> CertifiedReal:
     """The exact n/d, n/d in lowest terms, shared by every caller."""
@@ -344,12 +337,12 @@ def _exact(n: int, d: int) -> CertifiedReal:
 
 def floor_int(x: CertifiedReal) -> int:
     """Certified floor: the largest integer <= x."""
-    return _floor(_times(_row(x), 1))
+    return _floor(_row(x))
 
 
 def ceil_int(x: CertifiedReal) -> int:
     """Certified ceiling: the smallest integer >= x."""
-    return _ceil(_times(_row(x), 1))
+    return _ceil(_row(x))
 
 
 def phi(x: CertifiedReal) -> int:
@@ -403,37 +396,37 @@ def sqrt_of_fraction(f: Fraction, digits: int = 80) -> CertifiedReal:
 
 # -- integer rows ---------------------------------------------------------
 
-# [lo, hi] as (lo*d, hi*d, d, exact, irrational), d the least common
-# denominator of its ends
-_Row = Tuple[int, int, int, bool, bool]
+# [lo, hi] as (lo*d, hi*d, d, irrational), a point iff lo == hi, as a
+# CertifiedReal is exact iff its ends agree; ``_row`` takes for d the
+# least common denominator of the ends
+_Row = Tuple[int, int, int, bool]
 
 
 def _row(x: CertifiedReal) -> _Row:
     lo, hi = x.lo, x.hi
     d = lcm(lo.denominator, hi.denominator)
     return (lo.numerator * (d // lo.denominator),
-            hi.numerator * (d // hi.denominator), d, x.exact, x.irrational)
+            hi.numerator * (d // hi.denominator), d, x.irrational)
 
 
-def _times(row: _Row, m: int) -> Tuple[int, int, int, bool]:
-    """m*x as (lo, hi, d, irrational), the product [lo/d, hi/d]: a point
-    iff the CertifiedReal product is exact, and a ValueError where that
-    one raises it.  An irrational value is no endpoint."""
-    lo, hi, d, _, irrational = row
+def _times(row: _Row, m: int) -> _Row:
+    """m*x as the row [lo/d, hi/d] of the CertifiedReal product, and a
+    ValueError where that one raises it.  An irrational value is no
+    endpoint."""
+    lo, hi, d, irrational = row
     lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
     if hi - lo >= d:
         raise ValueError("interval radius must stay below 1/2")
     return lo, hi, d, irrational and lo != hi
 
 
-def _lowest(lo: int, hi: int, d: int, exact: bool,
-            irrational: bool) -> _Row:
+def _lowest(lo: int, hi: int, d: int, irrational: bool) -> _Row:
     """[lo/d, hi/d] over its least common denominator."""
     g = gcd(lo, hi, d)
-    return lo // g, hi // g, d // g, exact, irrational
+    return lo // g, hi // g, d // g, irrational
 
 
-def _sign(x: tuple, r: Rationalish) -> int:
+def _sign(x: _Row, r: Rationalish) -> int:
     """Certified sign of [lo/d, hi/d] - r, x = (lo, hi, d, irrational)."""
     lo, hi, d, irrational = x
     rd = r * d
@@ -448,7 +441,7 @@ def _sign(x: tuple, r: Rationalish) -> int:
         f"{'~irr' if irrational else '~'} with {r}")
 
 
-def _floor(x: Tuple[int, int, int, bool]) -> int:
+def _floor(x: _Row) -> int:
     lo, hi, d, irrational = x
     fl = lo // d
     if (hi - irrational) // d != fl:
@@ -457,7 +450,7 @@ def _floor(x: Tuple[int, int, int, bool]) -> int:
     return fl
 
 
-def _ceil(x: Tuple[int, int, int, bool]) -> int:
+def _ceil(x: _Row) -> int:
     lo, hi, d, irrational = x
     c = -(-hi // d)
     if -(-(lo + irrational) // d) != c:
@@ -475,16 +468,16 @@ def _placement(row: _Row, eps: Fraction) -> Callable[[int], Optional[int]]:
     decides it) or a comparison is undecided, and ValueError where
     ``_times`` raises it.  The jump search calls it for every N, so the
     product is formed here and not through ``_times``, and the common
-    answer, far from both ends, is tested first.  A point row (L == H,
-    not declared irrational) is placed by one remainder, {m*x} = f/d:
-    its floor is decided and its width 0, so it never raises.
+    answer, far from both ends, is tested first.  A point row, L == H,
+    is placed by one remainder, {m*x} = f/d: its floor is decided and
+    its width 0, so it never raises.
     """
-    L, H, d, _, irrational = row
+    L, H, d, irrational = row
     a, b = eps.numerator, eps.denominator
     if not 0 < 2 * a <= b:
         raise ValueError("eps must lie in (0, 1/2]")
     a *= d  # an end e/d of {m*x} is below eps iff e*b < a
-    if L == H and not irrational:
+    if L == H:
         def place(m: int) -> Optional[int]:
             f = m * L % d
             return 0 if f * b < a else 1 if (d - f) * b < a else None

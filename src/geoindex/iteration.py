@@ -141,25 +141,24 @@ def _kernel(germ: IndexGerm) -> _Kernel:
         if isinstance(b, N1):
             closing.append((1 if b.eigenvalue == 1 else 2, 1))
         elif isinstance(b, (R, N2)):
-            tl, th, td, t_exact, t_irrational = angle = _row(b.t)
-            if t_exact:  # t = tl/td in lowest terms
+            tl, th, td, t_irrational = angle = _row(b.t)
+            if tl == th:  # t = tl/td in lowest terms
                 closing.append((2 * td // gcd(tl, 2 * td), 2))
-            undeclared = undeclared or not (t_exact or t_irrational)
+            undeclared = undeclared or not (tl == th or t_irrational)
         for a, sign, sp, w in _table(b):  # the point a + sign*t
             if not (a or sign):  # the eigenvalue 1
                 s_plus += sp
                 continue
-            row = ((a, a, 1, True, False) if not sign else angle if sign > 0
-                   else (a * td - th, a * td - tl, td, t_exact or tl == th,
-                         t_irrational))
-            L, H, d, point, irrational = row
+            row = ((a, a, 1, False) if not sign else angle if sign > 0
+                   else (a * td - th, a * td - tl, td, t_irrational))
+            L, H, d, irrational = row
             c += w
-            if point:
+            if L == H:
                 M = lcm(M, d)
             if not w:
                 continue
             rows += [row] * w
-            if L == H:  # exact, or a zero-width interval: m*t/2 is exact
+            if L == H:  # a point: m*t/2 is exact
                 exact.append((2 * w, L, 2 * d))
             else:
                 interval.append((2 * w, L, H, 2 * d, irrational))
@@ -172,8 +171,7 @@ def _kernel(germ: IndexGerm) -> _Kernel:
                 if L != H:
                     wide.append(irrational)
     slope = germ.i1 + s_plus - c
-    mean = _lowest(slope * den + lo, slope * den + hi, den, not wide,
-                   wide == [True])
+    mean = _lowest(slope * den + lo, slope * den + hi, den, wide == [True])
     return _Kernel(slope, s_plus + c, s_plus, c, tuple(exact),
                    tuple(interval), tuple(closing), undeclared,
                    tuple(rows), M, mean)
@@ -272,8 +270,8 @@ def mean_index(germ: IndexGerm) -> CertifiedReal:
     Exact whenever it mathematically is: block-internal conjugate angle
     pairs cancel before any interval arithmetic happens.
     """
-    L, H, d, exact, irrational = _kernel(germ).mean
-    return CertifiedReal(Fraction(L, d), Fraction(H, d), exact, irrational)
+    L, H, d, irrational = _kernel(germ).mean
+    return CertifiedReal.interval(Fraction(L, d), Fraction(H, d), irrational)
 
 
 def deviation_bounds(germ: IndexGerm) -> Tuple[int, int]:
@@ -312,7 +310,7 @@ def _growth_horizon(germ: IndexGerm, target: int) -> int:
     k = _kernel(germ)
     if _sign(_times(k.mean, 1), 0) <= 0:  # raising as mean_index(germ).gt(0)
         raise Unbounded(f"germ {germ.name!r} has nonpositive mean index")
-    L, H, d, exact, irrational = k.mean
+    L, H, d, irrational = k.mean
     if L == 0:  # declared irrational, so positive, but not bounded away
         raise PrecisionInsufficient(f"mean index of {germ.name!r} has an end "
                                     f"at 0: 1/mean is unbounded")
@@ -321,8 +319,7 @@ def _growth_horizon(germ: IndexGerm, target: int) -> int:
     if n * d * (H - L) >= L * H:  # n/mean = [n*d/H, n*d/L]
         raise ValueError(f"1/mean of {germ.name!r} is [{d / H!r}, {d / L!r}]"
                          f", too wide for a growth horizon")
-    horizon = max(1, _ceil(_times((d * L, d * H, L * H, exact, irrational),
-                                  n)))
+    horizon = max(1, _ceil(_times((d * L, d * H, L * H, irrational), n)))
     if horizon > _HORIZON_MAX:
         raise Unbounded(f"growth horizon of {germ.name!r} is {horizon} "
                         f"iterates, beyond the {_HORIZON_MAX} a walk may take")

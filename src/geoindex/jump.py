@@ -144,8 +144,9 @@ class JumpProblem:
     @property
     def v(self) -> Tuple[CertifiedReal, ...]:
         """The vertex coordinates as values, read off their rows."""
-        return tuple(CertifiedReal(Fraction(L, d), Fraction(H, d), *flags)
-                     for L, H, d, *flags in self.v_rows)
+        return tuple(CertifiedReal.interval(Fraction(L, d), Fraction(H, d),
+                                            irrational)
+                     for L, H, d, irrational in self.v_rows)
 
 
 @dataclass(frozen=True)
@@ -238,13 +239,13 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
                 f"mean index of {germ.name!r} straddles 0: {exc}")
         if rho == 0:
             raise ZeroMeanIndex(f"germ {germ.name!r} has mean index 0")
-        L, H, d, exact, irrational = k.mean
+        L, H, d, irrational = k.mean
         if 0 in (L, H):  # declared irrational, so not 0 itself
             raise ZeroMeanIndex(f"mean index of {germ.name!r} has an end at "
                                 f"0: 1/mean is unbounded")
         M = lcm(M, k.M)
         curves.append(CurveProblem(germ, rho, k))
-        sizes.append(k.mean if rho > 0 else (-H, -L, d, exact, irrational))
+        sizes.append(k.mean if rho > 0 else (-H, -L, d, irrational))
 
     mu_max = max(len(c.kernel.rows) for c in curves)
     if 2 * mu_max * delta.numerator >= delta.denominator:
@@ -253,8 +254,8 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
 
     if eps is None:
         scale = 1
-        for L, H, d, exact, irrational in sizes:  # cand = M*|mean|
-            cand = _times(_lowest(M * L, M * H, d, exact, irrational), 1)
+        for size in sizes:  # cand = M*|mean|
+            cand = _times(size, M)
             if _sign(cand, scale) > 0:
                 scale = _ceil(cand)
         eps = delta / (2 * scale)
@@ -262,12 +263,12 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
     if not 0 < 2 * eps.numerator < eps.denominator:
         raise ValueError("epsilon must lie in (0, 1/2)")
 
-    one = (1, 1, 1, True, False)          # the row of the exact 1
+    one = (1, 1, 1, False)                # the row of the exact 1
     v = [_quotient(one, size, c.germ.name, M)
          for c, size in zip(curves, sizes)]
     for c, size in zip(curves, sizes):
         for row in c.kernel.rows:
-            if row == size and (row[3] or row[4]):
+            if row == size and (row[0] == row[1] or row[3]):
                 v.append(one)  # same declared real above and below the bar
             else:
                 v.append(_quotient(row, size, c.germ.name))
@@ -276,9 +277,9 @@ def build_problem(germs: Sequence[IndexGerm], delta: Fraction,
 
 def _quotient(x: _Row, y: _Row, name: str, m: int = 1) -> _Row:
     """x/(m*y) for x > 0 and y = |mean| of curve name, m >= 1, as
-    CertifiedReal division forms it, flags and ValueErrors included (one
-    from 1/(m*y) names the curve): [x.lo/(m*y.hi), x.hi/(m*y.lo)]."""
-    p, r, q, exact, irrational = x
+    CertifiedReal division forms it, its flag and ValueErrors included
+    (one from 1/(m*y) names the curve): [x.lo/(m*y.hi), x.hi/(m*y.lo)]."""
+    p, r, q, irrational = x
     A, B, d, y_irrational = _times(y, m)
     if d * (B - A) >= A * B:  # 1/(m*y) = [d/B, d/A]
         raise ValueError(f"1/|mean| of {name!r} is [{m * d / B!r}, "
@@ -286,8 +287,8 @@ def _quotient(x: _Row, y: _Row, name: str, m: int = 1) -> _Row:
     lo, hi, den = p * d * A, r * d * B, q * A * B
     if hi - lo >= den:
         raise ValueError("interval radius must stay below 1/2")
-    irrational = (irrational and A == B) or (y_irrational and exact)
-    return _lowest(lo, hi, den, lo == hi and not irrational, irrational)
+    irrational = (irrational and A == B) or (y_irrational and p == r)
+    return _lowest(lo, hi, den, irrational)
 
 
 def _compiled(owner, rows: Sequence[_Row], eps: Fraction) -> tuple:
@@ -316,7 +317,7 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     """
     count = 0
     for j, row in enumerate(curve.kernel.rows):
-        if row[3]:  # exact
+        if row[0] == row[1]:  # a point
             if m_i * row[0] % row[2]:
                 return None  # rational angle must close up exactly
             continue
@@ -385,8 +386,8 @@ def _rounding_clauses(problem: JumpProblem, cert: JumpCertificate
             yield "rounding-sum", lhs == rhs, (who, ("lhs", lhs), ("rhs", rhs))
             places = _compiled(curve, rows, problem.delta)
             for j, (row, place) in enumerate(zip(rows, places)):
-                L, _, d, exact, _ = row
-                if exact:
+                L, H, d, _ = row
+                if L == H:
                     yield ("rational-integrality", m_i * L % d == 0,
                            (who, ("alpha", str(Fraction(L, d))), ("m", m_i)))
                 else:
@@ -452,8 +453,8 @@ def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
         # Q_i(m) weighs the rational points p/q that 2m_i closes up
         # (m_i*p/q integral) and m closes up too (m*p/(2q) integral)
         qs = _period_sums([(2 * q // gcd(p, 2 * q), 1)
-                           for p, _, q, exact, _ in k.rows
-                           if exact and m_i * p % q == 0], ms)
+                           for p, h, q, _ in k.rows
+                           if p == h and m_i * p % q == 0], ms)
         top = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
         reflected = two_n - 2 * k.s_plus  # (J-) less i(m) and 2Q_i(m)
         clauses = _jump_walk(k, who, m_i, two_n, top, reflected, around,
@@ -549,7 +550,7 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     places = _compiled(problem, rows, problem.epsilon)
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
-    exact = [j for j, row in enumerate(rows) if _exact(row)]
+    exact = [j for j, (L, H, _, _) in enumerate(rows) if L == H]
     stepped = exact if exact[:1] == [0] else [0]
     order = stepped + [j for j in range(len(rows)) if j not in stepped]
     rest = [places[j] for j in order[len(stepped):]]
@@ -574,12 +575,6 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     raise NotFound(n_max)
 
 
-def _exact(row: _Row) -> bool:
-    """Whether row is a point that _placement places by one remainder."""
-    L, H, _, _, irrational = row
-    return L == H and not irrational
-
-
 def _walk(rows: Sequence[_Row], places: Sequence[Callable], first: int,
           n_max: int, M0: int) -> Iterator[Tuple[int, tuple]]:
     """(N, sides) for each N = first, first + M0, ... <= n_max at which
@@ -592,8 +587,8 @@ def _walk(rows: Sequence[_Row], places: Sequence[Callable], first: int,
     interval row never repeats, and its one period spans the range."""
     *below, row = rows
     P = max(n_max, 0) + 1
-    if all(map(_exact, rows)):
-        P = lcm(M0, *(d for _, _, d, _, _ in rows))
+    if all(L == H for L, H, _, _ in rows):
+        P = lcm(M0, *(d for _, _, d, _ in rows))
     end, place, hits = min(first + P, n_max + 1), places[-1], []
     replay = end <= n_max
     if below:  # row is exact: it never raises

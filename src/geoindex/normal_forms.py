@@ -142,10 +142,8 @@ def _table(block: BasicBlock) -> Tuple[Tuple[int, int, int, int], ...]:
 
 
 def _conjugate(t: CertifiedReal) -> CertifiedReal:
-    """2 - t as one value; a zero-width interval comes out exact, as
-    from CertifiedReal arithmetic."""
-    lo, hi = 2 - t.hi, 2 - t.lo
-    return CertifiedReal(lo, hi, t.exact or lo == hi, t.irrational)
+    """2 - t as one value, as from CertifiedReal arithmetic."""
+    return CertifiedReal(2 - t.hi, 2 - t.lo, t.exact, t.irrational)
 
 
 def block_dim(block: BasicBlock) -> int:

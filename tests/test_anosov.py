@@ -126,6 +126,22 @@ def test_an_echo_names_the_budget_its_literals_need():
         forced_top_system().germs)
 
 
+def test_an_echo_writes_a_literal_only_for_its_value():
+    # c3's parsed angle moved by 10**-4 keeps no literal: the echo writes
+    # the moved value, and the report decides on the system it echoes
+    c1, c2, c3 = serialize.system_from_dict(
+        serialize.system_to_dict(forced_top_system().germs))
+    t = c3.blocks[0].t
+    step = Fraction(1, 10 ** 4)
+    moved = replace(t, lo=t.lo + step, hi=t.hi + step)
+    assert t.literal and moved.literal is None
+    assert serialize.number_to_str(moved) != serialize.number_to_str(t)
+    germs = (c1, c2, replace(c3, blocks=(R(moved),) + c3.blocks[1:]))
+    assert not serialize._echoes_exactly(germs)
+    report = run_pipeline(GeodesicSystem(germs), CONFIG)
+    assert report.final == "CONTRADICTION(forced-top)" and replay(report)
+
+
 def test_mismatch_dies_in_gamma_window():
     report = run_pipeline(mismatch_system(), CONFIG)
     assert report.final == "CONTRADICTION(gamma-window)"
@@ -419,6 +435,24 @@ def test_admissibility_rejects_rational_angles():
         hyperbolic_germ("c", 2, (3, 7)))
     with pytest.raises(AdmissibilityError):
         run_pipeline(degenerate, CONFIG)
+
+
+def test_admissibility_refuses_other_manifolds(tmp_path, capsys):
+    # one more D(5) per germ puts each on a 4-manifold, where the Betti
+    # numbers the stages cite, those of S^3's loop space, do not hold
+    line = ("germ 'c1' is on a manifold of dimension 4; the pipeline holds "
+            "for S^3 only")
+    for system in (forced_top_system(), mismatch_system()):
+        germs = tuple(IndexGerm(g.name, g.i1, g.blocks + (D(CR.rational(5)),),
+                                n=4) for g in system.germs)
+        with pytest.raises(AdmissibilityError) as refused:
+            run_pipeline(GeodesicSystem(germs), CONFIG)
+        assert str(refused.value) == line
+        path = tmp_path / "dim4.json"
+        path.write_text(serialize.dumps(serialize.system_to_dict(germs)),
+                        encoding="utf-8")
+        assert main(["anosov", "--system", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_admissibility_rejects_zero_index():

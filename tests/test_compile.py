@@ -9,8 +9,8 @@ Each number must equal, as the same integer tuple, what the walkers and
 reference builders of ``tests/oracle.py`` compute in ``CertifiedReal``
 arithmetic, or fail with the same exception and message, on every block
 kind: N1 at +1 and -1, D, trivial and nontrivial N2, and R with an
-exact, a decimal-interval, a declared-irrational and a zero-width-interval
-angle.
+exact, a decimal-interval and a declared-irrational angle.  A zero-width
+interval built not exact comes out exact, and counts as an exact angle.
 """
 
 import random
@@ -51,6 +51,7 @@ def _angle(rng, kind):
             g = rng.choice(GRIDS)
             f = Fraction(rng.randint(1, 2 * g - 1), g)
             t = CR(f, f, exact=False)
+            assert t.exact and t == CR.rational(f), t
         try:
             return R(t).t
         except (ValueError, PrecisionInsufficient):
@@ -87,10 +88,7 @@ def _outcome(fn, *args):
 
 
 def _kind(t):
-    if t.exact:
-        return "exact"
-    return ("irrational" if t.irrational else "point" if t.lo == t.hi
-            else "decimal")
+    return "exact" if t.exact else "irrational" if t.irrational else "decimal"
 
 
 def _failure(fn, *args):
@@ -174,9 +172,9 @@ def test_compile_matches_block_walkers():
             else:
                 seen["D"] += 1
     # every block kind and angle kind; exact, interval and too wide means
-    assert len(seen) == 3 + 2 + 1 + 4 + 2 * 4 and min(seen.values()) >= 1, seen
+    assert len(seen) == 3 + 2 + 1 + 3 + 2 * 3 and min(seen.values()) >= 1, seen
     wide = _EDGES["edge.widemean"]
-    assert _kernel(wide).mean == (11, 17, 5, False, False)  # [2.2, 3.4]
+    assert _kernel(wide).mean == (11, 17, 5, False)  # [2.2, 3.4]
     assert [index_at(wide, m) for m in (1, 2)] == [3, 6]
     assert index_oracle(wide, 2) == 6
 
@@ -186,7 +184,7 @@ def _angle_terms(blocks):
     per weighted point angle, (2w, lo, hi, 2d, irrational) per other."""
     exact, interval = [], []
     for t, w in weighted_angles(blocks):
-        L, H, d, _, irrational = _row(t)
+        L, H, d, irrational = _row(t)
         if L == H:
             exact.append((2 * w, L, 2 * d))
         else:

@@ -44,7 +44,7 @@ def test_build_problem_worked_example():
     prob = build_problem([B], DELTA, DELTA, 1)
     c = prob.curves[0]
     assert c.kernel.slope == 0
-    assert sorted(Fraction(L, d) for L, _, d, _, _ in c.kernel.rows) == [
+    assert sorted(Fraction(L, d) for L, _, d, _ in c.kernel.rows) == [
         Fraction(1, 3), Fraction(1, 2)]
     assert mean_index(c.germ).lo == Fraction(5, 6)
     assert prob.M == 6
@@ -437,8 +437,8 @@ def _point_clauses(curve, m_i, N, delta_i, m_bar):
     if 2 * m_i <= m_bar:
         yield "horizon-room", False, (who, ("m", m_bar), ("m_i", m_i))
         return
-    closed = [(p, 2 * q) for p, _, q, exact, _ in k.rows
-              if exact and m_i * p % q == 0]
+    closed = [(p, 2 * q) for p, h, q, _ in k.rows
+              if p == h and m_i * p % q == 0]
     two_n = 2 * curve.rho * N
     top = _index(k, 2 * m_i)
     want = two_n - (k.s_plus + k.c - 2 * delta_i)
@@ -641,10 +641,10 @@ def test_walk_steps_exact_coordinates_over_their_periods():
             d = rng.randint(1, 40)
             L = rng.randint(-2 * d, 2 * d)
             rows.append((L // gcd(L, d), L // gcd(L, d), d // gcd(L, d),
-                         True, False))
+                         False))
         if rng.random() < 0.25:  # an interval first row is walked N by N
             L, d = rng.randint(-80, 80), 1000 * rng.randint(1, 40)
-            rows[0] = (L, L + rng.randint(1, 3), d, False, rng.random() < 0.5)
+            rows[0] = (L, L + rng.randint(1, 3), d, rng.random() < 0.5)
         eps = Fraction(1, rng.choice((3, 5, 7)))
         M0 = rng.randint(1, 4)
         first = M0 * rng.randint(1, 50)
@@ -655,7 +655,7 @@ def test_walk_steps_exact_coordinates_over_their_periods():
         want = _stream(places, first, n_max, M0)
         assert _walked(rows, places, first, n_max, M0) == want, (rows, eps,
                                                                  M0)
-        if rows[0][3]:
+        if rows[0][0] == rows[0][1]:
             past_first += n_max >= first + periods[0]
             past_deeper += any(P > periods[0] and n_max >= first + P
                                for P in periods[1:])
@@ -679,9 +679,8 @@ def test_search_matches_the_every_n_scan():
     corpus = jump_corpus(100)
     later = deeper = 0
     for k, germs in enumerate(corpus):
-        L, H, d, _, irrational = build_problem(germs,
-                                               Fraction(1, 64)).v_rows[0]
-        if not (L == H and not irrational and d <= 300 or k in (3, 5)):
+        L, H, d, _ = build_problem(germs, Fraction(1, 64)).v_rows[0]
+        if not (L == H and d <= 300 or k in (3, 5)):
             continue
         for p, M0, n_min, n_max in ((1, 1, 5, 997), (3, 2, 7, 600),
                                     (1, 3, 5, 997), (1, 2, -3, 0),
@@ -693,9 +692,9 @@ def test_search_matches_the_every_n_scan():
             want = _search_outcome(
                 lambda *a: search_oracle(*a, 8), problem, n_min, n_max)
             assert got == want, (k, p, M0)
-            ds = [row[2] for row in problem.v_rows if jump._exact(row)]
-            if (jump._exact(problem.v_rows[0])
-                    and got.startswith("JumpCertificate")):
+            ds = [d for L, H, d, _ in problem.v_rows if L == H]
+            v0 = problem.v_rows[0]
+            if v0[0] == v0[1] and got.startswith("JumpCertificate"):
                 first = -(-n_min // M0) * M0
                 N = search(problem, n_min, n_max, m_bar=8).N
                 later += N >= first + lcm(M0, ds[0])
@@ -736,7 +735,7 @@ def test_not_found_comes_where_a_later_coordinate_goes_too_wide(
     h7 = IndexGerm("h7", 7, (D(CR.rational(2)), D(CR.rational(-2))))
     problem = build_problem([h5, w, h7], Fraction(1, 16), Fraction(1, 16), 1)
     rows = problem.v_rows
-    exact = [j for j, row in enumerate(rows) if jump._exact(row)]
+    exact = [j for j, (L, H, _, _) in enumerate(rows) if L == H]
     assert exact == [0, 2] and [rows[j][2] for j in exact] == [5, 7]
     placed.clear()
     with pytest.raises(NotFound) as stepped:
@@ -758,12 +757,12 @@ def test_search_holds_little_memory():
     corpus = jump_corpus(100)
     for k, n_max, want in ((18, 10 ** 5, None), (41, 10 ** 6, 397980)):
         problem = build_problem(corpus[k], Fraction(1, 64), Fraction(1, 64))
-        ds = [row[2] for row in problem.v_rows if jump._exact(row)]
+        ds = [d for L, H, d, _ in problem.v_rows if L == H]
+        L, H, _, _ = problem.v_rows[0]
         if want is None:
-            assert not jump._exact(problem.v_rows[0])
+            assert L != H
         else:
-            assert want > lcm(*ds[:2]) > ds[0] and jump._exact(
-                problem.v_rows[0])
+            assert want > lcm(*ds[:2]) > ds[0] and L == H
         tracemalloc.start()
         try:
             N = search(problem, 1, n_max, m_bar=8).N

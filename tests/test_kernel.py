@@ -18,8 +18,10 @@ from geoindex.iteration import (IndexGerm, IndexProfile, _index,
                                 _index_range, _kernel, _nullity,
                                 _nullity_range, bott_positive, germ_mbar,
                                 index_at, nullity_at)
+from geoindex.jump import build_problem
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
-                                   R)
+                                   R, nullity_contribution)
+from geoindex.serialize import number_to_str
 
 from .corpus import random_germ
 from .oracle import index_oracle, nullity_oracle, weighted_angles
@@ -248,6 +250,27 @@ def test_wide_interval_is_undecided():
         index_at(h, m)
     with pytest.raises(PrecisionInsufficient):
         IndexProfile(h, m).entry(m)
+
+
+def test_a_zero_width_angle_is_its_exact_twin():
+    point = CR(Fraction(1, 3), Fraction(1, 3), exact=False)
+    twin = CR.rational(Fraction(1, 3))
+    assert point == twin and hash(point) == hash(twin) and point.exact
+    assert point.eq_certified(twin) is True
+    assert point.eq_certified(point) is True
+    assert number_to_str(point) == "1/3"
+    nu = [0, 0, 0, 0, 0, 2]
+    for block in (R, lambda t: N2(t, True)):
+        assert [nullity_contribution(block(point), m)
+                for m in range(1, 7)] == nu
+    # differently named germs, so each kernel is compiled on its own
+    germs = [IndexGerm(name, 1, (R(t), D(CR.rational(2))))
+             for name, t in (("point", point), ("twin", twin))]
+    for g in germs:
+        assert [nullity_at(g, m) for m in range(1, 7)] == nu, g.name
+    assert _kernel(germs[0]) == _kernel(germs[1])
+    rows = [build_problem([g], Fraction(1, 64)).v_rows for g in germs]
+    assert rows[0] == rows[1]
 
 
 def test_germ_caches_are_bounded():

@@ -144,7 +144,7 @@ def test_integer_placement_matches_oracle():
             assert _outcome(_floor, alpha, m) == want, (alpha, m)
             seen["floor", want if isinstance(want, str) else "value"] += 1
             if alpha.exact:
-                p, _, q, _, _ = exact._row(alpha)
+                p, _, q, _ = exact._row(alpha)
                 assert (m * p % q == 0) == ((alpha.lo * m).denominator == 1)
             lo, hi = sorted((alpha.lo * m, alpha.hi * m))
             for eps in _tolerances(rng, lo, hi):
@@ -206,7 +206,7 @@ def _on_grid(rng, curve):
     """An iterate that puts m*alpha on or near an integer for some angle."""
     if not curve.kernel.rows:
         return rng.randint(1, 30)
-    _, _, d, _, _ = rng.choice(curve.kernel.rows)
+    _, _, d, _ = rng.choice(curve.kernel.rows)
     return d * rng.randint(1, 4) + rng.choice((-1, 0, 0, 1))
 
 

@@ -9,7 +9,9 @@ library modules may name it.  The jump problem is set up on integers,
 so a third keeps the value constructions out of that path.  The value
 types are slotted, so a kept germ carries no per-instance dict.  The
 package has no runtime dependency, so importing it loads only the
-standard library.
+standard library.  The library reads no environment variable: a setting
+read from there is an option like any other, and one must be added here
+on purpose.
 """
 
 import argparse
@@ -72,6 +74,9 @@ INTEGER_SETUP = {"iteration.py": {"_kernel", "_growth_horizon"},
                              "scale"}}
 VALUE_CALLS = {"CertifiedReal", "interval", "rational", "mean_index",
                "_conjugate"}
+# The ways a module reads the environment: os.environ, os.getenv and
+# their bytes forms, imported or not.
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def test_public_names_are_pinned():
@@ -101,20 +106,29 @@ def test_oracles_import_no_search_code():
     assert private <= KNOWN_SHARED | BLOCK_INPUT, private
 
 
-def test_range_kernel_stays_in_iteration_and_jump():
+def _library_names():
+    """(module file name, every name it imports or reads) per module."""
     for path in sorted(Path(geoindex.__file__).parent.glob("*.py")):
-        if path.name in RANGE_MODULES:
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
         named = set()
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 named.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-        assert not named & RANGE_KERNEL, path.name
+        yield path.name, named
+
+
+def test_range_kernel_stays_in_iteration_and_jump():
+    for name, named in _library_names():
+        if name not in RANGE_MODULES:
+            assert not named & RANGE_KERNEL, name
+
+
+def test_library_reads_no_environment():
+    for name, named in _library_names():
+        assert not named & ENVIRONMENT, name
 
 
 def test_jump_setup_builds_no_values():
