@@ -11,9 +11,9 @@ bottoms out in four queries on a real number ``a``:
 None of these may ever be answered from unverified floating point: a
 wrong floor silently corrupts an index value and everything built on it.
 A ``CertifiedReal`` is an interval ``[lo, hi]`` of ``Fraction`` ends
-with a ``declared_irrational`` flag, and it is exact exactly when it is
-a point, ``lo == hi``: a zero-width value is the rational it names,
-however it was built, and a declared-irrational value has width.
+with an ``irrational`` flag, and nothing else: it is exact exactly when
+it is a point, ``lo == hi``, so a zero-width value is the rational it
+names, however it was built, and a declared-irrational value has width.
 
 Rationality is declared by construction, never inferred numerically: a
 value parsed from "p/q" is rational, a value parsed from "0.414213~6" is
@@ -22,9 +22,8 @@ what makes boundary cases decidable: if an interval's endpoint is the
 integer 3 but the enclosed value is declared irrational, the value is
 certainly not 3 and the floor is still determined.
 
-Two identical decimal literals (same digits, same radius, same flag)
-denote the *same* unknown real; distinct overlapping literals can never
-be certified equal.
+Two declared-irrational values with the same ends denote the *same*
+unknown real; distinct overlapping values can never be certified equal.
 
 The type is frozen, so ``CertifiedReal.rational`` returns one shared
 instance per value, from a bounded cache: every ``D(2)`` block holds it.
@@ -102,17 +101,16 @@ def _scaled(m: re.Match, K: int) -> int:
 class CertifiedReal:
     """An exact rational or a decimal interval with declared (ir)rationality.
 
-    Invariants: lo <= hi; exact holds iff lo == hi, so a zero-width value
-    is stored as the exact rational it is; interval width stays below 1
-    so integer straddles are detectable; irrational values have positive
-    width.  A literal is kept only where it is the value's centre.
+    A value is its ends and its flag.  Invariants: lo <= hi; interval
+    width stays below 1 so integer straddles are detectable; irrational
+    values have positive width.  ``exact`` is worked out from the ends,
+    lo == hi, and stored once, as the queries read it on every call.
     """
 
     lo: Fraction
     hi: Fraction
-    exact: bool
-    irrational: bool = False
-    literal: Optional[str] = field(default=None, compare=False)
+    irrational: bool = field(default=False, kw_only=True)
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
@@ -120,19 +118,11 @@ class CertifiedReal:
         width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
         if width < 0:
             raise ValueError("empty interval")
-        if self.exact:
-            if width:
-                raise ValueError("exact value with nonzero width")
-            if self.irrational:
-                raise ValueError("an exact rational cannot be irrational")
-        elif width >= lo.denominator * hi.denominator:
+        if width >= lo.denominator * hi.denominator:
             raise ValueError("interval radius must stay below 1/2")
-        elif not width:
-            if self.irrational:
-                raise ValueError("an irrational value cannot be a point")
-            object.__setattr__(self, "exact", True)
-        if self.literal is not None and Fraction(self.literal) * 2 != lo + hi:
-            object.__setattr__(self, "literal", None)
+        if not width and self.irrational:
+            raise ValueError("an irrational value cannot be a point")
+        object.__setattr__(self, "exact", not width)
 
     def __hash__(self) -> int:
         # equal ends have equal lowest terms; hashing those skips the
@@ -151,19 +141,17 @@ class CertifiedReal:
     @staticmethod
     def decimal(digits: str, radius: Rationalish,
                 irrational: bool = False) -> "CertifiedReal":
+        # the constructor refuses a negative radius (an empty interval)
+        # and a zero one if irrational (an irrational point)
         center = Fraction(digits)
         rad = Fraction(radius)
-        if rad < 0:
-            raise ValueError("radius must be >= 0")
-        if rad == 0 and irrational:
-            raise ValueError("a zero-radius decimal is a rational point")
-        return _named(CertifiedReal(center - rad, center + rad, False,
-                                    irrational), digits)
+        return CertifiedReal(center - rad, center + rad,
+                             irrational=irrational)
 
     @staticmethod
     def interval(lo: Fraction, hi: Fraction,
                  irrational: bool = False) -> "CertifiedReal":
-        return CertifiedReal(lo, hi, False, irrational)
+        return CertifiedReal(lo, hi, irrational=irrational)
 
     @staticmethod
     def parse(text: str, irrational: bool = False,
@@ -185,9 +173,9 @@ class CertifiedReal:
                     f"({budget.max_digits}) allows: {text!r}")
             # center c/10**K, radius r/10**K
             c, r = _scaled(m, K), 10 ** (K - int(m[4]))
-            return _named(CertifiedReal(Fraction(c - r, 10 ** K),
-                                        Fraction(c + r, 10 ** K), False,
-                                        irrational), text.partition("~")[0])
+            return CertifiedReal(Fraction(c - r, 10 ** K),
+                                 Fraction(c + r, 10 ** K),
+                                 irrational=irrational)
         if irrational:
             raise ValueError(
                 f"irrational values need an explicit precision, e.g. "
@@ -266,11 +254,8 @@ class CertifiedReal:
             if o.irrational and 0 in (o.lo, o.hi):  # nonzero, 1/o unbounded
                 raise ValueError(f"reciprocal of {o.describe()} is unbounded")
             raise ZeroDivisionError("divisor interval touches zero")
-        if o.exact:
-            return self * CertifiedReal.rational(Fraction(1, 1) / o.lo)
-        inv = CertifiedReal.interval(Fraction(1, 1) / o.hi,
-                                     Fraction(1, 1) / o.lo, o.irrational)
-        return self * inv if not self.exact else inv * self
+        return self * CertifiedReal(1 / o.hi, 1 / o.lo,
+                                    irrational=o.irrational)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -312,7 +297,7 @@ class CertifiedReal:
         if self.irrational != other.irrational and (self.exact or other.exact):
             return False  # exact rational vs declared-irrational
         if self.irrational and other.irrational and self == other:
-            return True  # identical literal: the same declared real
+            return True  # same ends and flag: the same declared real
         return None
 
     def describe(self) -> str:
@@ -322,17 +307,11 @@ class CertifiedReal:
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]{tag}"
 
 
-def _named(x: CertifiedReal, literal: str) -> CertifiedReal:
-    """x with the literal its ends were built from, attached unchecked."""
-    object.__setattr__(x, "literal", literal)
-    return x
-
-
 @lru_cache(maxsize=4096)
 def _exact(n: int, d: int) -> CertifiedReal:
     """The exact n/d, n/d in lowest terms, shared by every caller."""
     f = Fraction(n, d)
-    return CertifiedReal(f, f, exact=True)
+    return CertifiedReal(f, f)
 
 
 def floor_int(x: CertifiedReal) -> int:

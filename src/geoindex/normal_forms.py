@@ -143,7 +143,7 @@ def _table(block: BasicBlock) -> Tuple[Tuple[int, int, int, int], ...]:
 
 def _conjugate(t: CertifiedReal) -> CertifiedReal:
     """2 - t as one value, as from CertifiedReal arithmetic."""
-    return CertifiedReal(2 - t.hi, 2 - t.lo, t.exact, t.irrational)
+    return CertifiedReal(2 - t.hi, 2 - t.lo, irrational=t.irrational)
 
 
 def block_dim(block: BasicBlock) -> int:

@@ -1,8 +1,9 @@
 """Lossless dict/JSON forms for systems, certificates, and reports.
 
 Rationals travel as "p/q" strings, decimal intervals as "digits~k" with
-an irrationality flag, so every exact-arithmetic value survives a round
-trip.
+an irrationality flag, written from a value's ends alone: a decimal at
+radius 10**-k is written as itself, and any other interval widened to a
+literal that contains it.
 
 ``dumps`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2) + "\n"`` with one recursive function, where the json module's
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import (_DECIMAL, CertifiedReal, PrecisionBudget, _digits,
-                    default_budget)
+                    _row, _Row, default_budget)
 from .iteration import IndexGerm
 from .jump import JumpCertificate, ScaledCertificate
 from .normal_forms import (BasicBlock, D, KIND_NONTRIVIAL, KIND_TRIVIAL,
@@ -27,38 +28,52 @@ from .normal_forms import (BasicBlock, D, KIND_NONTRIVIAL, KIND_TRIVIAL,
 
 
 def number_to_str(x: CertifiedReal) -> str:
+    """x as "p/q" if exact, else as a "digits~k" literal read from its
+    ends: x itself where it is one, else x widened."""
     if x.exact:
         return str(x.lo)
-    k = _literal_digits(x)
-    if k:
-        return f"{x.literal}~{k}"
-    # synthesize: widen to a power-of-ten radius covering the interval,
-    # k the least k >= 1 with 10**-(k + 1) < a/b, the width, up to 390;
-    # 10**j > b/a holds at j = e + 1 and fails at j = e - 1
-    a, b = (x.hi - x.lo).as_integer_ratio()
-    e = max(0, len(str(b)) - len(str(a)))
-    j = e if a * 10 ** e > b else e + 1
+    lo, hi, d, _ = row = _row(x)
+    literal = _literal(row)
+    if literal:
+        return literal
+    # widen to k = j - 1, j the least j with 10**-j < (hi - lo)/d, the
+    # width (10**j > d/(hi - lo) holds at e + 1, fails at e - 1); up to
+    # 390, and at least 1: a width above 1/10 may overhang that literal
+    e = max(0, len(str(d)) - len(str(hi - lo)))
+    j = e if (hi - lo) * 10 ** e > d else e + 1
     k = min(390, max(1, j - 1))
-    scale = 10 ** k
-    center = (x.lo + x.hi) / 2
-    scaled = round(center * scale)
-    digits = _scaled_to_decimal(scaled, k)
-    return f"{digits}~{k}"
+    scaled = round(Fraction(lo + hi, 2 * d) * 10 ** k)
+    if j < 2 and not ((scaled - 1) * d <= 10 * lo
+                      and 10 * hi <= (scaled + 1) * d):
+        raise ValueError(f"no literal at radius 1/10 contains {x.describe()}")
+    return f"{_scaled_to_decimal(scaled, k)}~{k}"
 
 
-def _literal_digits(x: CertifiedReal) -> int:
-    """k if number_to_str writes x as its decimal literal "literal~k"."""
-    r = (x.hi - x.lo) / 2
-    s = str(r.denominator)
-    return (len(s) - 1 if r.numerator == 1 and s.rstrip("0") == "1"
-            and _DECIMAL.fullmatch(x.literal or "") else 0)
+def _literal(row: _Row) -> Optional[str]:
+    """The literal "c~k" that is the row [lo/d, hi/d] itself, if any: radius
+    10**-k, centre c at the fewest digits, at least k, that write it."""
+    lo, hi, d, _ = row
+    w = hi - lo  # the radius w/(2d) is 10**-k iff 2d = w * 10**k
+    q, r = divmod(2 * d, w)
+    k = len(str(q)) - 1
+    if r or not k or q != 10 ** k:
+        return None
+    # the centre times 10**(k + j) is (lo + hi) * 10**j / w: an integer
+    # at j = max(a, b) < w.bit_length() if w / gcd(lo + hi, w) is
+    # 2**a * 5**b, at no j otherwise
+    for j in range(w.bit_length()):
+        c, r = divmod((lo + hi) * 10 ** j, w)
+        if not r:
+            return f"{_scaled_to_decimal(c, k + j)}~{k}"
+    return None
 
 
 def _echoes_exactly(germs: Sequence[IndexGerm]) -> bool:
-    """Whether system_to_dict writes each number of germs as itself."""
-    numbers = (b.lam if isinstance(b, D) else b.t
-               for g in germs for b in g.blocks if not isinstance(b, N1))
-    return all(x.exact or _literal_digits(x) for x in numbers)
+    """Whether system_to_dict writes each number of germs as itself; a
+    D block writes no flag, so it loses a declared-irrational one."""
+    pairs = ((b.lam, b.lam.irrational) if isinstance(b, D) else (b.t, False)
+             for g in germs for b in g.blocks if not isinstance(b, N1))
+    return all(x.exact or not lost and _literal(_row(x)) for x, lost in pairs)
 
 
 def _scaled_to_decimal(scaled: int, k: int) -> str:

@@ -26,9 +26,11 @@ holds them only as the germ's compiled kernel.
 
 ``parse_oracle`` reads a number literal the way the library did before
 it built decimal ends from integers: through ``Fraction`` string parsing
-and ``CertifiedReal.decimal``.  ``number_to_str_oracle`` writes one the
-way it did before it counted digits: it widens the radius of an interval
-one power of ten at a time.
+and ``CertifiedReal.decimal``.  ``number_to_str_oracle`` writes one by
+``Fraction`` arithmetic on the ends, where the library counts digits on
+an integer row: it tries each power-of-ten radius and each number of
+centre digits in turn, and widens any other interval one power of ten
+at a time.
 
 The library compiles each germ once, in one pass over its blocks'
 splitting table, into integers, and builds the jump problem on them.
@@ -132,24 +134,40 @@ def parse_oracle(text: str, irrational: bool = False, budget=None):
 
 
 def number_to_str_oracle(x) -> str:
-    """``serialize.number_to_str`` with the power-of-ten radius found by
-    widening one digit at a time, ``Fraction`` against ``Fraction``."""
+    """``serialize.number_to_str`` read from the ends alone, ``Fraction``
+    against ``Fraction``: the value itself where its radius is a power of
+    ten and its centre a decimal, else widened one digit at a time."""
     if x.exact:
         return str(x.lo)
-    radius = (x.hi - x.lo) / 2
-    den = radius.denominator
-    while den % 10 == 0:
-        den //= 10
-    if (x.literal is not None and re.fullmatch(r"-?\d+(\.\d+)?", x.literal)
-            and radius.numerator == 1 and den == 1):
-        return f"{x.literal}~{len(str(radius.denominator)) - 1}"
+    radius, centre = (x.hi - x.lo) / 2, (x.lo + x.hi) / 2
+    k = 1
+    while Fraction(1, 10 ** k) > radius:
+        k += 1
+    den = centre.denominator
+    for p in (2, 5):
+        while den % p == 0:
+            den //= p
+    if radius == Fraction(1, 10 ** k) and den == 1:
+        digits = k
+        while (centre * 10 ** digits).denominator != 1:
+            digits += 1
+        return f"{_decimal_oracle(int(centre * 10 ** digits), digits)}~{k}"
     k = 1
     while Fraction(1, 10 ** (k + 1)) >= 2 * radius and k < 390:
         k += 1
-    scaled = round((x.lo + x.hi) / 2 * 10 ** k)
+    scaled = round(centre * 10 ** k)
+    if not (Fraction(scaled - 1, 10 ** k) <= x.lo
+            and x.hi <= Fraction(scaled + 1, 10 ** k)):
+        raise ValueError(f"no literal at radius 1/10 contains "
+                         f"{x.describe()}")
+    return f"{_decimal_oracle(scaled, k)}~{k}"
+
+
+def _decimal_oracle(scaled: int, k: int) -> str:
+    """scaled / 10**k with k fractional digits."""
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(k + 1, "0")
-    return f"{sign}{digits[:-k]}.{digits[-k:]}~{k}"
+    return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
 # -- block walkers ---------------------------------------------------------

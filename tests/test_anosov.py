@@ -23,7 +23,7 @@ from geoindex.samples import (all_odd_system, forced_top_system,
                               two_odd_one_even_system)
 
 from .corpus import anosov_corpus, jump_corpus, screen_corpus
-from .test_byte_stability import ANOSOV
+from .test_byte_stability import ANOSOV, _json_digest
 
 CR = CertifiedReal
 CONFIG = PipelineConfig(n_max=300_000)
@@ -126,20 +126,78 @@ def test_an_echo_names_the_budget_its_literals_need():
         forced_top_system().germs)
 
 
-def test_an_echo_writes_a_literal_only_for_its_value():
-    # c3's parsed angle moved by 10**-4 keeps no literal: the echo writes
-    # the moved value, and the report decides on the system it echoes
-    c1, c2, c3 = serialize.system_from_dict(
+def _decided(monkeypatch):
+    """The germs each run_pipeline call decides on, as its admissibility
+    stage reads them."""
+    decided = []
+    admissibility = anosov.admissibility
+
+    def spy(system):
+        decided.append(system.germs)
+        return admissibility(system)
+
+    monkeypatch.setattr(anosov, "admissibility", spy)
+    return decided
+
+
+def _read_back():
+    return serialize.system_from_dict(
         serialize.system_to_dict(forced_top_system().germs))
+
+
+def test_an_echo_writes_a_literal_only_for_its_value(monkeypatch):
+    # c3's parsed angle moved by 10**-4 is a decimal at the same radius:
+    # the echo writes the moved value, and the run decides on it
+    c1, c2, c3 = _read_back()
     t = c3.blocks[0].t
     step = Fraction(1, 10 ** 4)
     moved = replace(t, lo=t.lo + step, hi=t.hi + step)
-    assert t.literal and moved.literal is None
     assert serialize.number_to_str(moved) != serialize.number_to_str(t)
     germs = (c1, c2, replace(c3, blocks=(R(moved),) + c3.blocks[1:]))
-    assert not serialize._echoes_exactly(germs)
+    decided = _decided(monkeypatch)
     report = run_pipeline(GeodesicSystem(germs), CONFIG)
     assert report.final == "CONTRADICTION(forced-top)" and replay(report)
+    assert decided[0] == germs == serialize.system_from_dict(report.system)
+
+
+def test_a_declared_irrational_eigenvalue_is_decided_as_echoed(monkeypatch):
+    # the D schema writes no flag, so the echo of a declared-irrational
+    # eigenvalue reads back rational, and the run decides on that reading
+    c1, c2, c3 = _read_back()
+
+    def system(lam):
+        return GeodesicSystem((replace(c1, blocks=(D(lam),) + c1.blocks[1:]),
+                               c2, c3))
+
+    decided = _decided(monkeypatch)
+    two = system(CR.parse("2.0~1", irrational=True))
+    assert not serialize._echoes_exactly(two.germs)
+    report = run_pipeline(two, CONFIG)
+    assert report.final == "CONTRADICTION(forced-top)" and replay(report)
+    assert decided[0] == serialize.system_from_dict(report.system)
+    # read rational, [0.9, 1.1] is no D eigenvalue: no report names it
+    with pytest.raises(ValueError, match="D eigenvalue must certify != 1"):
+        run_pipeline(system(CR.parse("1.0~1", irrational=True)), CONFIG)
+    # no literal at radius 1/10 contains [2.06, 2.21]: none is written
+    wide = CR.interval(Fraction(206, 100), Fraction(221, 100),
+                       irrational=True)
+    with pytest.raises(ValueError, match="no literal at radius 1/10"):
+        run_pipeline(system(wide), CONFIG)
+
+
+def test_a_spelling_of_the_same_value_gives_the_same_report(tmp_path):
+    # c3's angle with a trailing zero is the same value: the report is
+    # byte for byte the pinned one
+    doc = serialize.system_to_dict(forced_top_system().germs)
+    block = doc["curves"][2]["blocks"][0]
+    digits, k = block["theta_over_pi"].split("~")
+    block["theta_over_pi"] = f"{digits}0~{k}"
+    assert serialize.system_from_dict(doc) == _read_back()
+    path = tmp_path / "zero.json"
+    path.write_text(serialize.dumps(doc), encoding="utf-8")
+    assert _json_digest(tmp_path, ["anosov", "--system", str(path),
+                                   "--n-max", "100000"], 2) \
+        == ANOSOV["forced-top"][1]
 
 
 def test_mismatch_dies_in_gamma_window():

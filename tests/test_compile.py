@@ -50,7 +50,7 @@ def _angle(rng, kind):
         else:
             g = rng.choice(GRIDS)
             f = Fraction(rng.randint(1, 2 * g - 1), g)
-            t = CR(f, f, exact=False)
+            t = CR(f, f)
             assert t.exact and t == CR.rational(f), t
         try:
             return R(t).t
@@ -125,9 +125,9 @@ _EDGES = {g.name: g for g in (
         R(CR.interval(Fraction(11, 10), Fraction(17, 10), True))), n=3),
     # trivial N2 pairs: S- = 0, yet their exact angles enter M
     IndexGerm("edge.n2", 2, (N2(CR.rational(Fraction(2, 7)), False),)),
-    IndexGerm("edge.n2pt", 2, (N2(CR(Fraction(3, 5), Fraction(3, 5), False),
+    IndexGerm("edge.n2pt", 2, (N2(CR(Fraction(3, 5), Fraction(3, 5)),
                                   False),)),
-    IndexGerm("edge.rpt", 2, (R(CR(Fraction(4, 9), Fraction(4, 9), False)),
+    IndexGerm("edge.rpt", 2, (R(CR(Fraction(4, 9), Fraction(4, 9))),
                               N1(-1, B_ZERO))),
 )}
 
@@ -258,11 +258,11 @@ _LAM = D(CR.rational(2))
 _HOSTILE = tuple(
     [IndexGerm(f"h.n1.{b}.{i1}", i1, (N1(-1, b), _LAM))
      for b in (B_POSITIVE, B_ZERO, B_NEGATIVE) for i1 in (-1, 0, 1)] + [
-        # zero-width intervals not flagged exact
-        IndexGerm("h.point", 1, (R(CR(Fraction(1, 3), Fraction(1, 3),
-                                      False)), _LAM)),
-        IndexGerm("h.point.n2", 1, (N2(CR(Fraction(5, 4), Fraction(5, 4),
-                                          False), True),)),
+        # zero-width values built from their ends
+        IndexGerm("h.point", 1, (R(CR(Fraction(1, 3), Fraction(1, 3))),
+                                 _LAM)),
+        IndexGerm("h.point.n2", 1, (N2(CR(Fraction(5, 4), Fraction(5, 4)),
+                                       True),)),
         # undeclared decimal angles: the mean [-1/5, 1/5] straddles 0
         IndexGerm("h.undeclared", 1, (R(CR.parse("0.5~1")),
                                       R(CR.parse("0.5~1")))),

@@ -69,8 +69,8 @@ def test_comparisons_exclude_irrational_endpoints():
         y.lt(Fraction(1, 2))
     with pytest.raises(PrecisionInsufficient):
         near_vertex(y, Fraction(1, 2))
-    # a zero-width interval not flagged exact is its one point
-    p = CR(Fraction(3), Fraction(3), exact=False)
+    # a zero-width value built from its ends is its one point
+    p = CR(Fraction(3), Fraction(3))
     assert (p.sign_vs(3), floor_int(p), ceil_int(p), phi(p)) == (0, 3, 3, 0)
     assert near_vertex(p, Fraction(1, 64)) == 0
 
@@ -115,13 +115,11 @@ def test_phi_is_integer_indicator():
 @st.composite
 def _small_values(draw):
     """Valid values with ends p/q, q small: points and intervals on,
-    around and between integers, exact or not, declared irrational or
-    not."""
+    around and between integers, declared irrational or not."""
     q, q2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     lo = Fraction(draw(st.integers(-4 * q, 4 * q)), q)
     hi = lo + Fraction(draw(st.integers(0, q2 - 1)), q2)  # width below 1
-    return CR(lo, hi, lo == hi and draw(st.booleans()),
-              lo != hi and draw(st.booleans()))
+    return CR(lo, hi, irrational=lo != hi and draw(st.booleans()))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -202,7 +200,7 @@ def _parsed(parse, text, irrational, budget):
         x = parse(text, irrational=irrational, budget=budget)
     except ValueError as exc:
         return type(exc), str(exc)
-    return x, x.exact, x.irrational, x.literal
+    return x, x.exact, x.irrational
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

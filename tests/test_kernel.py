@@ -253,7 +253,7 @@ def test_wide_interval_is_undecided():
 
 
 def test_a_zero_width_angle_is_its_exact_twin():
-    point = CR(Fraction(1, 3), Fraction(1, 3), exact=False)
+    point = CR(Fraction(1, 3), Fraction(1, 3))
     twin = CR.rational(Fraction(1, 3))
     assert point == twin and hash(point) == hash(twin) and point.exact
     assert point.eq_certified(twin) is True

@@ -64,10 +64,10 @@ def _integer_end(draw):
 
 @st.composite
 def _point(draw):
-    """A zero-width value, flagged exact or not."""
+    """A zero-width value built from its ends."""
     q = draw(st.integers(1, 12))
     f = Fraction(draw(st.integers(-5 * q, 5 * q)), q)
-    return CR(f, f, exact=draw(st.booleans())), q
+    return CR(f, f), q
 
 
 @st.composite

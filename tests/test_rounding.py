@@ -5,8 +5,8 @@ place x, m_i*alpha and N*v on integer rows compiled once per germ and
 per problem (``exact._row``, ``_times``, ``_floor``, ``_ceil``,
 ``_placement``).  They must return what the oracles return, or raise
 the same exception type, on every input, the boundaries above all:
-integer endpoints of declared-irrational values, zero-width intervals
-that are not flagged exact, and eps exactly at {x} or at 1 - {x}.
+integer endpoints of declared-irrational values, zero-width values
+built from their ends, and eps exactly at {x} or at 1 - {x}.
 """
 
 import random
@@ -57,9 +57,9 @@ def _integer_end(rng):
 
 
 def _point(rng):
-    """A zero-width interval not flagged exact."""
+    """A zero-width value built from its ends."""
     f = Fraction(rng.randint(-40, 40), rng.choice(GRIDS[:6]))
-    return CR(f, f, exact=False)
+    return CR(f, f)
 
 
 KINDS = {
@@ -167,7 +167,7 @@ def _block(rng):
         t = KINDS[kind](rng)
         k = floor(t.lo) - rng.randint(0, 1)  # shift into [0, 2), flags kept
         try:
-            return R(CR(t.lo - k, t.hi - k, t.exact, t.irrational))
+            return R(CR(t.lo - k, t.hi - k, irrational=t.irrational))
         except (ValueError, PrecisionInsufficient):
             continue  # not certified inside (0, 1) or (1, 2)
 

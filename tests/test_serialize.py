@@ -9,6 +9,7 @@ example database is kept, so every run checks the same inputs.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoindex import samples, serialize
-from geoindex.exact import CertifiedReal
-from geoindex.iteration import mean_index
-from geoindex.normal_forms import D
+from geoindex.exact import CertifiedReal, PrecisionBudget
+from geoindex.iteration import IndexGerm, mean_index
+from geoindex.normal_forms import D, R
 
 from .oracle import number_to_str_oracle
 
@@ -66,7 +67,7 @@ def _sample_numbers():
                samples.all_odd_system()]
     germs = [g for s in systems for g in s.germs]
     germs += [samples.worked_example_A(), samples.worked_example_B()]
-    # read back, the decimal values carry their literals
+    # read back, the decimal values are their literals
     germs += [g for s in systems for g in serialize.system_from_dict(
         serialize.system_to_dict(s.germs))]
     for g in germs:
@@ -95,6 +96,54 @@ def test_number_to_str_matches_the_widening_loop():
     capped = CertifiedReal.interval(Fraction(1, 3), Fraction(1, 3)
                                     + Fraction(1, 10 ** 400), True)
     assert serialize.number_to_str(capped).endswith("~390")
+
+
+def test_an_echo_is_written_from_the_ends_alone():
+    # a decimal at radius 10**-k is written as itself, however it was
+    # built, its centre at the fewest digits that write it and at least k
+    x = CertifiedReal.decimal("0.4285", Fraction(1, 10 ** 6))
+    assert serialize.number_to_str(x) == number_to_str_oracle(x) \
+        == "0.428500~6"
+    germ = IndexGerm("r", 1, (R(x), D(CertifiedReal.rational(2))))
+    assert serialize._echoes_exactly([germ])
+    for text, echo in (("5~1", "5.0~1"), ("0.42857100~6", "0.428571~6"),
+                       ("0.4285714~3", "0.4285714~3"), ("-0.05~1", "-0.05~1")):
+        y = CertifiedReal.parse(text)
+        assert serialize.number_to_str(y) == number_to_str_oracle(y) == echo
+        assert CertifiedReal.parse(echo) == y
+
+
+def test_an_echo_contains_its_value_or_raises():
+    # widths from 10**-400 to 0.99, centres decimal or not: the echo
+    # parses back to an interval around the value, and a value that no
+    # literal at radius 1/10 contains is refused, by name
+    with pytest.raises(ValueError, match=r"^no literal at radius 1/10 "
+                       r"contains \[0\.1, 0\.7\]~irr$"):
+        serialize.number_to_str(CertifiedReal.interval(
+            Fraction(1, 10), Fraction(7, 10), irrational=True))
+    rng = random.Random(0)
+    budget = PrecisionBudget(max_digits=1000)
+    raised = 0
+    for _ in range(300):
+        # a width 2*10**-j, a radius the literal can be, or one in
+        # [10**-j, 0.99 * 10**(1 - j)], j = 1 half the time
+        j = rng.choice((1, rng.randint(1, 400)))
+        m = rng.choice((2 * 10 ** 6, rng.randint(10 ** 6, 99 * 10 ** 5)))
+        w = Fraction(m, 10 ** (6 + j))
+        c = Fraction(rng.randint(-10 ** 8, 10 ** 8),
+                     rng.choice((10 ** rng.randint(0, 420), 7, 2 ** 30)))
+        x = CertifiedReal.interval(c - w / 2, c + w / 2, rng.random() < 0.5)
+        try:
+            text = serialize.number_to_str(x)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                number_to_str_oracle(x)
+            continue
+        assert text == number_to_str_oracle(x), x
+        back = CertifiedReal.parse(text, budget=budget)
+        assert back.lo <= x.lo and x.hi <= back.hi, (x, text)
+    assert 0 < raised < 100
 
 
 def test_a_literal_that_is_no_decimal_is_widened():

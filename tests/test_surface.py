@@ -1,7 +1,8 @@
 """The public surface, and the library code the oracles may share.
 
 A simplification that drops a public name or a CLI subcommand must do so
-on purpose, by editing the lists below.  The oracles of
+on purpose, by editing the lists below, and so must a change to the
+constructor fields of a public value or config type.  The oracles of
 ``tests/oracle.py`` are only worth something if they do not run the
 code they check, so one test reads that file's imports.  The range
 kernel pays only on the jump identities' runs, so another pins which
@@ -52,6 +53,21 @@ PUBLIC_NAMES = {
 SUBCOMMANDS = {"index", "mean-index", "gamma", "mbar", "jump-search",
                "verify-jump", "scale-jump", "morse", "anosov"}
 
+# The init fields of the public value and config types, "*" marking a
+# keyword-only one: a value is its ends and its flag, and a new
+# constructor keyword is an option like any other.
+INIT_FIELDS = {
+    "CertifiedReal": ("lo", "hi", "*irrational"),
+    "IndexGerm": ("name", "i1", "blocks", "n"),
+    "N1": ("eigenvalue", "b_class"),
+    "D": ("lam",),
+    "R": ("t",),
+    "N2": ("t", "nontrivial"),
+    "PipelineConfig": ("delta", "epsilon", "p_hat", "n_min", "n_max", "M0",
+                       "mbar_override"),
+    "PrecisionBudget": ("max_digits",),
+}
+
 # The kernel, the rounding rows and the clause code of the search.
 SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_index_range",
                "_nullity_range", "_period_sums", "_row", "_times", "_floor",
@@ -83,6 +99,14 @@ def test_public_names_are_pinned():
     names = {n for n, v in vars(geoindex).items()
              if not n.startswith("_") and not inspect.ismodule(v)}
     assert names == PUBLIC_NAMES
+
+
+def test_constructor_fields_are_pinned():
+    fields = {name: tuple("*" * f.kw_only + f.name
+                          for f in dataclasses.fields(getattr(geoindex, name))
+                          if f.init)
+              for name in INIT_FIELDS}
+    assert fields == INIT_FIELDS
 
 
 def test_cli_subcommands_are_pinned():
