@@ -18,27 +18,34 @@ Stage chain:
                     against Betti number 2)
   iteration-horizon the finite horizon beyond which indices grew by 4
   jump-search       a fully verified certificate at tolerances /p
+  rounding-check,   the certificate's rounding and jump identities,
+  jump-identities   checked again on the problem it was found for
   index-window      iterates below/above 2m_k stay under/over 2N -+ i(c)
   forced-top        both even curves must top out exactly at 2N
   gamma-window      the signed sum 2*sum m_k*gamma_k is squeezed into
                     [2N-2, 2N-1] by the alternating Morse inequalities
   scaling           the certificate scales by p=4 with chi, Delta frozen
+  scaled-window     the index window holds at the scaled certificate
   mod4-clash        the scaled squeeze demands 4*S in [8N-2, 8N-1],
                     which no admissible S can satisfy
 
-Every contradiction verdict carries a replayable witness; INCONCLUSIVE
-is reserved for systems outside the three-curve pattern the pipeline
-certifies.  `replay` trusts no number in a report: it runs the chain
-again on the echoed system, under the settings the report pins, and
-requires the same report.  Each verdict is derived in one place, its
-stage function.
+The run stops at the first stage that does not pass, and that stage's
+verdict names the final: CONTRADICTION(<stage>) for a broken
+constraint, INCONCLUSIVE(outside-assumption) for a system outside the
+three-curve pattern the pipeline certifies, and
+INCONCLUSIVE(verification-error) where a check of the pipeline's own
+numbers fails; INCONCLUSIVE(no-stage-failed) when every stage passes.
+Every contradiction verdict carries a replayable witness.  `replay`
+trusts no number in a report: it runs the chain again on the echoed
+system, under the settings the report pins, and requires the same
+report.  Each verdict is derived in one place, its stage function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .iteration import (IndexGerm, _index, _kernel, bott_positive,
                         gamma_invariant, germ_mbar, index_at, is_bumpy, mbar,
@@ -373,103 +380,81 @@ def mod4_contradiction(system: GeodesicSystem, base_cert: JumpCertificate,
     return StageRecord("mod4-clash", "pass", witness)
 
 
+# a report's final, by the verdict of its last stage
+_FINAL = {"pass": "INCONCLUSIVE(no-stage-failed)",
+          "contradiction": "CONTRADICTION({})",
+          "inconclusive": "INCONCLUSIVE(outside-assumption)",
+          "error": "INCONCLUSIVE(verification-error)"}
+
+
 def run_pipeline(system: GeodesicSystem,
                  config: Optional[PipelineConfig] = None
                  ) -> ImpossibilityReport:
-    """Run the full stage chain and certify the first broken constraint."""
+    """Run the stage chain up to the first stage that does not pass;
+    that stage's verdict names the final (INCONCLUSIVE(no-stage-failed)
+    when every stage passes)."""
     config = config or PipelineConfig()
-    stages: List[StageRecord] = []
     echo = serialize.system_to_dict(system.germs)
     if not serialize._echoes_exactly(system.germs):
         # decide on the system the report names, not a narrower one
         system = GeodesicSystem(serialize.system_from_dict(echo))
+    stages: List[StageRecord] = []
+    for stage in _chain(system, config):
+        stages.append(stage)
+        if stage.verdict != "pass":
+            break
+    return ImpossibilityReport(echo, stages,
+                               _FINAL[stage.verdict].format(stage.name))
 
-    def finish(final: str) -> ImpossibilityReport:
-        return ImpossibilityReport(echo, stages, final)
 
+def _chain(system: GeodesicSystem,
+           config: PipelineConfig) -> Iterator[StageRecord]:
+    """The stage records in chain order, each formed only when the one
+    before it has been read."""
     if len(system.germs) != 3:
-        stages.append(StageRecord(
-            "parity-screen", "inconclusive",
-            {"reason": "outside-assumption",
-             "detail": f"{len(system.germs)} curves"}))
-        return finish("INCONCLUSIVE(outside-assumption)")
-
-    notes = admissibility(system)
-    stages.append(StageRecord("admissibility", "pass", notes))
-
-    screen = screen_parities(system, config)
-    stages.append(screen)
-    if screen.verdict == "contradiction":
-        return finish("CONTRADICTION(parity-screen)")
-    if screen.verdict == "inconclusive":
-        return finish("INCONCLUSIVE(outside-assumption)")
-    if screen.verdict == "error":
-        return finish("INCONCLUSIVE(verification-error)")
+        yield StageRecord("parity-screen", "inconclusive",
+                          {"reason": "outside-assumption",
+                           "detail": f"{len(system.germs)} curves"})
+        return
+    yield StageRecord("admissibility", "pass", admissibility(system))
+    yield screen_parities(system, config)
 
     m_bar = (mbar(system.germs) if config.mbar_override is None
              else config.mbar_override)
-    stages.append(StageRecord("iteration-horizon", "pass",
-                              {"m_bar": m_bar}))
+    yield StageRecord("iteration-horizon", "pass", {"m_bar": m_bar})
 
     problem = build_problem(system.germs,
                             config.delta / config.p_hat,
                             config.epsilon / config.p_hat,
                             config.M0)
     cert = search(problem, config.n_min, config.n_max, m_bar=m_bar)
-    stages.append(StageRecord("jump-search", "pass",
-                              serialize.certificate_to_dict(cert)))
+    yield StageRecord("jump-search", "pass",
+                      serialize.certificate_to_dict(cert))
 
-    rounding = verify_rounding(problem, cert)
-    stages.append(StageRecord("rounding-check",
-                              "pass" if rounding.ok else "error",
-                              {"ok": rounding.ok}))
-    identities = verify_jump(problem, cert, m_bar)
-    stages.append(StageRecord("jump-identities",
-                              "pass" if identities.ok else "error",
-                              {"ok": identities.ok, "m_bar": m_bar}))
-    if not (rounding.ok and identities.ok):
-        return finish("INCONCLUSIVE(verification-error)")
+    ok = verify_rounding(problem, cert).ok
+    yield StageRecord("rounding-check", "pass" if ok else "error", {"ok": ok})
+    ok = verify_jump(problem, cert, m_bar).ok
+    yield StageRecord("jump-identities", "pass" if ok else "error",
+                      {"ok": ok, "m_bar": m_bar})
 
     window = verify_index_window(system.germs, cert, m_bar)
-    stages.append(StageRecord("index-window",
-                              "pass" if window.ok else "error",
-                              {"ok": window.ok,
-                               "failures": window.failures,
-                               "side_conditions": window.side_conditions}))
-    if not window.ok:
-        return finish("INCONCLUSIVE(verification-error)")
-
-    forced = forced_top_indices(system, cert)
-    stages.append(forced)
-    if forced.verdict == "contradiction":
-        return finish("CONTRADICTION(forced-top)")
-
-    s_base, bounds, squeeze = sandwich(system, cert)
-    stages.append(squeeze)
-    if squeeze.verdict == "contradiction":
-        return finish("CONTRADICTION(gamma-window)")
+    yield StageRecord("index-window", "pass" if window.ok else "error",
+                      {"ok": window.ok, "failures": window.failures,
+                       "side_conditions": window.side_conditions})
+    yield forced_top_indices(system, cert)
+    s_base, _, squeeze = sandwich(system, cert)
+    yield squeeze
 
     scaled = scale(problem, cert, config.p_hat, m_bar)
-    stages.append(StageRecord("scaling", "pass",
-                              serialize.scaled_to_dict(scaled)))
-
+    yield StageRecord("scaling", "pass", serialize.scaled_to_dict(scaled))
     scaled_cert = scaled.certificate
     scaled_window = verify_index_window(system.germs, scaled_cert, m_bar)
-    scaled_forced = forced_top_indices(system, scaled_cert)
-    _, _, scaled_squeeze = sandwich(system, scaled_cert)
-    stages.append(StageRecord(
+    yield StageRecord(
         "scaled-window", "pass" if scaled_window.ok else "error",
         {"window_ok": scaled_window.ok,
-         "forced_top": scaled_forced.witness,
-         "squeeze": scaled_squeeze.witness}))
-    if not scaled_window.ok:
-        return finish("INCONCLUSIVE(verification-error)")
-
-    clash = mod4_contradiction(system, cert, scaled, s_base)
-    stages.append(clash)
-    if clash.verdict == "contradiction":
-        return finish("CONTRADICTION(mod4-clash)")
-    return finish("INCONCLUSIVE(no-stage-failed)")
+         "forced_top": forced_top_indices(system, scaled_cert).witness,
+         "squeeze": sandwich(system, scaled_cert)[2].witness})
+    yield mod4_contradiction(system, cert, scaled, s_base)
 
 
 # -- replay ---------------------------------------------------------------

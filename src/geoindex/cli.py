@@ -31,14 +31,18 @@ from .morse import TruncationUnsound, betti, morse_numbers_up_to
 from .serialize import SchemaError
 
 
-def parse_system(path: str) -> tuple[IndexGerm, ...]:
-    """Load and fully validate a system file."""
+def _read_json(path: str) -> object:
+    """A JSON document read from a file, its path named if unreadable."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    return serialize.system_from_dict(doc)
+
+
+def parse_system(path: str) -> tuple[IndexGerm, ...]:
+    """Load and fully validate a system file."""
+    return serialize.system_from_dict(_read_json(path))
 
 
 def _germ(germs: Sequence[IndexGerm], name: Optional[str]) -> IndexGerm:
@@ -113,6 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-max", type=int, default=10_000_000)
             p.add_argument("--m0", type=int, default=1,
                            help="require N to be a multiple of this")
+        if cert or jump_flags:
             p.add_argument("--mbar", type=int, default=None,
                            help="verification horizon override")
 
@@ -129,16 +134,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-jump", help="re-verify a certificate")
     common(p, cert=True)
-    p.add_argument("--mbar", type=int, default=None)
 
     p = sub.add_parser("scale-jump", help="scale a certificate by p")
     common(p, cert=True)
     p.add_argument("--p-hat", type=int, required=True)
-    p.add_argument("--mbar", type=int, default=None)
 
     p = sub.add_parser("morse", help="Morse counts against Betti numbers")
     common(p, cert=True)
-    p.add_argument("--mbar", type=int, default=None)
 
     p = sub.add_parser("anosov", help="three-curve impossibility pipeline")
     common(p, jump_flags=True)
@@ -223,8 +225,7 @@ def _load_certificate(args):
     """Certificate, problem and horizon of a certificate subcommand; the
     certificate must fit the system."""
     germs = parse_system(args.system)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = serialize.certificate_from_dict(json.load(fh))
+    cert = serialize.certificate_from_dict(_read_json(args.certificate))
     problem = build_problem(germs, cert.delta, cert.epsilon, cert.M0)
     check_certificate(problem, cert)
     return cert, problem, _horizon(germs, args.mbar)
@@ -310,7 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SchemaError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotFound, ScaleMismatch, PrecisionInsufficient,

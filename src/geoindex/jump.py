@@ -31,23 +31,22 @@ accepted only after all identities above verify by direct recomputation.
 The scan over multiples of M0 is deterministic: smallest qualifying N
 wins, and enlarging the range never changes the result.
 
-An exact coordinate, L/d, places N by N*L mod d alone, so its sides
-repeat with period lcm(d, M0).  When the first coordinate is exact, the
-exact ones choose the N that are placed, level by level in index order:
-level k keeps the N of level k-1 at which the k-th exact coordinate is
-near a vertex, records the hits of its first period, lcm(M0, the d of
-levels 1..k), and replays them after it, so once that period is over an
-N the level rejects costs nothing.  The interval coordinates are then
-placed at each N that survives, in index order.  The outcome is the
-every-N scan's: the candidates (every coordinate near, none undecided)
-do not depend on the order the coordinates are asked in, an exact one
-never raises, and one too wide at N is too wide at every larger N, so
-every candidate below that N is still visited first, in increasing
-order.  When the first coordinate is an interval, it is placed at every
-N and the others at each N it keeps, in index order.  Stepping an exact
-coordinate there (ROADMAP item 3) waits on item 2: the benchmark keeps
-every input it runs and could not hold the extra operations within its
-memory bound.
+The coordinates are placed by one walk, a level per coordinate: level
+k places its coordinate at each N that level k-1 keeps, level 0 at
+every N.  An exact coordinate, L/d, places N by N*L mod d alone, so its
+sides repeat with period lcm(d, M0).  A level whose coordinates, its
+own and those below, are all exact records the hits of its first
+period and replays them after it, so once that period is over an N the
+level rejects costs nothing.  The walk's head is every exact coordinate
+when the first one is exact, else the first alone; the others follow
+in index order.  The outcome is the every-N scan's: the candidates
+(every coordinate near, none undecided) do not depend on the order the
+coordinates are asked in, an exact one never raises, and one too wide
+at N is too wide at every larger N, so every candidate below that N is
+still visited first, in increasing order.  Heading the walk with the
+exact coordinates behind an interval first one too (ROADMAP item 3)
+waits on item 2: the benchmark keeps every input it runs and could not
+hold the extra operations within its memory bound.
 
 A curve keeps only its germ, rho_i and the germ's compiled kernel
 (``iteration._kernel``): beta_i is its slope, the alpha_{i,j} are its
@@ -78,6 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -535,12 +535,11 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
 
     Deterministic: the scan runs over multiples of M0 in increasing
     order, and a candidate is only returned once every rounding and jump
-    clause has been recomputed and passed.  Once some N*v_j is too wide
-    to place, so is every larger N, and NotFound is raised at once.  When
-    the first coordinate is exact, every exact one is stepped over its
-    level's period (``_walk``): after that period an N one of them
-    rejects is never visited.  The others are placed at the N that
-    remain, and chi is read back in index order.
+    clause has been recomputed and passed.  The coordinates are walked
+    (``_walk``) head first: every exact one when the first is exact,
+    else the first alone, then the others in index order; chi is read
+    back in index order.  Once some N*v_j is too wide to place, so is
+    every larger N, and NotFound is raised at once.
     """
     if n_min > n_max:
         raise ValueError("empty search range")
@@ -551,27 +550,14 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     M0 = problem.M0
     first = ((max(n_min, 1) + M0 - 1) // M0) * M0
     exact = [j for j, (L, H, _, _) in enumerate(rows) if L == H]
-    stepped = exact if exact[:1] == [0] else [0]
-    order = stepped + [j for j in range(len(rows)) if j not in stepped]
-    rest = [places[j] for j in order[len(stepped):]]
+    head = exact if exact[:1] == [0] else [0]
+    order = head + [j for j in range(len(rows)) if j not in head]
     at = sorted(range(len(order)), key=order.__getitem__)  # chi's order
-    for N, sides in _walk([rows[j] for j in stepped],
-                          [places[j] for j in stepped], first, n_max, M0):
-        chi = list(sides)
-        try:
-            for place in rest:
-                side = place(N)
-                if side is None:
-                    break
-                chi.append(side)
-        except PrecisionInsufficient:
-            continue
-        except ValueError:  # N*v_j is too wide
-            raise NotFound(n_max) from None
-        if len(chi) == len(rows):
-            cert = _assemble(problem, N, [chi[k] for k in at], m_bar)
-            if cert is not None:
-                return cert
+    for N, sides in _walk([rows[j] for j in order],
+                          [places[j] for j in order], first, n_max, M0):
+        cert = _assemble(problem, N, [sides[k] for k in at], m_bar)
+        if cert is not None:
+            return cert
     raise NotFound(n_max)
 
 
@@ -579,11 +565,12 @@ def _walk(rows: Sequence[_Row], places: Sequence[Callable], first: int,
           n_max: int, M0: int) -> Iterator[Tuple[int, tuple]]:
     """(N, sides) for each N = first, first + M0, ... <= n_max at which
     every row, compiled as places, sets N*row near a vertex, in order,
-    with the sides in row order; NotFound where N*rows[0] is too wide.
-    Every row but the first is exact.  Level k keeps the N of level k-1
-    at which row k is near.  Exact rows' sides repeat with period
-    lcm(M0, their d), so a level whose rows are all exact records the
-    hits of its first period and replays them after it; a level with an
+    with the sides in row order.  Level k places row k at the N that
+    level k-1 keeps (level 0 at every N): an undecided side passes the
+    N over, and NotFound(n_max) is raised where N*row is too wide.
+    Exact rows' sides repeat with period lcm(M0, their d), so a level
+    whose rows, its own and those below, are all exact records the hits
+    of its first period and replays them after it; a level with an
     interval row never repeats, and its one period spans the range."""
     *below, row = rows
     P = max(n_max, 0) + 1
@@ -591,26 +578,20 @@ def _walk(rows: Sequence[_Row], places: Sequence[Callable], first: int,
         P = lcm(M0, *(d for _, _, d, _ in rows))
     end, place, hits = min(first + P, n_max + 1), places[-1], []
     replay = end <= n_max
-    if below:  # row is exact: it never raises
-        for N, sides in _walk(below, places[:-1], first, end - 1, M0):
+    kept = (_walk(below, places[:-1], first, end - 1, M0) if below
+            else zip(range(first, end, M0), repeat(())))
+    for N, sides in kept:
+        try:
             side = place(N)
-            if side is not None:
-                sides += (side,)
-                if replay:
-                    hits.append((N - first, sides))
-                yield N, sides
-    else:
-        for N in range(first, end, M0):
-            try:
-                side = place(N)
-            except PrecisionInsufficient:
-                continue
-            except ValueError:  # N*row is too wide
-                raise NotFound(n_max) from None
-            if side is not None:
-                if replay:
-                    hits.append((N - first, (side,)))
-                yield N, (side,)
+        except PrecisionInsufficient:
+            continue
+        except ValueError:  # N*row is too wide
+            raise NotFound(n_max) from None
+        if side is not None:
+            sides += (side,)
+            if replay:
+                hits.append((N - first, sides))
+            yield N, sides
     for start in range(end, n_max + 1, P):
         for offset, sides in hits:
             if start + offset > n_max:

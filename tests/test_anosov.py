@@ -15,7 +15,8 @@ from geoindex.anosov import (AdmissibilityError, GeodesicSystem,
 from geoindex.cli import main
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm, germ_mbar, index_at
-from geoindex.jump import JumpCertificate, NotFound, build_problem, search
+from geoindex.jump import (JumpCertificate, NotFound, VerificationReport,
+                           build_problem, search)
 from geoindex.normal_forms import D, N1, R, classify_2x2
 from geoindex.samples import (all_odd_system, forced_top_system,
                               gamma_window_system, hyperbolic_germ,
@@ -442,6 +443,36 @@ def test_failing_scaled_window_yields_no_contradiction(monkeypatch):
     assert stage.verdict == "error" and not stage.witness["window_ok"]
     assert report.stages[-1] is stage
     assert report.final == "INCONCLUSIVE(verification-error)"
+
+
+def test_a_run_ends_at_its_first_stage_that_does_not_pass(monkeypatch):
+    # one run per verdict: every stage before the last passes, and the
+    # last stage's verdict names the final
+    def ends(system, verdict, final):
+        report = run_pipeline(system, CONFIG)
+        *passed, last = report.stages
+        assert all(s.verdict == "pass" for s in passed)
+        assert (last.verdict, report.final) == (verdict, final)
+        return last.name
+
+    assert ends(forced_top_system(), "contradiction",
+                "CONTRADICTION(forced-top)") == "forced-top"
+    all_even = GeodesicSystem.of(
+        hyperbolic_germ("a", 2), hyperbolic_germ("b", 2, (2, 5)),
+        hyperbolic_germ("c", 4, (3, 7)))
+    assert ends(all_even, "inconclusive",
+                "INCONCLUSIVE(outside-assumption)") == "parity-screen"
+    clash = anosov.mod4_contradiction
+    monkeypatch.setattr(anosov, "mod4_contradiction",
+                        lambda *a: replace(clash(*a), verdict="pass"))
+    assert ends(mod4_system(20, 33), "pass",
+                "INCONCLUSIVE(no-stage-failed)") == "mod4-clash"
+    # a failing rounding check ends the run before the jump identities
+    monkeypatch.setattr(anosov, "verify_rounding",
+                        lambda problem, cert: VerificationReport(
+                            False, lambda: iter(())))
+    assert ends(mod4_system(20, 33), "error",
+                "INCONCLUSIVE(verification-error)") == "rounding-check"
 
 
 def test_all_odd_screen():

@@ -164,6 +164,32 @@ def test_missing_file_is_an_error():
     assert main(["index", "--system", "/nonexistent.json"]) == 1
 
 
+def test_a_directory_path_is_one_error_line(system_b, tmp_path, capsys):
+    # a directory read as a system or certificate, or written as output
+    for argv in (["mbar", "--system", str(tmp_path)],
+                 ["mbar", "--system", system_b, "--output", str(tmp_path)],
+                 ["verify-jump", "--system", system_b,
+                  "--certificate", str(tmp_path)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"'{tmp_path}'" in err, argv
+
+
+def test_an_unreadable_certificate_names_its_file(system_b, tmp_path,
+                                                  capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("", encoding="utf-8")
+    line = (f"error: {empty}: invalid JSON: Expecting value: line 1 "
+            f"column 1 (char 0)\n")
+    assert main(["mbar", "--system", str(empty)]) == 1
+    assert capsys.readouterr().err == line
+    for argv in (["verify-jump"], ["scale-jump", "--p-hat", "2"], ["morse"]):
+        assert main(argv + ["--system", system_b,
+                            "--certificate", str(empty)]) == 1
+        assert capsys.readouterr().err == line, argv
+
+
 def test_tolerance_validation(system_b, capsys):
     with pytest.raises(SystemExit):
         main(["jump-search", "--system", system_b, "--delta", "3/4"])

@@ -605,19 +605,25 @@ def test_negative_horizon_is_a_value_error():
 
 
 def _stream(places, first, n_max, M0):
-    """The rows' sides N by N, as the every-N scan sees them; the
+    """The rows' sides N by N, as the every-N scan sees them: each N's
+    rows placed in order up to the first far or undecided one, and the
     search's NotFound where N*row is too wide."""
     out = []
     for N in range(first, n_max + 1, M0):
+        sides = []
         try:
-            sides = tuple(place(N) for place in places)
+            for place in places:
+                side = place(N)
+                if side is None:
+                    break
+                sides.append(side)
+            else:
+                out.append((N, tuple(sides)))
         except PrecisionInsufficient:
             continue
         except ValueError:
             out.append("NotFound")
             break
-        if None not in sides:
-            out.append((N, sides))
     return out
 
 
@@ -631,35 +637,62 @@ def _walked(rows, places, first, n_max, M0):
 
 
 def test_walk_steps_exact_coordinates_over_their_periods():
-    # 1 to 4 rows, all exact but perhaps the first: each level replays
-    # its first period's hits, lcm(M0, the d of its rows and those below)
+    # 1 to 4 rows, each exact or an interval, at any level: a level whose
+    # rows, its own and those below, are all exact replays its first
+    # period's hits, lcm(M0, the d of those rows); a level with an
+    # interval row places it N by N, passes over an N where its side is
+    # undecided and ends the walk where N*row is too wide.  First, 1/5
+    # under the undeclared [0.4142, 0.4143], undecided at N = 70
+    cases = [([(1, 1, 5, False), (4142, 4143, 10000, False)],
+              Fraction(1, 3), 1, 5, 300)]
     rng = random.Random(22)
-    past_first = past_deeper = 0
-    for _ in range(400):
+    for _ in range(600):
         rows = []
         for _ in range(rng.randint(1, 4)):
-            d = rng.randint(1, 40)
-            L = rng.randint(-2 * d, 2 * d)
-            rows.append((L // gcd(L, d), L // gcd(L, d), d // gcd(L, d),
-                         False))
-        if rng.random() < 0.25:  # an interval first row is walked N by N
-            L, d = rng.randint(-80, 80), 1000 * rng.randint(1, 40)
-            rows[0] = (L, L + rng.randint(1, 3), d, rng.random() < 0.5)
-        eps = Fraction(1, rng.choice((3, 5, 7)))
+            if rng.random() < 0.25:  # an interval row is placed N by N
+                L = rng.randint(-80, 80)
+                d = rng.choice((100, 1000)) * rng.randint(1, 40)
+                rows.append((L, L + rng.randint(1, 3), d, rng.random() < 0.5))
+            else:
+                d = rng.randint(1, 40)
+                L = rng.randint(-2 * d, 2 * d)
+                rows.append((L // gcd(L, d), L // gcd(L, d), d // gcd(L, d),
+                             False))
         M0 = rng.randint(1, 4)
         first = M0 * rng.randint(1, 50)
-        periods = [lcm(M0, *(row[2] for row in rows[:k]))
-                   for k in range(1, len(rows) + 1)]
-        n_max = first + rng.randint(-first - 2, min(3 * periods[-1], 2000))
+        P = lcm(M0, *(row[2] for row in rows))
+        cases.append((rows, Fraction(1, rng.choice((3, 5, 7))), M0, first,
+                      first + rng.randint(-first - 2, min(3 * P, 2000))))
+    past_first = past_deeper = 0
+    seen = Counter()
+    for rows, eps, M0, first, n_max in cases:
         places = [jump._placement(row, eps) for row in rows]
         want = _stream(places, first, n_max, M0)
+        for k, place in enumerate(places):
+            kinds = set()
+            for N in range(first, n_max + 1, M0):
+                try:
+                    place(N)
+                except (PrecisionInsufficient, ValueError) as exc:
+                    kinds.add((type(exc).__name__, k > 0))
+                    if isinstance(exc, ValueError):
+                        break
+            seen.update(kinds)
         assert _walked(rows, places, first, n_max, M0) == want, (rows, eps,
                                                                  M0)
-        if rows[0][0] == rows[0][1]:
+        exact = [L == H for L, H, _, _ in rows]
+        seen["interval row above another"] += not all(exact[1:])
+        seen["several interval rows"] += exact.count(False) > 1
+        seen["NotFound"] += want[-1:] == ["NotFound"]
+        periods = [lcm(M0, *(row[2] for row in rows[:k]))
+                   for k in range(1, len(rows) + 1)]
+        if exact[0]:
             past_first += n_max >= first + periods[0]
             past_deeper += any(P > periods[0] and n_max >= first + P
-                               for P in periods[1:])
-    assert past_first >= 200 and past_deeper >= 100
+                               and all(exact[:k + 2])
+                               for k, P in enumerate(periods[1:]))
+    assert past_first >= 200 and past_deeper >= 100, (past_first, past_deeper)
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
 
 
 def _search_outcome(search_fn, problem, n_min, n_max):
@@ -671,16 +704,18 @@ def _search_outcome(search_fn, problem, n_min, n_max):
 
 def test_search_matches_the_every_n_scan():
     # the systems of jump_corpus(100) whose first vertex coordinate is
-    # exact with a period of at most 300, and two whose first one is an
-    # interval; n_min = 5 and 7 sit off a period's start, and n_max
-    # inside one.  Most have further exact coordinates: a certificate
-    # past the combined period of them all (deeper) comes from a replay
-    # of the deepest level
+    # exact with a period of at most 300, and those whose first one is
+    # an interval and a later one exact; n_min = 5 and 7 sit off a
+    # period's start, and n_max inside one.  Most exact-first ones have
+    # further exact coordinates: a certificate past the combined period
+    # of them all (deeper) comes from a replay of the deepest level
     corpus = jump_corpus(100)
-    later = deeper = 0
+    later = deeper = interval_first = 0
     for k, germs in enumerate(corpus):
-        L, H, d, _ = build_problem(germs, Fraction(1, 64)).v_rows[0]
-        if not (L == H and d <= 300 or k in (3, 5)):
+        rows = build_problem(germs, Fraction(1, 64)).v_rows
+        L, H, d, _ = rows[0]
+        if not (L == H and d <= 300
+                or L != H and any(r[0] == r[1] for r in rows[1:])):
             continue
         for p, M0, n_min, n_max in ((1, 1, 5, 997), (3, 2, 7, 600),
                                     (1, 3, 5, 997), (1, 2, -3, 0),
@@ -694,12 +729,13 @@ def test_search_matches_the_every_n_scan():
             assert got == want, (k, p, M0)
             ds = [d for L, H, d, _ in problem.v_rows if L == H]
             v0 = problem.v_rows[0]
+            interval_first += v0[0] != v0[1] and got.startswith("JumpCert")
             if v0[0] == v0[1] and got.startswith("JumpCertificate"):
                 first = -(-n_min // M0) * M0
                 N = search(problem, n_min, n_max, m_bar=8).N
                 later += N >= first + lcm(M0, ds[0])
                 deeper += (N >= first + lcm(M0, *ds) > first + lcm(M0, ds[0]))
-    assert later >= 10 and deeper >= 50
+    assert later >= 10 and deeper >= 50 and interval_first >= 50
 
 
 def test_not_found_comes_where_a_later_coordinate_goes_too_wide(
