@@ -392,12 +392,26 @@ def run_pipeline(system: GeodesicSystem,
                  ) -> ImpossibilityReport:
     """Run the stage chain up to the first stage that does not pass;
     that stage's verdict names the final (INCONCLUSIVE(no-stage-failed)
-    when every stage passes)."""
+    when every stage passes).  The system decided is its echo read back;
+    where a curve reads back as no germ (a declared-irrational D
+    eigenvalue, whose block writes no flag, echoed as a rational that
+    straddles 1, say), AdmissibilityError names the curve."""
     config = config or PipelineConfig()
     echo = serialize.system_to_dict(system.germs)
     if not serialize._echoes_exactly(system.germs):
         # decide on the system the report names, not a narrower one
-        system = GeodesicSystem(serialize.system_from_dict(echo))
+        try:
+            system = GeodesicSystem(serialize.system_from_dict(echo))
+        except ValueError as exc:
+            for curve in echo["curves"]:  # the curve that fails alone
+                try:
+                    serialize.system_from_dict({**echo, "curves": [curve]})
+                except ValueError:
+                    raise AdmissibilityError(
+                        f"curve {curve['name']!r} reads back from its echo "
+                        f"as no germ (the D schema writes no irrational "
+                        f"flag): {exc}") from None
+            raise
     stages: List[StageRecord] = []
     for stage in _chain(system, config):
         stages.append(stage)

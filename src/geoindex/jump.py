@@ -55,16 +55,33 @@ rows and the kernel's mean row, as CertifiedReal division forms them
 (a 1/|mean| too wide to divide by names its curve); they are kept as
 rows, and ``v`` reads them back as values.
 
-A check decides on whole runs and forms its clauses (name, ok, witness
-items) only when they are read.  A curve's jump identities compare its
-index and nullity runs around 2m_i with its runs on 1..m_bar as lists;
-the rounding identities, the recount and vertex closeness are decided
-on integers.  A clause walk runs only for ``clauses``, ``first_failure``
-and ``_verdicts``, for ``strict`` to name the failing triple, and for a
-run holding a marked iterate: that curve is walked in point order, so
-its point query raises where a point-by-point walk raises.  Placements
-are compiled once per problem and tolerance, the runs on 1..m_bar once
-per curve and horizon.
+A certificate (N, m, chi, Delta) is decided on integers, curve by curve:
+the rounding sum (R1), the recount that places every angle at delta and
+finds every rational one closed (R2, R3, Delta), and the jump
+identities; then the vertex sides of N*v.  A curve with no angle row, no
+closing period and no undeclared angle has i(m) = m*beta_i - S+ and
+nu(m) = 0, so its jump identities are three integer equalities; any
+other curve compares its index and nullity runs around 2m_i with its
+runs on 1..m_bar as lists.  The search's accept path (``_assemble``)
+calls these checks directly: a candidate is decided before any
+certificate is built, so a rejected one builds none and is fitted to
+nothing.  ``check_certificate`` fits a certificate to its problem: curve
+names, rho, M, M0 and the tolerances are the problem's, N is a positive
+multiple of M0, and there is one m and Delta per curve and one chi per
+coordinate.  ``verify_rounding`` and ``verify_jump`` are that fit and
+the same checks, behind a report that forms its clauses (name, ok,
+witness items) only when they are read: for ``clauses``,
+``first_failure`` and ``_verdicts``, for ``strict`` to name the failing
+triple, and for a run holding a marked iterate, whose curve is walked in
+point order, so its point query raises where a point-by-point walk
+raises.  The search hands out the certificate it accepts through
+``verify_rounding`` (it passes, as the same checks have), and ``scale``
+checks the scaled certificate through ``verify_jump`` against the
+problem at the scaled tolerances: perfbench's tracer sees only public
+calls, and counts the search's candidates and times verification there.
+Vertex rows are compiled once per problem and tolerance, a curve's angle
+rows once per curve and tolerance and its runs on 1..m_bar once per
+curve and horizon; ``scale`` places N_hat*v once per row, uncompiled.
 
 Scaling: a certificate produced at tolerances (delta/p, eps/p) survives
 multiplication of N by p with chi unchanged, m_i multiplied by p, and
@@ -74,7 +91,7 @@ undivided delta).  All three relations are checked, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -188,22 +205,30 @@ class ScaledCertificate:
 
 def _scaled_tolerances(cert: JumpCertificate,
                        p_hat: int) -> Tuple[Fraction, Fraction]:
-    """(delta, epsilon) scaled by p_hat, epsilon capped at 1/2."""
-    return p_hat * cert.delta, min(Fraction(1, 2), p_hat * cert.epsilon)
+    """(delta, epsilon) scaled by p_hat, epsilon capped at 1/2, formed
+    from their integers."""
+    d, e = cert.delta, cert.epsilon
+    return (Fraction(p_hat * d.numerator, d.denominator),
+            min(Fraction(1, 2), Fraction(p_hat * e.numerator, e.denominator)))
 
 
 def check_certificate(problem: JumpProblem, cert: JumpCertificate) -> None:
     """Reject a certificate that does not fit the problem: its curve
-    names, rho and M must be the problem's, with one m and one Delta
-    entry per curve and one chi entry per vertex coordinate."""
-    q = len(problem.curves)
+    names, rho, M, M0, delta and epsilon must be the problem's, its N a
+    positive multiple of M0, with one m and one Delta entry per curve
+    and one chi entry per vertex coordinate."""
+    q, M0, N = len(problem.curves), problem.M0, cert.N
     want = (tuple(c.germ.name for c in problem.curves),
-            tuple(c.rho for c in problem.curves), problem.M, q, q,
-            len(problem.v_rows))
-    got = (cert.names, cert.rho, cert.M, len(cert.m), len(cert.Delta),
-           len(cert.chi))
-    for field, g, w in zip(("curve names", "rho", "M", "m length",
-                            "Delta length", "chi length"), got, want):
+            tuple(c.rho for c in problem.curves), problem.M, M0,
+            problem.delta, problem.epsilon, q, q, len(problem.v_rows),
+            N if N >= 1 and N % M0 == 0 else f"a positive multiple of {M0}")
+    got = (cert.names, cert.rho, cert.M, cert.M0, cert.delta, cert.epsilon,
+           len(cert.m), len(cert.Delta), len(cert.chi), N)
+    if got == want:
+        return
+    for field, g, w in zip(("curve names", "rho", "M", "M0", "delta",
+                            "epsilon", "m length", "Delta length",
+                            "chi length", "N"), got, want):
         if g != w:
             raise CertificateMismatch(f"certificate does not fit the "
                                       f"system: {field} {g}, want {w}")
@@ -313,20 +338,24 @@ def _delta_count(curve: CurveProblem, m_i: int, delta: Fraction) -> Optional[int
     """Weighted count of angles with {m_i * alpha} in (0, delta).
 
     Returns None when some angle cannot be placed on a side (closeness
-    clause violated or undecidable).
+    clause violated or undecidable) or a rational one is not closed up.
     """
     count = 0
-    for j, row in enumerate(curve.kernel.rows):
-        if row[0] == row[1]:  # a point
-            if m_i * row[0] % row[2]:
-                return None  # rational angle must close up exactly
-            continue
-        side = _near(_compiled(curve, curve.kernel.rows, delta)[j], m_i)
-        if side is None:
+    for j, (L, H, d, _) in enumerate(curve.kernel.rows):
+        if L != H:
+            side = _near(_compiled(curve, curve.kernel.rows, delta)[j], m_i)
+            if side is None:
+                return None
+            count += side == 0
+        elif m_i * L % d:  # a point, closed up or not by one remainder
             return None
-        if side == 0:
-            count += 1
     return count
+
+
+def _rounding_sum(curve: CurveProblem, m_i: int) -> int:
+    """m_i*beta_i + sum_j ceil(m_i*alpha_{i,j}), the left side of (R1)."""
+    k = curve.kernel
+    return m_i * k.slope + sum(_ceil(_times(row, m_i)) for row in k.rows)
 
 
 @dataclass
@@ -358,27 +387,22 @@ class VerificationReport:
 
 def verify_rounding(problem: JumpProblem, cert: JumpCertificate) -> VerificationReport:
     """Re-check the rounding identities (R1)-(R3) and the Delta recount;
-    CertificateMismatch where the certificate does not fit the problem."""
+    CertificateMismatch where the certificate does not fit the problem.
+
+    The verdict is decided on integers, and the walk that forms the
+    clauses runs only when they are read.  A curve passes on its
+    rounding sum and its recount: a recount equal to Delta_i has placed
+    every angle and found every rational closed."""
     check_certificate(problem, cert)
-    return VerificationReport(*_rounding_clauses(problem, cert))
-
-
-def _rounding_clauses(problem: JumpProblem, cert: JumpCertificate
-                      ) -> Tuple[bool, Callable[[], Iterator[tuple]]]:
-    """The verdict, on integers, and the walk that forms the clauses.  A
-    curve passes on its rounding sum and its recount: a recount equal
-    to Delta_i has placed every angle and found every rational closed."""
     ok, sums = True, []
     for curve, m_i, delta_i in zip(problem.curves, cert.m, cert.Delta):
-        k = curve.kernel
-        lhs = m_i * k.slope + sum(_ceil(_times(row, m_i)) for row in k.rows)
-        rhs = curve.rho * cert.N + delta_i
+        lhs, rhs = _rounding_sum(curve, m_i), curve.rho * cert.N + delta_i
         recount = _delta_count(curve, m_i, problem.delta)
         ok = ok and lhs == rhs and recount == delta_i
         sums.append((curve, m_i, lhs, rhs, recount, delta_i))
     places = _compiled(problem, problem.v_rows, problem.epsilon)
-    sides = [_near(place, cert.N) == cert.chi[j]
-             for j, place in enumerate(places)]
+    sides = [_near(place, cert.N) == side
+             for place, side in zip(places, cert.chi)]
 
     def walk() -> Iterator[tuple]:
         for curve, m_i, lhs, rhs, recount, delta_i in sums:
@@ -398,7 +422,7 @@ def _rounding_clauses(problem: JumpProblem, cert: JumpCertificate
         for j, side in enumerate(sides):
             yield "vertex-closeness", side, (("coordinate", j),)
 
-    return ok and all(sides), walk
+    return VerificationReport(ok and all(sides), walk)
 
 
 def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
@@ -411,8 +435,9 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
     if m_bar < 0:
         raise ValueError(f"m_bar must be nonnegative, got {m_bar}")
     check_certificate(problem, cert)
+    args = problem, cert.N, cert.m, cert.Delta, m_bar
     oks = []
-    for ok, clauses in _jump_clauses(problem, cert, m_bar):
+    for ok, clauses in _jump_clauses(*args):
         if ok is None or strict and not ok:  # the clauses decide
             ok = True
             for name, clause_ok, items in clauses:
@@ -423,42 +448,38 @@ def verify_jump(problem: JumpProblem, cert: JumpCertificate, m_bar: int,
                 ok = ok and clause_ok
         oks.append(ok)
     return VerificationReport(all(oks), lambda: (
-        c for _, clauses in _jump_clauses(problem, cert, m_bar)
-        for c in clauses))
+        c for _, clauses in _jump_clauses(*args) for c in clauses))
 
 
-def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
-                  m_bar: int) -> Iterator[Tuple[Optional[bool], Iterator]]:
-    """Per curve, in order: its verdict, by comparing runs of iterates,
-    and its clauses, walked only if read.  The runs are evaluated on the
-    germ's compiled kernel: 2m_i - m_bar .. 2m_i + m_bar, and 1 .. m_bar,
-    the same for every certificate.  A run entry whose point query
-    raises is marked (None); the verdict is then None, and only the
-    clauses decide."""
-    for i, curve in enumerate(problem.curves):
-        m_i, k = cert.m[i], curve.kernel
+def _jump_clauses(problem: JumpProblem, N: int, m: Sequence[int],
+                  Delta: Sequence[int], m_bar: int
+                  ) -> Iterator[Tuple[Optional[bool], Iterator]]:
+    """Per curve, in order: its verdict on (N, m_i, Delta_i) and its
+    clauses, walked only if read.  A curve with no angle row, no closing
+    period and no undeclared angle has i(m) = m*beta_i - S+ and nu(m) =
+    0: i(2m_i + m) - i(m) = 2m_i*beta_i and i(2m_i - m) + i(m) =
+    2m_i*beta_i - 2S+, so its identities hold iff three integers agree.
+    Any other curve is decided by comparing its runs (``_runs``).  A run
+    entry whose point query raises is marked (None); the verdict is then
+    None, and only the clauses decide."""
+    for curve, m_i, delta_i in zip(problem.curves, m, Delta):
+        k = curve.kernel
         who = ("curve", curve.germ.name)
         if 2 * m_i <= m_bar:
             yield False, iter((("horizon-room", False,
                                 (who, ("m", m_bar), ("m_i", m_i))),))
             continue
-        two_n = 2 * curve.rho * cert.N
-        # i(2m_i + d) for |d| <= m_bar is around[m_bar + d], and so is nu
-        window = range(2 * m_i - m_bar, 2 * m_i + m_bar + 1)
-        ms = range(1, m_bar + 1)
-        around, nu_around = _index_range(k, window), _nullity_range(k, window)
-        if m_bar not in curve._memo:
-            curve._memo[m_bar] = _index_range(k, ms), _nullity_range(k, ms)
-        base, nus = curve._memo[m_bar]
-        # Q_i(m) weighs the rational points p/q that 2m_i closes up
-        # (m_i*p/q integral) and m closes up too (m*p/(2q) integral)
-        qs = _period_sums([(2 * q // gcd(p, 2 * q), 1)
-                           for p, h, q, _ in k.rows
-                           if p == h and m_i * p % q == 0], ms)
-        top = two_n - (k.s_plus + k.c - 2 * cert.Delta[i])
+        two_n = 2 * curve.rho * N
+        top = two_n - (k.s_plus + k.c - 2 * delta_i)
         reflected = two_n - 2 * k.s_plus  # (J-) less i(m) and 2Q_i(m)
-        clauses = _jump_walk(k, who, m_i, two_n, top, reflected, around,
-                             nu_around, base, nus, qs)
+        clauses = _jump_walk(curve, who, m_i, m_bar, two_n, top, reflected)
+        if not (k.rows or k.closing or k.undeclared):  # i(m) = m*beta - S+
+            up = 2 * m_i * k.slope
+            yield (up - k.shift == top and (not m_bar or up == two_n and
+                                            up - 2 * k.shift == reflected)
+                   ), clauses
+            continue
+        around, nu_around, base, nus, qs = _runs(curve, m_i, m_bar)
         if None in around or None in base or None in nus:
             yield None, clauses
             continue
@@ -470,14 +491,33 @@ def _jump_clauses(problem: JumpProblem, cert: JumpCertificate,
                ), clauses
 
 
-def _jump_walk(k: _Kernel, who: tuple, m_i: int, two_n: int, top: int,
-               reflected: int, around: list, nu_around: list, base: list,
-               nus: list, qs: list) -> Iterator[tuple]:
-    """A curve's clauses, read off its runs in point order."""
-    m_bar = len(base)
+def _runs(curve: CurveProblem, m_i: int, m_bar: int) -> tuple:
+    """A curve's runs on its germ's compiled kernel: index and nullity
+    on the window 2m_i - m_bar .. 2m_i + m_bar (i(2m_i + d) for |d| <=
+    m_bar is around[m_bar + d], and so is nu) and on 1 .. m_bar (the
+    same for every certificate, so kept per curve and horizon), and
+    Q_i(m) on 1 .. m_bar, which weighs the rational points p/q that 2m_i
+    closes up (m_i*p/q integral) and m closes up too (m*p/(2q)
+    integral)."""
+    k = curve.kernel
+    window = range(2 * m_i - m_bar, 2 * m_i + m_bar + 1)
+    ms = range(1, m_bar + 1)
+    if m_bar not in curve._memo:
+        curve._memo[m_bar] = _index_range(k, ms), _nullity_range(k, ms)
+    base, nus = curve._memo[m_bar]
+    qs = _period_sums([(2 * q // gcd(p, 2 * q), 1) for p, h, q, _ in k.rows
+                       if p == h and m_i * p % q == 0], ms)
+    return _index_range(k, window), _nullity_range(k, window), base, nus, qs
+
+
+def _jump_walk(curve: CurveProblem, who: tuple, m_i: int, m_bar: int,
+               two_n: int, top: int, reflected: int) -> Iterator[tuple]:
+    """A curve's clauses, read off its runs, formed when first read, in
+    point order."""
+    around, nu_around, base, nus, qs = _runs(curve, m_i, m_bar)
 
     def at(run, j, m, query=_index):  # a marked entry: the query raises
-        return query(k, m) if run[j] is None else run[j]
+        return query(curve.kernel, m) if run[j] is None else run[j]
 
     got = at(around, m_bar, 2 * m_i)
     yield "jump-top", got == top, (who, ("m", 0), ("got", got), ("want", top))
@@ -504,29 +544,39 @@ def _iterates(problem: JumpProblem, N: int, chi: Sequence[int]) -> List[int]:
 
 def _assemble(problem: JumpProblem, N: int, chi: List[int],
               m_bar: int) -> Optional[JumpCertificate]:
-    m_vec = _iterates(problem, N, chi)
-    if any(m_i < 1 or 2 * m_i <= m_bar for m_i in m_vec):
+    """The certificate at N with the walk's vertex sides chi, or None
+    where a clause of verify_rounding or of the jump identities at m_bar
+    fails.  The candidate is decided on integers before any certificate
+    is built, and raises what those checks raise, in their order: each
+    curve's recount, which gives Delta_i, up to the first curve it cannot
+    place; every rounding sum; the jump identities, curve by curve, up to
+    the first that fails.  chi came from the placements verify_rounding
+    reads, so vertex closeness holds.  The one certificate built is
+    handed out through verify_rounding, where perfbench's outside-in
+    tracer counts the search's candidates; it passes, as the same checks
+    have."""
+    m = _iterates(problem, N, chi)
+    if any(m_i < 1 or 2 * m_i <= m_bar for m_i in m):
         return None
-
-    deltas: List[int] = []
-    for i, curve in enumerate(problem.curves):
-        d = _delta_count(curve, m_vec[i], problem.delta)
-        if d is None:
+    Delta: List[int] = []
+    for curve, m_i in zip(problem.curves, m):
+        count = _delta_count(curve, m_i, problem.delta)
+        if count is None:
             return None
-        deltas.append(d)
-
+        Delta.append(count)
+    sums = [_rounding_sum(curve, m_i) for curve, m_i in zip(problem.curves, m)]
+    if sums != [c.rho * N + d for c, d in zip(problem.curves, Delta)]:
+        return None
+    for ok, clauses in _jump_clauses(problem, N, m, Delta, m_bar):
+        if not (ok or ok is None and all(c[1] for c in clauses)):
+            return None
     cert = JumpCertificate(
-        N=N, m=tuple(m_vec), chi=tuple(chi), Delta=tuple(deltas),
+        N=N, m=tuple(m), chi=tuple(chi), Delta=tuple(Delta),
         rho=tuple(c.rho for c in problem.curves),
         delta=problem.delta, epsilon=problem.epsilon,
         M=problem.M, M0=problem.M0,
         names=tuple(c.germ.name for c in problem.curves))
-    if not verify_rounding(problem, cert).ok:
-        return None
-    for ok, clauses in _jump_clauses(problem, cert, m_bar):
-        if not (ok or ok is None and all(c[1] for c in clauses)):
-            return None
-    return cert
+    return cert if verify_rounding(problem, cert).ok else None
 
 
 def search(problem: JumpProblem, n_min: int, n_max: int, *,
@@ -535,7 +585,9 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
 
     Deterministic: the scan runs over multiples of M0 in increasing
     order, and a candidate is only returned once every rounding and jump
-    clause has been recomputed and passed.  The coordinates are walked
+    clause has been recomputed and passed (``_assemble``, on integers,
+    building a certificate only for the candidate it accepts).  The
+    coordinates are walked
     (``_walk``) head first: every exact one when the first is exact,
     else the first alone, then the others in index order; chi is read
     back in index order.  Once some N*v_j is too wide to place, so is
@@ -609,7 +661,12 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     must reproduce chi, p_hat*m, and Delta exactly (ScaleMismatch
     otherwise), after which the shifted index identities are re-checked
     at the scaled N.  A certificate that does not fit the problem raises
-    CertificateMismatch first.
+    CertificateMismatch first.  The tolerances are scaled on their
+    integers, and each N_hat*v_j is placed once at eps_hat, uncompiled.
+    The shifted identities are checked by verify_jump, on the scaled
+    certificate against the problem at the scaled tolerances, which it
+    fits by construction: a public check, where perfbench's tracer
+    times verification.
     """
     check_certificate(problem, cert)
     if p_hat < 1:
@@ -622,30 +679,24 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
     N_hat = p_hat * cert.N
     delta_hat, eps_hat = _scaled_tolerances(cert, p_hat)
 
-    checks: List[Tuple[str, bool]] = []
     chi_hat: List[int] = []
-    for j, place in enumerate(_compiled(problem, problem.v_rows, eps_hat)):
-        side = _near(place, N_hat)
+    for j, row in enumerate(problem.v_rows):
+        side = _near(_placement(row, eps_hat), N_hat)
         if side is None:
             raise ScaleMismatch(f"scaled vertex closeness fails at "
                                 f"coordinate {j}")
         chi_hat.append(side)
-    checks.append(("chi-invariance", tuple(chi_hat) == cert.chi))
-
     m_hat = _iterates(problem, N_hat, chi_hat)
-    checks.append(("m-scaling",
-                   tuple(m_hat) == tuple(p_hat * mi for mi in cert.m)))
-
-    delta_hat_counts: List[int] = []
-    for i, curve in enumerate(problem.curves):
-        d = _delta_count(curve, m_hat[i], delta_hat)
-        if d is None:
+    Delta_hat: List[int] = []
+    for curve, m_i in zip(problem.curves, m_hat):
+        count = _delta_count(curve, m_i, delta_hat)
+        if count is None:
             raise ScaleMismatch(f"scaled Delta recount undecidable for "
                                 f"curve {curve.germ.name!r}")
-        delta_hat_counts.append(d)
-    checks.append(("Delta-invariance",
-                   tuple(delta_hat_counts) == cert.Delta))
-
+        Delta_hat.append(count)
+    checks = (("chi-invariance", tuple(chi_hat) == cert.chi),
+              ("m-scaling", tuple(m_hat) == tuple(p_hat * m for m in cert.m)),
+              ("Delta-invariance", tuple(Delta_hat) == cert.Delta))
     for name, ok in checks:
         if not ok:
             raise ScaleMismatch(f"scaling relation {name} fails "
@@ -653,11 +704,11 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
 
     scaled = ScaledCertificate(
         base=cert, p_hat=p_hat, N_hat=N_hat, m_hat=tuple(m_hat),
-        chi_hat=tuple(chi_hat), Delta_hat=tuple(delta_hat_counts),
+        chi_hat=tuple(chi_hat), Delta_hat=tuple(Delta_hat),
         # recorded as passed: a failure raises below
-        checks=tuple(checks) + (("scaled-identities", True),))
-    fail = verify_jump(problem, scaled._at(delta_hat, eps_hat),
-                       m_bar).first_failure()
+        checks=checks + (("scaled-identities", True),))
+    fail = verify_jump(replace(problem, delta=delta_hat, epsilon=eps_hat),
+                       scaled._at(delta_hat, eps_hat), m_bar).first_failure()
     if fail is not None:
         raise ScaleMismatch(f"scaled identity fails: {fail.name} "
                             f"{fail.witness}")

@@ -51,10 +51,11 @@ generator of ``jump`` runs in it.
 tries every candidate m0 in turn against every iterate up to it, by
 ``index_oracle``.
 
-``tests/test_surface.py`` pins which library code this module
-may import.  One import still shares code with the search:
-``candidate_oracle`` and ``search_oracle`` accept through
-``jump._assemble``.
+``candidate_oracle`` and ``search_oracle`` accept a candidate through
+``accept_oracle``: m_i from ``floor_oracle``, Delta from
+``delta_count_oracle``, and the clauses of ``verify_rounding_oracle``
+and ``verify_jump_oracle``.  ``tests/test_surface.py`` pins which
+library code this module may import; none of it is search code.
 """
 
 import re
@@ -64,7 +65,7 @@ from typing import NamedTuple
 
 from geoindex.exact import CertifiedReal, PrecisionInsufficient, default_budget
 from geoindex.iteration import Unbounded
-from geoindex.jump import NotFound, ZeroMeanIndex, _assemble
+from geoindex.jump import JumpCertificate, NotFound, ZeroMeanIndex
 from geoindex.normal_forms import (N1, N2, R, _table, big_C,
                                    nullity_contribution)
 
@@ -389,7 +390,36 @@ def candidate_oracle(problem, N: int, m_bar: int):
         if side is None:
             return None
         chi.append(side)
-    return _assemble(problem, N, chi, m_bar)
+    return accept_oracle(problem, N, chi, m_bar)
+
+
+def accept_oracle(problem, N: int, chi, m_bar: int):
+    """The certificate at N with vertex sides chi, or None, by oracle
+    code alone: m_i = (floor_oracle(N*v_i) + chi_i)*M, each Delta_i by
+    ``delta_count_oracle`` (None rejects at once), accepted where every
+    m_i >= 1, 2m_i > m_bar and every clause of ``verify_rounding_oracle``
+    and then of ``verify_jump_oracle`` passes, read up to the first that
+    fails."""
+    m = [(floor_oracle(vj * N) + side) * problem.M
+         for vj, side in zip(problem.v, chi[:len(problem.curves)])]
+    if any(m_i < 1 or 2 * m_i <= m_bar for m_i in m):
+        return None
+    Delta = []
+    for curve, m_i in zip(problem.curves, m):
+        count = delta_count_oracle(curve, m_i, problem.delta)
+        if count is None:
+            return None
+        Delta.append(count)
+    cert = JumpCertificate(
+        N=N, m=tuple(m), chi=tuple(chi), Delta=tuple(Delta),
+        rho=tuple(c.rho for c in problem.curves), delta=problem.delta,
+        epsilon=problem.epsilon, M=problem.M, M0=problem.M0,
+        names=tuple(c.germ.name for c in problem.curves))
+    if (all(ok for _, ok, _ in verify_rounding_oracle(problem, cert))
+            and all(ok for _, ok, _ in verify_jump_oracle(problem, cert,
+                                                          m_bar))):
+        return cert
+    return None
 
 
 def search_oracle(problem, n_min: int, n_max: int, m_bar: int):
@@ -397,8 +427,8 @@ def search_oracle(problem, n_min: int, n_max: int, m_bar: int):
     increasing order, the coordinates of N*v placed in index order by
     ``near_vertex_oracle``.  An N is passed over at its first far or
     undecided side; NotFound is raised at the first N*v_j too wide to be
-    a value, with that N as its ``at``; the first candidate ``_assemble``
-    accepts is returned."""
+    a value, with that N as its ``at``; the first candidate
+    ``accept_oracle`` accepts is returned."""
     if n_min > n_max:
         raise ValueError("empty search range")
     v, M0 = problem.v, problem.M0
@@ -417,7 +447,7 @@ def search_oracle(problem, n_min: int, n_max: int, m_bar: int):
                 break
             chi.append(side)
         else:
-            cert = _assemble(problem, N, chi, m_bar)
+            cert = accept_oracle(problem, N, chi, m_bar)
             if cert is not None:
                 return cert
     raise NotFound(n_max)

@@ -186,6 +186,21 @@ def test_a_declared_irrational_eigenvalue_is_decided_as_echoed(monkeypatch):
         run_pipeline(system(wide), CONFIG)
 
 
+def test_an_echo_that_reads_back_as_no_germ_names_its_curve():
+    # [0.9, 1.1] declared irrational is a D eigenvalue, but its echo
+    # "1.0~1" reads back rational and straddles 1: the run refuses the
+    # system with an AdmissibilityError that names the curve
+    c1, c2, c3 = _read_back()
+    lam = CR.parse("1.0~1", irrational=True)
+    system = GeodesicSystem((c1, c2, replace(c3, blocks=(D(lam),)
+                                             + c3.blocks[1:])))
+    with pytest.raises(AdmissibilityError) as err:
+        run_pipeline(system, CONFIG)
+    assert str(err.value) == (
+        "curve 'c3' reads back from its echo as no germ (the D schema "
+        "writes no irrational flag): D eigenvalue must certify != 1")
+
+
 def test_a_spelling_of_the_same_value_gives_the_same_report(tmp_path):
     # c3's angle with a trailing zero is the same value: the report is
     # byte for byte the pinned one

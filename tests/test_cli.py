@@ -259,6 +259,33 @@ def test_bad_certificate_is_one_error_line(case, tmp_path, capsys):
                        "chi length 1, want 3\n")
 
 
+def test_a_certificate_off_its_grid_is_one_error_line(tmp_path, capsys):
+    # the forced-top certificate, N = 10 at M0 = 1, rewritten to M0 = 7
+    # or to N = 0 or -10: verify-jump builds the problem from the
+    # certificate's M0 and tolerances, and refuses its N
+    system = tmp_path / "system.json"
+    system.write_text(serialize.dumps(serialize.system_to_dict(
+        forced_top_system().germs)), encoding="utf-8")
+    cert = tmp_path / "cert.json"
+    assert main(["jump-search", "--system", str(system), "--delta", "1/256",
+                 "--epsilon", "1/256", "--n-max", "1000", "--mbar", "8",
+                 "--format", "json", "--output", str(cert)]) == 0
+    searched = json.loads(cert.read_text(encoding="utf-8"))
+    assert (searched["N"], searched["M0"]) == (10, 1)
+    for field, value, want in (("M0", 7, "N 10, want a positive multiple "
+                                         "of 7"),
+                               ("N", 0, "N 0, want a positive multiple of 1"),
+                               ("N", -10, "N -10, want a positive multiple "
+                                          "of 1")):
+        cert.write_text(json.dumps({**searched, field: value}),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify-jump", "--system", str(system), "--certificate",
+                     str(cert), "--mbar", "8"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: certificate does not fit the system: {want}\n")
+
+
 def _curve(doc):
     return doc["curves"][0]
 

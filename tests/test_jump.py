@@ -420,13 +420,12 @@ def test_jump_clauses_match_oracle():
                                  "PrecisionInsufficient")) >= 3, seen
 
 
-def _point_curves(problem, cert, m_bar):
+def _point_curves(problem, N, m, Delta, m_bar):
     """The reference for ``jump._jump_clauses``: no curve is decided by
     comparing runs, so every consumer reads the clauses of each curve
     from ``_point_clauses``."""
-    for i, curve in enumerate(problem.curves):
-        yield None, _point_clauses(curve, cert.m[i], cert.N, cert.Delta[i],
-                                   m_bar)
+    for curve, m_i, delta_i in zip(problem.curves, m, Delta):
+        yield None, _point_clauses(curve, m_i, N, delta_i, m_bar)
 
 
 def _point_clauses(curve, m_i, N, delta_i, m_bar):
@@ -462,7 +461,8 @@ def _point_clauses(curve, m_i, N, delta_i, m_bar):
 def _clauses(problem, cert, m_bar):
     """Every clause of ``verify_jump`` in order, read through the engine
     that ``jump`` holds."""
-    for _, clauses in jump._jump_clauses(problem, cert, m_bar):
+    for _, clauses in jump._jump_clauses(problem, cert.N, cert.m,
+                                         cert.Delta, m_bar):
         yield from clauses
 
 
@@ -500,6 +500,11 @@ U = IndexGerm("u", 2, (R(CR.interval(Fraction("0.4142"), Fraction("0.4143"))),
 UD = IndexGerm("u", 2, (R(CR.interval(Fraction("0.4142"), Fraction("0.4143"),
                                       irrational=True)),
                         D(CR.rational(2))))
+# a trivial N2 at an undeclared decimal angle: no angle row and no
+# closing period, yet every nullity raises
+UN = IndexGerm("un", 2, (N2(CR.interval(Fraction("0.4142"),
+                                        Fraction("0.4143")),
+                            nontrivial=False),))
 
 
 def _constructed(problem):
@@ -538,7 +543,7 @@ def test_clause_raises_come_in_point_order(monkeypatch):
     decided by comparing runs."""
     delta = Fraction(1, 64)
     cases, searches = [], []
-    for germs in ((W,), (W, HN), (H, W), (U,), (HN, U)):
+    for germs in ((W,), (W, HN), (H, W), (U,), (HN, U), (HN, UN)):
         problem = build_problem(germs, delta, delta)
         for m_bar in (4, 8):
             cases += [(problem, c, m_bar) for c in _constructed(problem)]
@@ -826,3 +831,74 @@ def test_verifiers_reject_a_certificate_missing_a_curve():
         with pytest.raises(CertificateMismatch, match=f"{field} length"):
             verify_rounding(problem, replace(
                 cert, **{field: getattr(cert, field)[:-1]}))
+
+
+def test_a_certificate_carries_the_problems_settings():
+    # the forced-top certificate (N = 10, M0 = 1) with another M0, other
+    # tolerances or an N off the grid fits no problem it was not built for
+    problem = build_problem(forced_top_system().germs, Fraction(1, 256),
+                            Fraction(1, 256))
+    cert = search(problem, 1, 1000, m_bar=8)
+    assert (cert.N, cert.M0) == (10, 1)
+    on_two = build_problem(forced_top_system().germs, Fraction(1, 256),
+                           Fraction(1, 256), M0=2)
+    even = search(on_two, 1, 1000, m_bar=8)
+    third = Fraction(1, 3)
+    for prob, bad, want in (
+            (problem, replace(cert, M0=7), "M0 7, want 1"),
+            (problem, replace(cert, delta=third), "delta 1/3, want 1/256"),
+            (problem, replace(cert, epsilon=third),
+             "epsilon 1/3, want 1/256"),
+            (problem, replace(cert, N=0), "N 0, want a positive multiple "
+                                          "of 1"),
+            (on_two, replace(even, N=even.N + 1),
+             f"N {even.N + 1}, want a positive multiple of 2")):
+        for call in (lambda: verify_rounding(prob, bad),
+                     lambda: verify_jump(prob, bad, 8),
+                     lambda: scale(prob, bad, 2, 8)):
+            with pytest.raises(CertificateMismatch) as err:
+                call()
+            assert str(err.value) == ("certificate does not fit the system: "
+                                      + want)
+
+
+def _counted(monkeypatch):
+    """Counters of the certificates jump builds and of its
+    check_certificate calls, each call's certificate kept."""
+    built, checked = [], []
+    fit = jump.check_certificate
+
+    class Counted(JumpCertificate):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    def check(problem, cert):
+        checked.append(cert)
+        return fit(problem, cert)
+
+    monkeypatch.setattr(jump, "JumpCertificate", Counted)
+    monkeypatch.setattr(jump, "check_certificate", check)
+    return built, checked
+
+
+def test_rejected_candidates_build_no_certificate(monkeypatch):
+    # 296 candidates of the forced-top system fail a jump identity at
+    # m_bar = 40 before N = 3000: none builds a certificate or is checked
+    problem = build_problem(forced_top_system().germs, Fraction(1, 256),
+                            Fraction(1, 256))
+    built, checked = _counted(monkeypatch)
+    with pytest.raises(NotFound):
+        search(problem, 1, 3000, m_bar=40)
+    assert built == checked == []
+    # corpus system 7 meets two such candidates before its certificate:
+    # that one is built once, and handed out through verify_rounding
+    problem = build_problem(jump_corpus(100)[7], Fraction(1, 64),
+                            Fraction(1, 64))
+    cert = search(problem, 1, 10 ** 7, m_bar=8)
+    assert cert.N == 11508 and len(built) == 1 and checked == [cert]
+    # scale checks the caller's certificate, then the scaled one against
+    # the problem at the scaled tolerances (through verify_jump)
+    checked.clear()
+    scaled = scale(problem, cert, 2, 8)
+    assert checked == [cert, scaled.certificate]

@@ -212,8 +212,9 @@ def _on_grid(rng, curve):
 
 def _summed(case):
     """The certificate with N and Delta moved so that every rounding sum
-    holds (None where a sum is undecided), so that the Delta recount or
-    vertex closeness decides alone."""
+    holds (None where a sum is undecided, or where N would not be
+    positive, so fit no problem), so that the Delta recount or vertex
+    closeness decides alone."""
     problem, cert = case
     try:
         lhs = [w["lhs"] for name, _, w in verify_rounding_oracle(problem, cert)
@@ -221,6 +222,8 @@ def _summed(case):
     except (PrecisionInsufficient, ValueError):
         return None
     N = problem.curves[0].rho * (lhs[0] - cert.Delta[0])
+    if N < 1:
+        return None
     return problem, replace(cert, N=N, Delta=tuple(
         s - c.rho * N for s, c in zip(lhs, problem.curves)))
 

@@ -72,11 +72,11 @@ INIT_FIELDS = {
 SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_index_range",
                "_nullity_range", "_period_sums", "_row", "_times", "_floor",
                "_ceil", "_placement", "_compiled", "_quotient",
-               "_delta_count", "_rounding_clauses", "_jump_clauses",
-               "_jump_walk", "_lowest", "_sign"}
-# Still imported by the oracles, until they check candidates without
-# the search's code.
-KNOWN_SHARED = {"_assemble"}
+               "_delta_count", "_rounding_sum", "_jump_clauses", "_runs",
+               "_jump_walk", "_assemble", "_lowest", "_sign"}
+# Private library names the oracles may still import: none, since they
+# accept candidates by their own clauses.
+KNOWN_SHARED = set()
 # Block data the walkers read: the input, not a computation on it.
 BLOCK_INPUT = {"_table"}
 # The range kernel, and the modules that define and read it.
