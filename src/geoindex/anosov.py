@@ -24,10 +24,11 @@ Stage chain:
   forced-top        both even curves must top out exactly at 2N
   gamma-window      the signed sum 2*sum m_k*gamma_k is squeezed into
                     [2N-2, 2N-1] by the alternating Morse inequalities
-  scaling           the certificate scales by p=4 with chi, Delta frozen
+  scaling           the certificate scales by p (p_hat, 4 by default)
+                    with chi, Delta frozen
   scaled-window     the index window holds at the scaled certificate
-  mod4-clash        the scaled squeeze demands 4*S in [8N-2, 8N-1],
-                    which no admissible S can satisfy
+  mod4-clash        the scaled squeeze demands p*S in [2pN-2, 2pN-1],
+                    which no admissible S can satisfy when p >= 3
 
 The run stops at the first stage that does not pass, and that stage's
 verdict names the final: CONTRADICTION(<stage>) for a broken
@@ -327,32 +328,35 @@ def sandwich(system: GeodesicSystem, cert: JumpCertificate
     return s_val, (lower, upper), StageRecord("gamma-window", verdict, witness)
 
 
-def mod4_window_certificate(N: int, gammas: Sequence[Fraction]
-                            ) -> Dict[str, object]:
-    """Arithmetic certificate that the scaled squeeze is unsatisfiable.
+def mod4_window_certificate(N: int, gammas: Sequence[Fraction],
+                            p_hat: int = 4) -> Dict[str, object]:
+    """Arithmetic certificate that the squeeze scaled by p = p_hat is
+    unsatisfiable.
 
     The gamma vector fixes the lattice of possible values of
     S = sum 2 m_k gamma_k (integers; even integers when every |gamma|
-    is 1).  No lattice point of the base window [2N-2, 2N-1] has 4*S
-    inside [8N-2, 8N-1], and no multiple of 4 lies there at all.
+    is 1).  No lattice point of the base window [2N-2, 2N-1] has p*S
+    inside [2pN-2, 2pN-1], and no multiple of p lies there at all; the
+    latter holds for every p >= 3 and for no p <= 2.  The key
+    ``multiples_of_4_in_scaled_window`` keeps its name at every p.
     """
     half = any(abs(g) == Fraction(1, 2) for g in gammas)
     step = 1 if half else 2
     base_lo, base_hi = 2 * N - 2, 2 * N - 1
     candidates = [s for s in range(base_lo, base_hi + 1) if s % step == 0]
-    scaled_window = (8 * N - 2, 8 * N - 1)
+    scaled_window = (2 * p_hat * N - 2, 2 * p_hat * N - 1)
     offenders = [s for s in candidates
-                 if scaled_window[0] <= 4 * s <= scaled_window[1]]
-    multiples_of_4 = [x for x in range(scaled_window[0], scaled_window[1] + 1)
-                      if x % 4 == 0]
+                 if scaled_window[0] <= p_hat * s <= scaled_window[1]]
+    multiples = [x for x in range(scaled_window[0], scaled_window[1] + 1)
+                 if x % p_hat == 0]
     return {
         "lattice_step": step,
         "base_window": [base_lo, base_hi],
         "base_candidates": candidates,
         "scaled_window": list(scaled_window),
         "candidates_hitting_scaled_window": offenders,
-        "multiples_of_4_in_scaled_window": multiples_of_4,
-        "excluded": not offenders and not multiples_of_4,
+        "multiples_of_4_in_scaled_window": multiples,
+        "excluded": not offenders and not multiples,
     }
 
 
@@ -364,8 +368,8 @@ def mod4_contradiction(system: GeodesicSystem, base_cert: JumpCertificate,
     gammas = [gamma_invariant(g.i1, index_at(g, 2)) for g in system.germs]
     s_hat = sum((2 * m * g for m, g in zip(scaled.m_hat, gammas)),
                 Fraction(0))
-    cert_dict = mod4_window_certificate(base_cert.N, gammas)
-    lo, hi = 8 * base_cert.N - 2, 8 * base_cert.N - 1
+    cert_dict = mod4_window_certificate(base_cert.N, gammas, p)
+    lo, hi = cert_dict["scaled_window"]
     witness = {
         "S": str(s_base), "S_hat": str(s_hat),
         "S_hat_equals_p_S": s_hat == p * s_base,
@@ -374,7 +378,8 @@ def mod4_contradiction(system: GeodesicSystem, base_cert: JumpCertificate,
         "S_hat_inside_scaled_window": bool(lo <= s_hat <= hi),
         "window_certificate": cert_dict,
     }
-    # the scaled squeeze demands S_hat in [8N-2, 8N-1]; arithmetic forbids it
+    # the scaled squeeze demands S_hat in [2pN-2, 2pN-1]; arithmetic
+    # forbids it
     if cert_dict["excluded"] and not (lo <= s_hat <= hi):
         return StageRecord("mod4-clash", "contradiction", witness)
     return StageRecord("mod4-clash", "pass", witness)
@@ -426,9 +431,7 @@ def _chain(system: GeodesicSystem,
     """The stage records in chain order, each formed only when the one
     before it has been read."""
     if len(system.germs) != 3:
-        yield StageRecord("parity-screen", "inconclusive",
-                          {"reason": "outside-assumption",
-                           "detail": f"{len(system.germs)} curves"})
+        yield screen_parities(system, config)
         return
     yield StageRecord("admissibility", "pass", admissibility(system))
     yield screen_parities(system, config)

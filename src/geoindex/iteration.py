@@ -16,21 +16,23 @@ whenever C > 0; that bound is what turns the "for all m" conditions
 below into finite checks.
 
 Every per-germ number comes from one compile, a single pass over the
-splitting table of the germ's blocks, into plain integers: the slope
-i1 + S+ - C, the shift S+ + C, S+ and C; per weighted angle (2w, p, 2q)
-for an exact angle p/q, or (2w, lo*d, hi*d, 2d, irrational) for an
-interval angle [lo, hi] over a common denominator d; the nullity as
-(period, weight) pairs, one per shear block or closing rational angle,
-plus a flag for an undeclared decimal angle, whose nullity is never
-certified; and M, the lcm of the denominators of the rational spectrum
-points, S- = 0 points included.  It also keeps each weighted angle as its
-integer row, once per unit of weight, which the jump problem reads as it
-is (the exact rows are also the rational points the Q count of the jump
-identities weighs), and the mean as a row, its ends summed over one
-denominator (an N2 pair adds t + (2 - t) = 2); the conjugate 2 - t of an
-angle row (L, H, d) is (2d - H, 2d - L, d).  ``mean_index`` turns the
-mean row into a value; everything else reads the row.  A germ is bumpy
-when it has no nullity period and no undeclared angle.
+splitting table of the germ's blocks, into plain integers.  Each S+ and
+S- of that table is 0 or 1, so the compile keeps each angle with S- = 1
+once, as its integer row (lo*d, hi*d, d, irrational) over a common
+denominator d, and C is the number of rows.  The jump problem reads the
+rows as they are (the exact rows are also the rational points the Q
+count of the jump identities weighs); the conjugate 2 - t of an angle
+row (L, H, d) is (2d - H, 2d - L, d).  From the rows come the ceiling
+terms, (p, 2q) for an exact angle p/q and (lo*d, hi*d, 2d, irrational)
+for an interval one, each counted twice in i(m).  The rest: the slope
+i1 + S+ - C, the shift S+ + C and S+; the nullity as (period, weight)
+pairs, one per shear block or closing rational angle, plus a flag for
+an undeclared decimal angle, whose nullity is never certified; M, the
+lcm of the denominators of the rational spectrum points, S- = 0 points
+included; and the mean as a row, its ends summed over one denominator
+(an N2 pair adds t + (2 - t) = 2).  ``mean_index`` turns the mean row
+into a value; everything else reads the row.  A germ is bumpy when it
+has no nullity period and no undeclared angle.
 
 An exact ceiling is one integer division.  For an interval angle, with
 L = m*lo/2 and H = m*hi/2, the only possible certified ceiling is
@@ -120,8 +122,8 @@ class _Kernel(NamedTuple):
     shift: int
     s_plus: int
     c: int
-    exact: Tuple[Tuple[int, int, int], ...]
-    interval: Tuple[Tuple[int, int, int, int, bool], ...]
+    exact: Tuple[Tuple[int, int], ...]
+    interval: Tuple[Tuple[int, int, int, bool], ...]
     closing: Tuple[Tuple[int, int], ...]
     undeclared: bool
     rows: Tuple[_Row, ...]
@@ -131,9 +133,9 @@ class _Kernel(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel(germ: IndexGerm) -> _Kernel:
-    s_plus = c = 0
+    s_plus = 0
     M = 1
-    exact, interval, rows, closing = [], [], [], []
+    rows, closing = [], []
     undeclared = False
     lo, hi, den = 0, 0, 1  # the angle part of the mean, [lo/den, hi/den]
     wide = []              # irrational flags of the angles that widen it
@@ -145,45 +147,43 @@ def _kernel(germ: IndexGerm) -> _Kernel:
             if tl == th:  # t = tl/td in lowest terms
                 closing.append((2 * td // gcd(tl, 2 * td), 2))
             undeclared = undeclared or not (tl == th or t_irrational)
-        for a, sign, sp, w in _table(b):  # the point a + sign*t
+        for a, sign, sp, sm in _table(b):  # the point a + sign*t
             if not (a or sign):  # the eigenvalue 1
                 s_plus += sp
                 continue
             row = ((a, a, 1, False) if not sign else angle if sign > 0
                    else (a * td - th, a * td - tl, td, t_irrational))
             L, H, d, irrational = row
-            c += w
             if L == H:
                 M = lcm(M, d)
-            if not w:
+            if not sm:
                 continue
-            rows += [row] * w
-            if L == H:  # a point: m*t/2 is exact
-                exact.append((2 * w, L, 2 * d))
-            else:
-                interval.append((2 * w, L, H, 2 * d, irrational))
-            if isinstance(b, N2):  # w*t + w*(2 - t) = 2w per pair
-                lo, hi = lo + w * den, hi + w * den
+            rows.append(row)
+            if isinstance(b, N2):  # t + (2 - t) = 2 per pair
+                lo, hi = lo + den, hi + den
             else:
                 common = lcm(den, d)
-                up, at = common // den, w * (common // d)
+                up, at = common // den, common // d
                 lo, hi, den = lo * up + L * at, hi * up + H * at, common
                 if L != H:
                     wide.append(irrational)
+    c = len(rows)
     slope = germ.i1 + s_plus - c
     mean = _lowest(slope * den + lo, slope * den + hi, den, wide == [True])
-    return _Kernel(slope, s_plus + c, s_plus, c, tuple(exact),
-                   tuple(interval), tuple(closing), undeclared,
-                   tuple(rows), M, mean)
+    return _Kernel(slope, s_plus + c, s_plus, c,
+                   tuple((L, 2 * d) for L, H, d, _ in rows if L == H),
+                   tuple((L, H, 2 * d, irrational)
+                         for L, H, d, irrational in rows if L != H),
+                   tuple(closing), undeclared, tuple(rows), M, mean)
 
 
 def _index(k: _Kernel, m: int) -> int:
     if m < 1:
         raise ValueError("iterate must be positive")
     total = m * k.slope - k.shift
-    for w2, p, q2 in k.exact:
-        total -= w2 * (-m * p // q2)
-    for w2, lo, hi, d2, irrational in k.interval:
+    for p, q2 in k.exact:
+        total -= 2 * (-m * p // q2)
+    for lo, hi, d2, irrational in k.interval:
         # exact._ceil((m*lo, m*hi, d2, irrational)) decides the same values
         # and raises, but the tuple and call cost the iterate benchmark
         # about 15% of its ops/s and 35% on its p90 (2-core x86 VM)
@@ -192,7 +192,7 @@ def _index(k: _Kernel, m: int) -> int:
         if m * hi > ceil * d2 or not (irrational or low % d2):
             raise PrecisionInsufficient(
                 f"ceiling of an interval angle undecided at iterate {m}")
-        total += w2 * ceil
+        total += 2 * ceil
     return total
 
 
@@ -213,16 +213,16 @@ def _index_range(k: _Kernel, ms: range) -> List[Optional[int]]:
         return []
     slope, shift = k.slope, k.shift
     out = [m * slope - shift for m in ms]
-    for w2, p, q2 in k.exact:
-        out = [t - w2 * (-m * p // q2) for t, m in zip(out, ms)]
-    for w2, lo, hi, d2, irrational in k.interval:
+    for p, q2 in k.exact:
+        out = [t - 2 * (-m * p // q2) for t, m in zip(out, ms)]
+    for lo, hi, d2, irrational in k.interval:
         for j, m in enumerate(ms):
             low = m * lo
             ceil = low // d2 + 1
             if m * hi > ceil * d2 or not (irrational or low % d2):
                 out[j] = None
             elif out[j] is not None:
-                out[j] += w2 * ceil
+                out[j] += 2 * ceil
     if ms[0] < 1 or ms[-1] < 1:  # the point query rejects these
         return [None if m < 1 else t for t, m in zip(out, ms)]
     return out

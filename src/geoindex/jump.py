@@ -43,10 +43,7 @@ in index order.  The outcome is the every-N scan's: the candidates
 (every coordinate near, none undecided) do not depend on the order the
 coordinates are asked in, an exact one never raises, and one too wide
 at N is too wide at every larger N, so every candidate below that N is
-still visited first, in increasing order.  Heading the walk with the
-exact coordinates behind an interval first one too (ROADMAP item 3)
-waits on item 2: the benchmark keeps every input it runs and could not
-hold the extra operations within its memory bound.
+still visited first, in increasing order.
 
 A curve keeps only its germ, rho_i and the germ's compiled kernel
 (``iteration._kernel``): beta_i is its slope, the alpha_{i,j} are its

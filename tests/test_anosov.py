@@ -11,7 +11,7 @@ from geoindex import anosov, serialize
 from geoindex.anosov import (AdmissibilityError, GeodesicSystem,
                              ImpossibilityReport, PipelineConfig, StageRecord,
                              mod4_window_certificate, replay, run_pipeline,
-                             verify_index_window)
+                             screen_parities, verify_index_window)
 from geoindex.cli import main
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm, germ_mbar, index_at
@@ -504,6 +504,8 @@ def test_four_curves_is_outside_scope():
         hyperbolic_germ("c", 2, (3, 7)), hyperbolic_germ("d", 4, (2, 7)))
     report = run_pipeline(four, CONFIG)
     assert report.final == "INCONCLUSIVE(outside-assumption)"
+    # one record shape for this verdict: the parity screen's own
+    assert report.stages == [screen_parities(four, CONFIG)]
 
 
 def test_all_even_is_outside_scope():
@@ -591,6 +593,26 @@ def test_mod4_window_certificate_arithmetic():
             cert = mod4_window_certificate(n, gam)
             assert cert["excluded"]
             assert cert["multiples_of_4_in_scaled_window"] == []
+            for p in (1, 2, 3, 5):
+                cert = mod4_window_certificate(n, gam, p)
+                assert cert["scaled_window"] == [2 * p * n - 2, 2 * p * n - 1]
+                assert cert["excluded"] == (p >= 3)
+
+
+def test_mod4_clash_reads_the_scaling_factor():
+    # the lattice argument excludes the scaled window [2pN-2, 2pN-1] only
+    # for p >= 3: at p = 1 or 2 a multiple of p lies inside it
+    for p in (1, 2):
+        report = run_pipeline(mod4_system(20, 33), replace(CONFIG, p_hat=p))
+        assert report.final == "INCONCLUSIVE(no-stage-failed)", p
+        assert not replay(report)
+    report = run_pipeline(mod4_system(20, 33), replace(CONFIG, p_hat=3))
+    assert report.final == "CONTRADICTION(mod4-clash)"
+    w = _stage(report, "mod4-clash").witness
+    n = _stage(report, "jump-search").witness["N"]
+    assert w["scaled_window"] == [6 * n - 2, 6 * n - 1] == (
+        w["window_certificate"]["scaled_window"])
+    assert replay(report)
 
 
 def test_pipeline_is_deterministic():

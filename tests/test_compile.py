@@ -25,8 +25,7 @@ from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
                                    R, _conjugate, big_C)
 
 from .oracle import (angle_list, bumpy_oracle, horizon_oracle, index_oracle,
-                     mean_oracle, problem_oracle, s_plus_at_one, spectrum_lcm,
-                     weighted_angles)
+                     mean_oracle, problem_oracle, s_plus_at_one, spectrum_lcm)
 
 CR = CertifiedReal
 GRIDS = (3, 4, 6, 10, 12, 60, 10 ** 4)
@@ -151,7 +150,7 @@ def test_compile_matches_block_walkers():
         k = _kernel(germ)
         blocks = germ.blocks
         assert k.s_plus == s_plus_at_one(blocks), germ
-        assert k.c == big_C(blocks), germ
+        assert k.c == big_C(blocks) == len(k.rows), germ
         assert k.slope == germ.i1 + k.s_plus - k.c
         assert k.rows == tuple(map(_row, angle_list(blocks))), germ
         assert (k.exact, k.interval) == _angle_terms(blocks), germ
@@ -180,15 +179,15 @@ def test_compile_matches_block_walkers():
 
 
 def _angle_terms(blocks):
-    """The kernel's exact and interval terms from the walkers: (2w, p, 2q)
-    per weighted point angle, (2w, lo, hi, 2d, irrational) per other."""
+    """The kernel's exact and interval terms from the walkers, one per
+    angle of ``angle_list``: (p, 2q) per point angle, (lo, hi, 2d,
+    irrational) per other."""
     exact, interval = [], []
-    for t, w in weighted_angles(blocks):
-        L, H, d, irrational = _row(t)
+    for L, H, d, irrational in map(_row, angle_list(blocks)):
         if L == H:
-            exact.append((2 * w, L, 2 * d))
+            exact.append((L, 2 * d))
         else:
-            interval.append((2 * w, L, H, 2 * d, irrational))
+            interval.append((L, H, 2 * d, irrational))
     return tuple(exact), tuple(interval)
 
 

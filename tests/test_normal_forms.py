@@ -9,9 +9,9 @@ import pytest
 from geoindex.exact import CertifiedReal, PrecisionBudget
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
                                    R, SplittingPair, UnresolvedSpectrum,
-                                   big_C, classify_2x2, elliptic_height,
-                                   nullity_contribution, splitting_at,
-                                   splitting_sum)
+                                   _table, big_C, classify_2x2,
+                                   elliptic_height, nullity_contribution,
+                                   splitting_at, splitting_sum)
 
 from .oracle import spectrum_rows
 
@@ -88,6 +88,19 @@ def test_splitting_bounded_by_kernel_dim():
         for row in spectrum_rows([b]):
             assert 0 <= row.s_plus <= row.nu
             assert 0 <= row.s_minus <= row.nu
+
+
+def test_table_splitting_numbers_are_zero_or_one():
+    # every eigenvalue's kernel is one-dimensional, so the index kernel
+    # keeps each angle once instead of weighting it
+    t = CR.rational(Fraction(1, 3))
+    blocks = ([N1(e, c) for e in (1, -1)
+               for c in (B_POSITIVE, B_ZERO, B_NEGATIVE)]
+              + [_d(2), _d(-2), R(t), N2(t, True), N2(t, False)])
+    for b in blocks:
+        for _, _, s_plus, s_minus in _table(b):
+            assert s_plus in (0, 1) and s_minus in (0, 1), b
+    assert _table(_d(2)) == ()
 
 
 def test_real_points_are_symmetric():
