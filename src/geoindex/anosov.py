@@ -51,8 +51,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .iteration import (IndexGerm, _index, _kernel, bott_positive,
                         gamma_invariant, germ_mbar, index_at, is_bumpy, mbar,
                         mean_index)
-from .jump import (JumpCertificate, ScaledCertificate, build_problem,
-                   scale, search, verify_jump, verify_rounding)
+from .jump import (CertificateMismatch, JumpCertificate, ScaledCertificate,
+                   build_problem, scale, search, verify_jump, verify_rounding)
 from .morse import betti, parity_counts
 from . import serialize
 from .serialize import _int
@@ -219,10 +219,16 @@ def verify_index_window(germs: Sequence[IndexGerm], cert: JumpCertificate,
     C_k - Delta_k <= 2; both are checked and recorded, the latter being
     automatic for 4-dimensional block data.
 
-    Every curve needs rho = 1 and a mean with a positive upper end, as
-    in every admissible system; otherwise ValueError is raised before
-    any iterate is evaluated.
+    The germs must be the certificate's curves, in its order
+    (CertificateMismatch otherwise), and every curve needs rho = 1 and a
+    mean with a positive upper end, as in every admissible system
+    (ValueError otherwise); both are checked before any iterate is
+    evaluated.
     """
+    names = tuple(g.name for g in germs)
+    if names != cert.names:
+        raise CertificateMismatch(f"certificate does not fit the system: "
+                                  f"curve names {cert.names}, want {names}")
     for k, germ in enumerate(germs):
         if cert.rho[k] != 1 or mean_index(germ).hi <= 0:
             raise ValueError(f"index window of curve {germ.name!r} needs "

@@ -33,17 +33,23 @@ wins, and enlarging the range never changes the result.
 
 The coordinates are placed by one walk, a level per coordinate: level
 k places its coordinate at each N that level k-1 keeps, level 0 at
-every N.  An exact coordinate, L/d, places N by N*L mod d alone, so its
-sides repeat with period lcm(d, M0).  A level whose coordinates, its
-own and those below, are all exact records the hits of its first
-period and replays them after it, so once that period is over an N the
-level rejects costs nothing.  The walk's head is every exact coordinate
-when the first one is exact, else the first alone; the others follow
-in index order.  The outcome is the every-N scan's: the candidates
-(every coordinate near, none undecided) do not depend on the order the
-coordinates are asked in, an exact one never raises, and one too wide
-at N is too wide at every larger N, so every candidate below that N is
-still visited first, in increasing order.
+every N of the walk's stride.  An exact coordinate, L/d, places N by
+N*L mod d alone, so its sides repeat with period lcm(d, stride).  A
+level whose coordinates, its own and those below, are all exact records
+the hits of its first period and replays them after it, so once that
+period is over an N the level rejects costs nothing.  The walk's head
+is every exact coordinate when the first one is exact, else the first
+alone.  An exact head coordinate with eps*d <= 1 is near a vertex only
+where N*L = 0 (mod d), on side 0: a remainder f > 0 puts N*L at least
+1/d >= eps from both ends.  Such a coordinate is folded into the stride,
+lcm(M0, d/gcd(L, d)) over all of them, and reads chi = 0; the walk
+places the other head coordinates, then the rest in index order.  The
+outcome is the every-N scan's: the candidates (every coordinate near,
+none undecided) do not depend on the order the coordinates are asked
+in, the stride drops exactly the N some folded coordinate keeps far, an
+exact coordinate never raises, and one too wide at N is too wide at
+every larger N, so every candidate below that N is still visited first,
+in increasing order.
 
 A curve keeps only its germ, rho_i and the germ's compiled kernel
 (``iteration._kernel``): beta_i is its slope, the alpha_{i,j} are its
@@ -584,26 +590,38 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
     order, and a candidate is only returned once every rounding and jump
     clause has been recomputed and passed (``_assemble``, on integers,
     building a certificate only for the candidate it accepts).  The
-    coordinates are walked
-    (``_walk``) head first: every exact one when the first is exact,
-    else the first alone, then the others in index order; chi is read
-    back in index order.  Once some N*v_j is too wide to place, so is
-    every larger N, and NotFound is raised at once.
+    head is every exact coordinate when the first is exact, else the
+    first alone.  A head coordinate L/d with eps*d <= 1 is near only
+    where d divides N*L, on side 0, so it is folded into the stride:
+    the walk (``_walk``) visits the multiples of lcm(M0, d/gcd(L, d)
+    over the folded ones) alone, which are the multiples of M0 where
+    every folded coordinate is near.  It places the other head
+    coordinates first, then the rest in index order; a folded one reads
+    side 0, and chi is read back in index order.  Once some N*v_j is too
+    wide to place, so is every larger N, and NotFound is raised at once.
     """
     if n_min > n_max:
         raise ValueError("empty search range")
     if m_bar < 0:
         raise ValueError(f"m_bar must be nonnegative, got {m_bar}")
-    rows = problem.v_rows
-    places = _compiled(problem, rows, problem.epsilon)
-    M0 = problem.M0
-    first = ((max(n_min, 1) + M0 - 1) // M0) * M0
+    rows, eps = problem.v_rows, problem.epsilon
+    places = _compiled(problem, rows, eps)
     exact = [j for j, (L, H, _, _) in enumerate(rows) if L == H]
     head = exact if exact[:1] == [0] else [0]
-    order = head + [j for j in range(len(rows)) if j not in head]
-    at = sorted(range(len(order)), key=order.__getitem__)  # chi's order
-    for N, sides in _walk([rows[j] for j in order],
-                          [places[j] for j in order], first, n_max, M0):
+    folded = [j for j in exact if j in head  # near only where d | N*L
+              and eps.numerator * rows[j][2] <= eps.denominator]
+    step = lcm(problem.M0, *(d // gcd(L, d) for L, _, d, _ in
+                             (rows[j] for j in folded)))
+    first = -(-max(n_min, 1) // step) * step
+    order = ([j for j in head if j not in folded]
+             + [j for j in range(len(rows)) if j not in head])
+    at = sorted(range(len(rows)), key=(order + folded).__getitem__)
+    zeros = (0,) * len(folded)            # a folded row's side
+    walk = (_walk([rows[j] for j in order], [places[j] for j in order],
+                  first, n_max, step) if order
+            else zip(range(first, n_max + 1, step), repeat(())))
+    for N, sides in walk:
+        sides += zeros
         cert = _assemble(problem, N, [sides[k] for k in at], m_bar)
         if cert is not None:
             return cert
@@ -611,24 +629,25 @@ def search(problem: JumpProblem, n_min: int, n_max: int, *,
 
 
 def _walk(rows: Sequence[_Row], places: Sequence[Callable], first: int,
-          n_max: int, M0: int) -> Iterator[Tuple[int, tuple]]:
-    """(N, sides) for each N = first, first + M0, ... <= n_max at which
-    every row, compiled as places, sets N*row near a vertex, in order,
-    with the sides in row order.  Level k places row k at the N that
-    level k-1 keeps (level 0 at every N): an undecided side passes the
-    N over, and NotFound(n_max) is raised where N*row is too wide.
-    Exact rows' sides repeat with period lcm(M0, their d), so a level
-    whose rows, its own and those below, are all exact records the hits
-    of its first period and replays them after it; a level with an
-    interval row never repeats, and its one period spans the range."""
+          n_max: int, step: int) -> Iterator[Tuple[int, tuple]]:
+    """(N, sides) for each N = first, first + step, ... <= n_max at
+    which every row, compiled as places, sets N*row near a vertex, in
+    order, with the sides in row order.  Level k places row k at the N
+    that level k-1 keeps (level 0 at every N of the stride): an
+    undecided side passes the N over, and NotFound(n_max) is raised
+    where N*row is too wide.  Exact rows' sides repeat with period
+    lcm(step, their d), so a level whose rows, its own and those below,
+    are all exact records the hits of its first period and replays them
+    after it; a level with an interval row never repeats, and its one
+    period spans the range."""
     *below, row = rows
     P = max(n_max, 0) + 1
     if all(L == H for L, H, _, _ in rows):
-        P = lcm(M0, *(d for _, _, d, _ in rows))
+        P = lcm(step, *(d for _, _, d, _ in rows))
     end, place, hits = min(first + P, n_max + 1), places[-1], []
     replay = end <= n_max
-    kept = (_walk(below, places[:-1], first, end - 1, M0) if below
-            else zip(range(first, end, M0), repeat(())))
+    kept = (_walk(below, places[:-1], first, end - 1, step) if below
+            else zip(range(first, end, step), repeat(())))
     for N, sides in kept:
         try:
             side = place(N)
@@ -714,7 +733,9 @@ def scale(problem: JumpProblem, cert: JumpCertificate,
 
 def delta_invariance(problem: JumpProblem, cert: JumpCertificate,
                      delta1: Fraction, delta2: Fraction) -> bool:
-    """Whether the Delta recount agrees under two admissible deltas."""
+    """Whether the Delta recount agrees under two admissible deltas;
+    CertificateMismatch where the certificate does not fit the problem."""
+    check_certificate(problem, cert)
     mu_max = max(len(c.kernel.rows) for c in problem.curves)
     for d in (Fraction(delta1), Fraction(delta2)):
         if not 0 < d < Fraction(1, 2) or d * mu_max >= Fraction(1, 2):

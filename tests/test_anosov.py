@@ -15,8 +15,9 @@ from geoindex.anosov import (AdmissibilityError, GeodesicSystem,
 from geoindex.cli import main
 from geoindex.exact import CertifiedReal
 from geoindex.iteration import IndexGerm, germ_mbar, index_at
-from geoindex.jump import (JumpCertificate, NotFound, VerificationReport,
-                           build_problem, search)
+from geoindex.jump import (CertificateMismatch, JumpCertificate, NotFound,
+                           VerificationReport, build_problem, search)
+from geoindex.morse import morse_numbers_up_to
 from geoindex.normal_forms import D, N1, R, classify_2x2
 from geoindex.samples import (all_odd_system, forced_top_system,
                               gamma_window_system, hyperbolic_germ,
@@ -668,3 +669,25 @@ def test_window_rejects_a_negative_curve_before_any_iterate(monkeypatch):
     monkeypatch.setattr(anosov, "_index", no_iterate)
     with pytest.raises(ValueError, match=repr(negative[0])):
         verify_index_window(germs, cert, 8)
+
+
+def test_window_and_morse_counts_take_the_certificates_curves(monkeypatch):
+    # the forced-top certificate read with two of its three germs, or
+    # with all three reversed: a mismatch, found before any iterate
+    germs = forced_top_system().germs
+    problem = build_problem(germs, Fraction(1, 256), Fraction(1, 256))
+    cert = search(problem, 1, 1000, m_bar=8)
+    assert cert.names == tuple(g.name for g in germs)
+    assert verify_index_window(germs, cert, 8).ok
+    morse_numbers_up_to(germs, problem, cert, 2 * cert.N, 8)
+
+    def no_iterate(kernel, m):
+        raise AssertionError(f"iterate {m} evaluated")
+
+    for other in (germs[:2], germs[::-1]):
+        with pytest.raises(CertificateMismatch, match="curve names"):
+            morse_numbers_up_to(other, problem, cert, 2 * cert.N, 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(anosov, "_index", no_iterate)
+            with pytest.raises(CertificateMismatch, match="curve names"):
+                verify_index_window(other, cert, 8)

@@ -791,6 +791,123 @@ def test_not_found_comes_where_a_later_coordinate_goes_too_wide(
     assert max(placed) == N > scanned.value.at == 1000
 
 
+def _fold(problem):
+    """The vertex coordinates the search folds into its stride, and the
+    stride: with the first coordinate exact, every exact L/d with
+    eps*d <= 1, near only where d divides N*L."""
+    rows, eps = problem.v_rows, problem.epsilon
+    folded = [j for j, (L, H, d, _) in enumerate(rows)
+              if rows[0][0] == rows[0][1] and L == H and d * eps <= 1]
+    return folded, lcm(problem.M0, *(d // gcd(L, d) for L, _, d, _ in
+                                     (rows[j] for j in folded)))
+
+
+def _placements(monkeypatch, problem):
+    """A list that gets (j, N) for every placement of N*v_j of the
+    problem's vertex coordinates."""
+    placed = []
+    compiled = jump._compiled
+
+    def recording(owner, rows, eps):
+        places = compiled(owner, rows, eps)
+        if owner is not problem:
+            return places
+        return tuple((lambda N, j=j, place=place:
+                      placed.append((j, N)) or place(N))
+                     for j, place in enumerate(places))
+
+    monkeypatch.setattr(jump, "_compiled", recording)
+    return placed
+
+
+def test_search_folds_exact_head_coordinates_into_its_stride(monkeypatch):
+    # the exact-first systems of jump_corpus(40) at eps = 1/64 and at
+    # eps = 1/d for their least and largest exact d in [3, 300], a row at
+    # eps*d = 1 exactly (its N*L is near only on d's grid); M0 from 1
+    # to 3, n_min off the stride, and n_max at most 300, below the
+    # stride where the stride is longer: the outcome is the every-N
+    # scan's, and a folded coordinate is placed only at the certificate,
+    # by the verify_rounding it is handed out through
+    rng = random.Random(28)
+    seen = Counter()
+    for k, germs in enumerate(jump_corpus(40)):
+        rows = build_problem(germs, Fraction(1, 64)).v_rows
+        if rows[0][0] != rows[0][1]:
+            continue
+        ds = sorted({d for L, H, d, _ in rows if L == H and 3 <= d <= 300})
+        for eps in sorted({Fraction(1, 64)}
+                          | {Fraction(1, d) for d in ds[:1] + ds[-1:]}):
+            M0 = rng.randint(1, 3)
+            problem = build_problem(germs, Fraction(1, 64), eps, M0)
+            folded, step = _fold(problem)
+            exact = [j for j, (L, H, _, _) in enumerate(problem.v_rows)
+                     if L == H]
+            for n_min, n_max in ((rng.randint(1, 9), 300),
+                                 (1, min(step - 1, 300))):
+                if n_max < 1:
+                    continue
+                placed = _placements(monkeypatch, problem)
+                got = _search_outcome(
+                    lambda *a: search(*a, m_bar=8), problem, n_min, n_max)
+                at = {N for j, N in placed if j in folded}
+                monkeypatch.undo()
+                want = _search_outcome(
+                    lambda *a: search_oracle(*a, 8), problem, n_min, n_max)
+                assert got == want, (k, eps, M0, n_min, n_max)
+                cert = got.startswith("JumpCertificate")
+                assert at <= ({search(problem, n_min, n_max, m_bar=8).N}
+                              if cert else set()), (k, eps, M0)
+                seen["every exact row folded", cert] += folded == exact
+                seen["some exact row not folded", cert] += (
+                    0 < len(folded) < len(exact))
+                seen["a row at eps*d = 1", cert] += any(
+                    problem.v_rows[j][2] * eps == 1 for j in folded)
+                seen["n_min off the stride", cert] += (
+                    M0 > 1 and n_min % step > 0)
+                seen["n_max below the stride"] += n_max < step
+    assert seen["n_max below the stride"] >= 50
+    for case in ("every exact row folded", "some exact row not folded",
+                 "a row at eps*d = 1", "n_min off the stride"):
+        assert seen[case, True] >= 5 and seen[case, False] >= 20, seen
+
+
+def test_a_folded_coordinate_is_never_placed(monkeypatch):
+    # h5 and h7 have v = 1/5 and 1/7.  At eps = 1/7 both fold (1/7 at
+    # eps*d = 1), the stride is 35 and the walk is its bare progression:
+    # nothing is placed before the certificate, from n_min = 1 or 36.
+    # At eps = 1/6, 1/7 is not folded (eps*7 > 1): it alone is placed,
+    # on the stride 5, up to N = 35; it keeps 15, which fails a clause.
+    # Around w's v_1, too wide from N = 1000 on, both fold at eps = 1/16:
+    # only v_1 is placed (it is near at no N of the stride 35, so v_3
+    # waits), up to the first N past 1000 on the stride: NotFound
+    h5 = IndexGerm("h5", 5, (D(CR.rational(2)), D(CR.rational(3))))
+    h7 = IndexGerm("h7", 7, (D(CR.rational(2)), D(CR.rational(-2))))
+    w = IndexGerm("w", 2, (R(CR.parse("0.4142135~3", irrational=True)),
+                           D(CR.rational(2))))
+    for germs, eps, n_min, fold, want, walked in (
+            ((h5, h7), Fraction(1, 7), 1, ([0, 1], 35), 35, []),
+            ((h5, h7), Fraction(1, 7), 36, ([0, 1], 35), 70, []),
+            ((h5, h7), Fraction(1, 6), 1, ([0], 5), 35,
+             [(1, N) for N in range(5, 40, 5)]),
+            ((h5, w, h7), Fraction(1, 16), 1, ([0, 2], 35), None, None)):
+        problem = build_problem(germs, Fraction(1, 16), eps, 1)
+        assert _fold(problem) == fold
+        placed = _placements(monkeypatch, problem)
+        try:
+            N = search(problem, n_min, 10 ** 7, m_bar=8).N
+        except NotFound:
+            N = None
+        monkeypatch.undo()
+        assert N == want
+        assert _search_outcome(lambda *a: search(*a, m_bar=8), problem,
+                               n_min, 10 ** 7) == _search_outcome(
+            lambda *a: search_oracle(*a, 8), problem, n_min, 10 ** 7)
+        if N is None:
+            assert placed == [(1, n) for n in range(35, 1016, 35)]
+        else:  # verify_rounding places every row at the certificate
+            assert placed == walked + [(j, N) for j in range(len(germs))]
+
+
 def test_search_holds_little_memory():
     # an interval first coordinate scanned N by N to a NotFound, and an
     # exact-first problem certified past its second level's period: a
@@ -822,15 +939,23 @@ def test_verifiers_reject_a_certificate_missing_a_curve():
     assert (cert.N, cert.m) == (10, (10, 5, 7))
     short = replace(cert, m=cert.m[:-1], Delta=cert.Delta[:-1],
                     rho=cert.rho[:-1], names=cert.names[:-1])
+    # and the whole certificate against the problem of its first two
+    two = build_problem(forced_top_system().germs[:2], Fraction(1, 256),
+                        Fraction(1, 256))
+    deltas = Fraction(1, 256), Fraction(1, 512)
+    assert delta_invariance(problem, cert, *deltas)
     for call in (lambda: verify_rounding(problem, short),
                  lambda: verify_jump(problem, short, 8),
-                 lambda: scale(problem, short, 1, 8)):
+                 lambda: scale(problem, short, 1, 8),
+                 lambda: delta_invariance(problem, short, *deltas),
+                 lambda: delta_invariance(two, cert, *deltas)):
         with pytest.raises(CertificateMismatch, match="curve names"):
             call()
     for field in ("m", "Delta"):
         with pytest.raises(CertificateMismatch, match=f"{field} length"):
             verify_rounding(problem, replace(
                 cert, **{field: getattr(cert, field)[:-1]}))
+
 
 
 def test_a_certificate_carries_the_problems_settings():
