@@ -230,7 +230,7 @@ def verify_index_window(germs: Sequence[IndexGerm], cert: JumpCertificate,
         raise CertificateMismatch(f"certificate does not fit the system: "
                                   f"curve names {cert.names}, want {names}")
     for k, germ in enumerate(germs):
-        if cert.rho[k] != 1 or mean_index(germ).hi <= 0:
+        if cert.rho[k] != 1 or _kernel(germ).mean[1] <= 0:
             raise ValueError(f"index window of curve {germ.name!r} needs "
                              f"rho = 1 and a positive mean index")
     report = WindowReport(ok=True)
@@ -240,7 +240,8 @@ def verify_index_window(germs: Sequence[IndexGerm], cert: JumpCertificate,
         below = two_n - germ.i1
         kernel = _kernel(germ)
         c_val = kernel.c
-        settled = (below - (c_val - kernel.s_plus)) // mean_index(germ).hi
+        _, H, d, _ = kernel.mean
+        settled = (below - c_val + kernel.s_plus) * d // H
         for j in range(max(1, settled + 1), 2 * m_k):
             val = _index(kernel, j)
             if val > below:

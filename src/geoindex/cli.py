@@ -176,12 +176,11 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_mean_index(args) -> int:
-    germs = parse_system(args.system)
-    payload = {"curves": [{"name": g.name,
-                           "mean_index": serialize.number_to_str(mean_index(g))}
-                          for g in germs]}
-    table = [f"{g.name}: {serialize.number_to_str(mean_index(g))}"
-             for g in germs]
+    means = [(g.name, serialize.number_to_str(mean_index(g)))
+             for g in parse_system(args.system)]
+    payload = {"curves": [{"name": name, "mean_index": mean}
+                          for name, mean in means]}
+    table = [f"{name}: {mean}" for name, mean in means]
     _emit(payload, args.format, table, args.output)
     return 0
 

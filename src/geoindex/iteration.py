@@ -45,24 +45,25 @@ exactly where the certified ceiling of ``exact`` is undecided.
 
 ``_index`` and ``_nullity`` are the point queries.  The jump identities
 read runs of iterates, a ``range`` ascending or descending, through
-their range form, ``_index_range`` and ``_nullity_range``: one term at
-a time across the whole run (m*slope - shift, one pass per exact angle,
-one per interval angle with its certification test; the nullity steps
-each closing period).  Where the point query would raise, the entry is
-None, and the caller that reaches it asks the point query, which raises
-its own error; so verdicts and raises come in the order of a
-point-by-point walk.  Every other walk (the horizon walks of
-``germ_mbar`` and ``bott_positive``, the index window, the Morse
-counts and ``IndexProfile.rows``) asks the point queries iterate by
-iterate, which raise in point order and hold no run in memory; on the
-horizon walks and the window a range pass costs more than it saves.
+``_index_range``: one term at a time across the whole run (m*slope -
+shift, one pass per exact angle, one per interval angle with its
+certification test).  The nullity runs are ``_period_sums`` over the
+closing periods, for a germ without an undeclared angle.  A run is
+decided whole: ``_index_range`` raises where some point query of the
+run would raise, and its caller then walks the run with the point
+queries, which raise in point order.  Every other walk (the horizon
+walks of ``germ_mbar`` and ``bott_positive``, the index window, the
+Morse counts and ``IndexProfile.rows``) asks the point queries iterate
+by iterate, which raise in point order and hold no run in memory; on
+the horizon walks and the window a range pass costs more than it saves.
 
-The compiled kernels and the results of ``mean_index`` and
-``germ_mbar`` live in LRU caches of fixed size keyed by the germ, so a
-long-lived process holds a bounded number of them; ``bott_positive``
-keeps no cache, since a pipeline run asks it once per germ.  A germ
-hashes its fields once, at construction: hashing every Fraction of every
-block on each lookup would cost more than the evaluation itself.
+The compiled kernels and the results of ``germ_mbar`` live in LRU
+caches of fixed size keyed by the germ, so a long-lived process holds a
+bounded number of them.  ``mean_index`` keeps no cache, since it reads
+the kernel's mean row, and neither does ``bott_positive``, since a
+pipeline run asks it once per germ.  A germ hashes its fields once, at
+construction: hashing every Fraction of every block on each lookup
+would cost more than the evaluation itself.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _lowest,
                     _Row, _row, _sign, _times)
@@ -204,13 +205,13 @@ def _nullity(k: _Kernel, m: int) -> int:
     return sum(w for period, w in k.closing if m % period == 0)
 
 
-def _index_range(k: _Kernel, ms: range) -> List[Optional[int]]:
-    """[i(m) for m in ms] over a run ms = range(a, b, +-1), None exactly
-    where ``_index(k, m)`` raises.  One term at a time across the run:
-    the slope, then one pass per exact angle, then one per interval
-    angle with the certification test of ``_index``."""
-    if not ms:
-        return []
+def _index_range(k: _Kernel, ms: range) -> List[int]:
+    """[i(m) for m in ms] over a run ms = range(a, b, +-1); it raises
+    where ``_index(k, m)`` raises for some m of the run.  One term at a
+    time: the slope, then one pass per exact angle, then one per
+    interval angle with the certification test of ``_index``."""
+    if ms and min(ms[0], ms[-1]) < 1:
+        raise ValueError("iterate must be positive")
     slope, shift = k.slope, k.shift
     out = [m * slope - shift for m in ms]
     for p, q2 in k.exact:
@@ -220,22 +221,9 @@ def _index_range(k: _Kernel, ms: range) -> List[Optional[int]]:
             low = m * lo
             ceil = low // d2 + 1
             if m * hi > ceil * d2 or not (irrational or low % d2):
-                out[j] = None
-            elif out[j] is not None:
-                out[j] += 2 * ceil
-    if ms[0] < 1 or ms[-1] < 1:  # the point query rejects these
-        return [None if m < 1 else t for t, m in zip(out, ms)]
-    return out
-
-
-def _nullity_range(k: _Kernel, ms: range) -> List[Optional[int]]:
-    """[nu(m) for m in ms] over a run ms = range(a, b, +-1), None exactly
-    where ``_nullity(k, m)`` raises: everywhere for an undeclared angle."""
-    if k.undeclared:
-        return [None] * len(ms)
-    out = _period_sums(k.closing, ms)
-    if ms and (ms[0] < 1 or ms[-1] < 1):
-        return [None if m < 1 else t for t, m in zip(out, ms)]
+                raise PrecisionInsufficient(
+                    f"ceiling of an interval angle undecided at iterate {m}")
+            out[j] += 2 * ceil
     return out
 
 
@@ -263,7 +251,6 @@ def nullity_at(germ: IndexGerm, m: int) -> int:
     return _nullity(_kernel(germ), m)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def mean_index(germ: IndexGerm) -> CertifiedReal:
     """Average index growth per iterate.
 
@@ -379,16 +366,19 @@ class IndexProfile:
         self.m_max = m_max
         self._kernel = _kernel(germ)
 
-    def entry(self, m: int) -> Tuple[int, int]:
+    def _inside(self, m: int) -> int:
         if not 1 <= m <= self.m_max:
             raise ValueError(f"iterate {m} outside profile range")
-        return _index(self._kernel, m), _nullity(self._kernel, m)
+        return m
+
+    def entry(self, m: int) -> Tuple[int, int]:
+        return self.index(m), self.nullity(m)
 
     def index(self, m: int) -> int:
-        return self.entry(m)[0]
+        return _index(self._kernel, self._inside(m))
 
     def nullity(self, m: int) -> int:
-        return self.entry(m)[1]
+        return _nullity(self._kernel, self._inside(m))
 
     def rows(self) -> List[Tuple[int, int, int]]:
         k = self._kernel

@@ -75,9 +75,9 @@ coordinate.  ``verify_rounding`` and ``verify_jump`` are that fit and
 the same checks, behind a report that forms its clauses (name, ok,
 witness items) only when they are read: for ``clauses``,
 ``first_failure`` and ``_verdicts``, for ``strict`` to name the failing
-triple, and for a run holding a marked iterate, whose curve is walked in
-point order, so its point query raises where a point-by-point walk
-raises.  The search hands out the certificate it accepts through
+triple, and for a curve whose runs raise, which is walked point by
+point, so a query raises where a point-by-point walk raises.  The
+search hands out the certificate it accepts through
 ``verify_rounding`` (it passes, as the same checks have), and ``scale``
 checks the scaled certificate through ``verify_jump`` against the
 problem at the scaled tolerances: perfbench's tracer sees only public
@@ -105,7 +105,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 from .exact import (CertifiedReal, PrecisionInsufficient, _ceil, _floor,
                     _lowest, _placement, _Row, _sign, _times)
 from .iteration import (IndexGerm, _index, _index_range, _Kernel, _kernel,
-                        _nullity, _nullity_range, _period_sums)
+                        _nullity, _period_sums)
 
 
 class ZeroMeanIndex(ValueError):
@@ -462,9 +462,8 @@ def _jump_clauses(problem: JumpProblem, N: int, m: Sequence[int],
     period and no undeclared angle has i(m) = m*beta_i - S+ and nu(m) =
     0: i(2m_i + m) - i(m) = 2m_i*beta_i and i(2m_i - m) + i(m) =
     2m_i*beta_i - 2S+, so its identities hold iff three integers agree.
-    Any other curve is decided by comparing its runs (``_runs``).  A run
-    entry whose point query raises is marked (None); the verdict is then
-    None, and only the clauses decide."""
+    Any other curve is decided by comparing its runs (``_runs``); where
+    they raise, the verdict is None and only the clauses decide."""
     for curve, m_i, delta_i in zip(problem.curves, m, Delta):
         k = curve.kernel
         who = ("curve", curve.germ.name)
@@ -482,8 +481,9 @@ def _jump_clauses(problem: JumpProblem, N: int, m: Sequence[int],
                                             up - 2 * k.shift == reflected)
                    ), clauses
             continue
-        around, nu_around, base, nus, qs = _runs(curve, m_i, m_bar)
-        if None in around or None in base or None in nus:
+        try:
+            around, nu_around, base, nus, qs = _runs(curve, m_i, m_bar)
+        except PrecisionInsufficient:
             yield None, clauses
             continue
         yield (around[m_bar] == top
@@ -499,42 +499,45 @@ def _runs(curve: CurveProblem, m_i: int, m_bar: int) -> tuple:
     on the window 2m_i - m_bar .. 2m_i + m_bar (i(2m_i + d) for |d| <=
     m_bar is around[m_bar + d], and so is nu) and on 1 .. m_bar (the
     same for every certificate, so kept per curve and horizon), and
-    Q_i(m) on 1 .. m_bar, which weighs the rational points p/q that 2m_i
-    closes up (m_i*p/q integral) and m closes up too (m*p/(2q)
-    integral)."""
+    Q_i(m) on 1 .. m_bar; PrecisionInsufficient where an index of them
+    is undecided, and for the nullity of an undeclared angle."""
     k = curve.kernel
+    if k.undeclared:
+        raise PrecisionInsufficient("nullity of an undeclared decimal angle")
     window = range(2 * m_i - m_bar, 2 * m_i + m_bar + 1)
     ms = range(1, m_bar + 1)
     if m_bar not in curve._memo:
-        curve._memo[m_bar] = _index_range(k, ms), _nullity_range(k, ms)
+        curve._memo[m_bar] = _index_range(k, ms), _period_sums(k.closing, ms)
     base, nus = curve._memo[m_bar]
-    qs = _period_sums([(2 * q // gcd(p, 2 * q), 1) for p, h, q, _ in k.rows
-                       if p == h and m_i * p % q == 0], ms)
-    return _index_range(k, window), _nullity_range(k, window), base, nus, qs
+    return (_index_range(k, window), _period_sums(k.closing, window), base,
+            nus, _period_sums(_closed_up(k, m_i), ms))
+
+
+def _closed_up(k: _Kernel, m_i: int) -> List[Tuple[int, int]]:
+    """(period, 1) per rational point p/q that 2m_i closes up (m_i*p/q
+    integral); Q_i(m) weighs those m closes up too, m*p/(2q) integral."""
+    return [(2 * q // gcd(p, 2 * q), 1) for p, h, q, _ in k.rows
+            if p == h and m_i * p % q == 0]
 
 
 def _jump_walk(curve: CurveProblem, who: tuple, m_i: int, m_bar: int,
                two_n: int, top: int, reflected: int) -> Iterator[tuple]:
-    """A curve's clauses, read off its runs, formed when first read, in
-    point order."""
-    around, nu_around, base, nus, qs = _runs(curve, m_i, m_bar)
-
-    def at(run, j, m, query=_index):  # a marked entry: the query raises
-        return query(curve.kernel, m) if run[j] is None else run[j]
-
-    got = at(around, m_bar, 2 * m_i)
+    """A curve's clauses, formed when first read, by one point query per
+    iterate in clause order: each query raises where it is first asked."""
+    k = curve.kernel
+    ms = range(1, m_bar + 1)
+    got = _index(k, 2 * m_i)
     yield "jump-top", got == top, (who, ("m", 0), ("got", got), ("want", top))
-    for j, m in enumerate(range(1, m_bar + 1)):
-        b = at(base, j, m)
-        up, want = at(around, m_bar + m, 2 * m_i + m), two_n + b
+    for m, q in zip(ms, _period_sums(_closed_up(k, m_i), ms)):
+        b = _index(k, m)
+        up, want = _index(k, 2 * m_i + m), two_n + b
         yield ("jump-up", up == want,
                (who, ("m", m), ("got", up), ("want", want)))
-        down = at(around, m_bar - m, 2 * m_i - m)
-        want = reflected - b - 2 * qs[j]
+        down, want = _index(k, 2 * m_i - m), reflected - b - 2 * q
         yield ("jump-down", down == want,
                (who, ("m", m), ("got", down), ("want", want)))
-        nu = at(nus, j, m, _nullity)  # only an undeclared angle marks
-        same = nu_around[m_bar + m] == nu == nu_around[m_bar - m]
+        nu = _nullity(k, m)
+        same = _nullity(k, 2 * m_i + m) == nu == _nullity(k, 2 * m_i - m)
         yield "jump-nullity", same, (who, ("m", m), ("nu", nu))
 
 

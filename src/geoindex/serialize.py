@@ -137,14 +137,15 @@ def block_from_dict(d: Dict[str, object],
     _fields(d, _BLOCK_FIELDS[kind], f"{kind} block",
             optional=("irrational",) if kind in ("R", "N2") else ())
     if kind == "N1":
-        return N1(_int(d["eigenvalue"], "eigenvalue"), str(d["b"]))
+        return N1(_int(d["eigenvalue"], "eigenvalue"), _str(d["b"], "b"))
     if kind == "D":
-        return D(CertifiedReal.parse(str(d["lambda"]), budget=budget))
+        return D(CertifiedReal.parse(_str(d["lambda"], "lambda"),
+                                     budget=budget))
     irr = d.get("irrational", False)
     if not isinstance(irr, bool):
         raise SchemaError(f"'irrational' must be true or false, got {irr!r}")
-    t = CertifiedReal.parse(str(d["theta_over_pi"]), irrational=irr,
-                            budget=budget)
+    t = CertifiedReal.parse(_str(d["theta_over_pi"], "theta_over_pi"),
+                            irrational=irr, budget=budget)
     if kind == "R":
         return R(t)
     k = d.get("kind")
@@ -161,9 +162,7 @@ def germ_to_dict(germ: IndexGerm) -> Dict[str, object]:
 def germ_from_dict(d: Dict[str, object], n: int = 3,
                    budget: PrecisionBudget | None = None) -> IndexGerm:
     _fields(d, ("name", "initial_index", "blocks"), "curve")
-    name, blocks = d["name"], d["blocks"]
-    if not isinstance(name, str):
-        raise SchemaError(f"curve 'name' must be a string, got {name!r}")
+    name, blocks = _str(d["name"], "name"), d["blocks"]
     if not isinstance(blocks, list):
         raise SchemaError(f"curve 'blocks' must be a list, got {blocks!r}")
     return IndexGerm(name, _int(d["initial_index"], "initial_index"),
@@ -239,7 +238,13 @@ def certificate_from_dict(d: Dict[str, object]) -> JumpCertificate:
         delta=_rational(d["delta"], "delta"),
         epsilon=_rational(d["epsilon"], "epsilon"),
         M=_int(d["M"], "M"), M0=_int(d["M0"], "M0"),
-        names=tuple(str(c["name"]) for c in curves))
+        names=tuple(_str(c["name"], "name") for c in curves))
+
+
+def _str(x: object, key: str) -> str:
+    if not isinstance(x, str):
+        raise SchemaError(f"{key!r} must be a string, got {x!r}")
+    return x
 
 
 def _int(x: object, key: str) -> int:

@@ -231,6 +231,8 @@ BAD_CERTIFICATES = {
                       lambda c: c.update(N="5")),
     "delta-not-rational": ([worked_example_B()], "scale-jump",
                            lambda c: c.update(delta=0.01)),
+    "name-not-string": ([worked_example_B()], "verify-jump",
+                        lambda c: c["curves"][0].update(name=5)),
     "morse-negative-index": ([HN], "morse", lambda c: None),
 }
 
@@ -257,6 +259,8 @@ def test_bad_certificate_is_one_error_line(case, tmp_path, capsys):
     if case == "chi-cut":
         assert err == ("error: certificate does not fit the system: "
                        "chi length 1, want 3\n")
+    if case == "name-not-string":  # read as is, never as the name "5"
+        assert err == "error: 'name' must be a string, got 5\n"
 
 
 def test_a_certificate_off_its_grid_is_one_error_line(tmp_path, capsys):
@@ -314,6 +318,14 @@ BAD_SYSTEMS = {
                 {"type": "D", "lambda": "2"}]),
     "irrational-string": lambda d: _curve(d)["blocks"][0].update(
         theta_over_pi="0.3333~4", irrational="false"),
+    # a JSON number is a double: the document must spell the value
+    "theta-number": lambda d: _curve(d)["blocks"][0].update(
+        theta_over_pi=0.10000000000000000001),
+    "lambda-number": lambda d: _curve(d)["blocks"].__setitem__(
+        1, {"type": "D", "lambda": 2}),
+    "b-not-string": lambda d: _curve(d).update(
+        blocks=[{"type": "N1", "eigenvalue": 1, "b": 0},
+                {"type": "D", "lambda": "2"}]),
 }
 
 

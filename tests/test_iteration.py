@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from geoindex.exact import CertifiedReal
+from geoindex.exact import CertifiedReal, PrecisionInsufficient
 from geoindex.iteration import (IndexGerm, IndexProfile, Unbounded,
                                 bott_positive, deviation_bounds,
                                 gamma_invariant, germ_mbar, index_at,
@@ -156,6 +156,32 @@ def test_profile_matches_pointwise_evaluation():
                     == index_oracle(germ, m))
             assert (profile.nullity(m) == nullity_at(germ, m)
                     == nullity_oracle(germ, m))
+
+
+def test_profile_index_and_nullity_ask_only_their_own_query():
+    # an undeclared decimal angle: every index is certified, no nullity
+    u = IndexGerm("u", 2, (R(CR.interval(Fraction("0.4142"),
+                                         Fraction("0.4143"))),
+                           D(CR.rational(2))))
+    profile = IndexProfile(u, 10)
+    assert profile.index(3) == index_at(u, 3) == 4
+    for query in (profile.nullity, profile.entry):
+        with pytest.raises(PrecisionInsufficient, match="undeclared"):
+            query(3)
+    # an interval angle around 2/5: the index is undecided at m = 10
+    w = IndexGerm("w", 2, (R(CR.interval(
+        Fraction(2, 5) - Fraction(1, 10 ** 9),
+        Fraction(2, 5) + Fraction(1, 10 ** 9), irrational=True)),
+        D(CR.rational(2))))
+    profile = IndexProfile(w, 20)
+    assert profile.nullity(10) == nullity_at(w, 10) == 0
+    for query in (profile.index, profile.entry):
+        with pytest.raises(PrecisionInsufficient, match="at iterate 10"):
+            query(10)
+    for query in (profile.index, profile.nullity, profile.entry):
+        for m in (0, 21):
+            with pytest.raises(ValueError, match="outside profile range"):
+                query(m)
 
 
 def test_bumpy_means_no_degenerate_iterates():

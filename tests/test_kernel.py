@@ -16,7 +16,7 @@ from geoindex import iteration
 from geoindex.exact import CertifiedReal, PrecisionInsufficient
 from geoindex.iteration import (IndexGerm, IndexProfile, _index,
                                 _index_range, _kernel, _nullity,
-                                _nullity_range, bott_positive, germ_mbar,
+                                _period_sums, bott_positive, germ_mbar,
                                 index_at, nullity_at)
 from geoindex.jump import build_problem
 from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1, N2,
@@ -163,17 +163,34 @@ def _runs(rng):
 
 
 def _check_ranges(germ, rng, seen):
+    """A run's index is decided whole: the range kernel raises exactly
+    where some point query of the run raises (ValueError for an iterate
+    below 1, else PrecisionInsufficient) and otherwise returns the point
+    values.  The closing period sums are the nullity wherever the point
+    query is defined, on every germ with no undeclared angle."""
     k = _kernel(germ)
     for ms in _runs(rng):
         index = _points(_index, k, ms)
-        assert _index_range(k, ms) == index, (germ, ms)
-        assert _nullity_range(k, ms) == _points(_nullity, k, ms), (germ, ms)
-        seen["marked" if None in index else "unmarked"] += 1
+        if None in index:
+            raised = ValueError if min(ms) < 1 else PrecisionInsufficient
+            with pytest.raises(raised):
+                _index_range(k, ms)
+            seen["raises"] += 1
+        else:
+            assert _index_range(k, ms) == index, (germ, ms)
+            seen["decided"] += 1
+        nullity = _points(_nullity, k, ms)
+        if k.undeclared:
+            assert set(nullity) <= {None}, (germ, ms)
+        else:
+            sums = _period_sums(k.closing, ms)
+            assert [t if m >= 1 else None for t, m in zip(sums, ms)
+                    ] == nullity, (germ, ms)
 
 
 def test_range_kernel_matches_point_queries():
     rng = random.Random(2024)
-    seen = {"marked": 0, "unmarked": 0}
+    seen = {"raises": 0, "decided": 0}
     for k in range(100):
         _check_ranges(_germ(rng, k), rng, seen)
     assert min(seen.values()) >= 10, seen
@@ -183,7 +200,7 @@ def test_range_kernel_matches_point_queries():
 @given(st.integers(0, 2 ** 32))
 def test_range_kernel_matches_point_queries_on_random_germs(seed):
     rng = random.Random(seed)
-    _check_ranges(random_germ(rng, "h"), rng, {"marked": 0, "unmarked": 0})
+    _check_ranges(random_germ(rng, "h"), rng, {"raises": 0, "decided": 0})
 
 
 def _result(fn, germ):
@@ -282,8 +299,7 @@ def test_germ_caches_are_bounded():
         bott_positive(germ)
     caches = [obj for obj in vars(iteration).values()
               if hasattr(obj, "cache_info")]
-    assert {c.__name__ for c in caches} == {"_kernel", "mean_index",
-                                            "germ_mbar"}
+    assert {c.__name__ for c in caches} == {"_kernel", "germ_mbar"}
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -70,9 +70,9 @@ INIT_FIELDS = {
 
 # The kernel, the rounding rows and the clause code of the search.
 SEARCH_CODE = {"_kernel", "_Kernel", "_index", "_nullity", "_index_range",
-               "_nullity_range", "_period_sums", "_row", "_times", "_floor",
-               "_ceil", "_placement", "_compiled", "_quotient",
-               "_delta_count", "_rounding_sum", "_jump_clauses", "_runs",
+               "_period_sums", "_row", "_times", "_floor", "_ceil",
+               "_placement", "_compiled", "_quotient", "_delta_count",
+               "_rounding_sum", "_jump_clauses", "_runs", "_closed_up",
                "_jump_walk", "_assemble", "_lowest", "_sign"}
 # Private library names the oracles may still import: none, since they
 # accept candidates by their own clauses.
@@ -80,7 +80,7 @@ KNOWN_SHARED = set()
 # Block data the walkers read: the input, not a computation on it.
 BLOCK_INPUT = {"_table"}
 # The range kernel, and the modules that define and read it.
-RANGE_KERNEL = {"_index_range", "_nullity_range", "_period_sums"}
+RANGE_KERNEL = {"_index_range", "_period_sums"}
 RANGE_MODULES = {"iteration.py", "jump.py"}
 # The set-up of a jump problem, from the compiled kernel to the scaled
 # certificate, and the value constructions it must not call: the
