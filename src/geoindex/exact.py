@@ -78,9 +78,10 @@ def default_budget() -> PrecisionBudget:
 
 Rationalish = Union[int, Fraction]
 
-# sign, whole digits, fractional digits, and k of "-12.345~k"
-_DECIMAL = re.compile(r"(-?)(\d+)(?:\.(\d+))?(?:~(\d+))?")
-_RATIO = re.compile(r"(-?\d+)/(\d+)")
+# sign, whole digits, fractional digits, and k of "-12.345~k"; ASCII
+# digits only, as int() would also read any other script's digits
+_DECIMAL = re.compile(r"(-?)(\d+)(?:\.(\d+))?(?:~(\d+))?", re.ASCII)
+_RATIO = re.compile(r"(-?\d+)/(\d+)", re.ASCII)
 
 
 def _digits(m: re.Match) -> int:

@@ -61,10 +61,16 @@ rows, and ``v`` reads them back as values.
 A certificate (N, m, chi, Delta) is decided on integers, curve by curve:
 the rounding sum (R1), the recount that places every angle at delta and
 finds every rational one closed (R2, R3, Delta), and the jump
-identities; then the vertex sides of N*v.  A curve with no angle row, no
-closing period and no undeclared angle has i(m) = m*beta_i - S+ and
-nu(m) = 0, so its jump identities are three integer equalities; any
-other curve compares its index and nullity runs around 2m_i with its
+identities; then the vertex sides of N*v.  A curve with no interval
+row and no undeclared angle, each of whose closing periods divides
+2m_i, has every angle row t closed up by m_i.  There
+ceil((2m_i +- m)*t/2) = m_i*t + ceil(+-m*t/2), so (J+) and (J=) are
+integer equalities in up = 2m_i*beta_i + 2*sum_t m_i*t, ceil(x) -
+floor(x) = [x not in Z] turns (J-) into the (J+) one with exactly the
+Q_i(m) count, and (J0) holds identically (``_jump_clauses`` has the
+proof).  Such a curve builds no run, and every exact-angle curve of a
+search or ``scale`` result is one, its m_i a multiple of M.  Any other
+curve compares its index and nullity runs around 2m_i with its
 runs on 1..m_bar as lists.  The search's accept path (``_assemble``)
 calls these checks directly: a candidate is decided before any
 certificate is built, so a rejected one builds none and is fitted to
@@ -458,10 +464,27 @@ def _jump_clauses(problem: JumpProblem, N: int, m: Sequence[int],
                   Delta: Sequence[int], m_bar: int
                   ) -> Iterator[Tuple[Optional[bool], Iterator]]:
     """Per curve, in order: its verdict on (N, m_i, Delta_i) and its
-    clauses, walked only if read.  A curve with no angle row, no closing
-    period and no undeclared angle has i(m) = m*beta_i - S+ and nu(m) =
-    0: i(2m_i + m) - i(m) = 2m_i*beta_i and i(2m_i - m) + i(m) =
-    2m_i*beta_i - 2S+, so its identities hold iff three integers agree.
+    clauses, walked only if read.
+
+    A curve with no interval row and no undeclared angle, each of whose
+    closing periods divides 2m_i, is decided by two integer equalities.
+    The period of an exact angle t = p/q is 2q/gcd(p, 2q), which divides
+    2m_i iff m_i*t is an integer, and an integer row is closed by every
+    m_i: so m_i*t is an integer for every angle row t, and
+
+        ceil((2m_i +- m)*t/2) = m_i*t + ceil(+-m*t/2).
+
+    With up = 2m_i*beta_i + 2*sum_t m_i*t, that gives i(2m_i + m) =
+    up + i(m) and i(2m_i) = up - (S+ + C): (J+) is up = 2*rho_i*N and
+    (J=) is up - (S+ + C) = the top target.  By ceil(x) - floor(x) =
+    [x not in Z], i(2m_i - m) + i(m) = up - 2(S+ + C) + 2*#{t: m*t/2
+    not in Z}; the rows with m*t/2 in Z, all closed by m_i, are exactly
+    the Q_i(m) count, so (J-) is up = 2*rho_i*N again.  nu(m) sums the
+    weights of the periods that divide m, and a period dividing 2m_i
+    divides 2m_i +- m iff it divides m, so (J0) holds identically.  A
+    curve with no row and no period (a hyperbolic one) is the case
+    up = 2m_i*beta_i.
+
     Any other curve is decided by comparing its runs (``_runs``); where
     they raise, the verdict is None and only the clauses decide."""
     for curve, m_i, delta_i in zip(problem.curves, m, Delta):
@@ -475,11 +498,11 @@ def _jump_clauses(problem: JumpProblem, N: int, m: Sequence[int],
         top = two_n - (k.s_plus + k.c - 2 * delta_i)
         reflected = two_n - 2 * k.s_plus  # (J-) less i(m) and 2Q_i(m)
         clauses = _jump_walk(curve, who, m_i, m_bar, two_n, top, reflected)
-        if not (k.rows or k.closing or k.undeclared):  # i(m) = m*beta - S+
-            up = 2 * m_i * k.slope
-            yield (up - k.shift == top and (not m_bar or up == two_n and
-                                            up - 2 * k.shift == reflected)
-                   ), clauses
+        if not (k.interval or k.undeclared
+                or any(2 * m_i % period for period, _ in k.closing)):
+            up = 2 * m_i * k.slope + sum(4 * m_i * p // q2
+                                         for p, q2 in k.exact)
+            yield up - k.shift == top and (not m_bar or up == two_n), clauses
             continue
         try:
             around, nu_around, base, nus, qs = _runs(curve, m_i, m_bar)

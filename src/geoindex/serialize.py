@@ -254,7 +254,7 @@ def _int(x: object, key: str) -> int:
 
 
 def _rational(x: object, key: str) -> Fraction:
-    if isinstance(x, str):
+    if isinstance(x, str) and x.isascii():  # Fraction reads any digits
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

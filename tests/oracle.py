@@ -109,7 +109,7 @@ def parse_oracle(text: str, irrational: bool = False, budget=None):
     ``decimal`` constructor: the same value, flags, literal and errors."""
     budget = budget or default_budget()
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+(?:\.\d+)?)~(\d+)", text)
+    m = re.fullmatch(r"(-?\d+(?:\.\d+)?)~(\d+)", text, re.ASCII)
     if m:
         digits, k = m.group(1), int(m.group(2))
         frac_digits = len(digits.split(".")[1]) if "." in digits else 0
@@ -123,13 +123,13 @@ def parse_oracle(text: str, irrational: bool = False, budget=None):
         raise ValueError(
             f"irrational values need an explicit precision, e.g. "
             f"'0.4142~4': got {text!r}")
-    if re.fullmatch(r"-?\d+/\d+", text):
+    if re.fullmatch(r"-?\d+/\d+", text, re.ASCII):
         p, q = text.split("/")
         if int(q) == 0:
             raise ValueError(f"zero denominator in number literal: "
                              f"{text!r}")
         return CertifiedReal.rational(int(p), int(q))
-    if re.fullmatch(r"-?\d+(\.\d+)?", text):
+    if re.fullmatch(r"-?\d+(\.\d+)?", text, re.ASCII):
         return CertifiedReal.rational(Fraction(text))
     raise ValueError(f"unparseable number literal: {text!r}")
 

@@ -233,6 +233,12 @@ BAD_CERTIFICATES = {
                            lambda c: c.update(delta=0.01)),
     "name-not-string": ([worked_example_B()], "verify-jump",
                         lambda c: c["curves"][0].update(name=5)),
+    # digits of other scripts, which Fraction and int() would read
+    "delta-arabic-indic-digits": ([worked_example_B()], "verify-jump",
+                                  lambda c: c.update(delta="\u0661/100")),
+    "epsilon-fullwidth-digits": ([worked_example_B()], "scale-jump",
+                                 lambda c: c.update(
+                                     epsilon="1/\uff11\uff10\uff10")),
     "morse-negative-index": ([HN], "morse", lambda c: None),
 }
 
@@ -261,6 +267,9 @@ def test_bad_certificate_is_one_error_line(case, tmp_path, capsys):
                        "chi length 1, want 3\n")
     if case == "name-not-string":  # read as is, never as the name "5"
         assert err == "error: 'name' must be a string, got 5\n"
+    if case == "delta-arabic-indic-digits":  # never read as 1/100
+        assert err == ("error: certificate 'delta' must be a rational "
+                       "string \"p/q\", got '\u0661/100'\n")
 
 
 def test_a_certificate_off_its_grid_is_one_error_line(tmp_path, capsys):
@@ -326,6 +335,13 @@ BAD_SYSTEMS = {
     "b-not-string": lambda d: _curve(d).update(
         blocks=[{"type": "N1", "eigenvalue": 1, "b": 0},
                 {"type": "D", "lambda": "2"}]),
+    # digits of other scripts, which int() would read as 3/7 and 0.5~2
+    "theta-arabic-indic-digits": lambda d: _curve(d)["blocks"][0].update(
+        theta_over_pi="\u0663/7"),
+    "theta-fullwidth-digits": lambda d: _curve(d)["blocks"][0].update(
+        theta_over_pi="\uff13/7"),
+    "irrational-arabic-indic-digits": lambda d: _curve(d)["blocks"][0].update(
+        theta_over_pi="\u0660.\u0665~\u0662", irrational=True),
 }
 
 

@@ -219,6 +219,18 @@ def test_zero_denominator_is_a_value_error():
                 parse(text)
 
 
+def test_digits_of_other_scripts_are_unparseable():
+    # int() and Fraction read any script's decimal digits: "٣/7"
+    # and fullwidth "３/7" were 3/7, "٠.٥~٢" 0.5~2
+    for text, irrational in (("٣/7", False), ("３/7", False),
+                             ("3/٧", False), ("٠.٥", False),
+                             ("٠.٥~٢", True),
+                             ("0.5~٢", True)):
+        for parse in (CR.parse, parse_oracle):
+            with pytest.raises(ValueError, match="unparseable|irrational"):
+                parse(text, irrational=irrational)
+
+
 def test_interval_arithmetic_soundness():
     rng = random.Random(11)
     for _ in range(200):

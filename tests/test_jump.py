@@ -8,20 +8,23 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geoindex import jump
 from geoindex.exact import CertifiedReal, PrecisionInsufficient
-from geoindex.iteration import (IndexGerm, _index, _nullity, germ_mbar,
-                                index_at, mean_index)
+from geoindex.iteration import (IndexGerm, _index, _kernel, _nullity,
+                                germ_mbar, index_at, mean_index)
 from geoindex.jump import (CertificateMismatch, IdentityViolation,
                            JumpCertificate, NotFound, ScaleMismatch,
                            ZeroMeanIndex, build_problem, delta_invariance,
                            scale, search, verify_jump, verify_rounding)
 from geoindex.morse import morse_numbers_up_to
-from geoindex.normal_forms import D, N1, N2, R
+from geoindex.normal_forms import (B_NEGATIVE, B_POSITIVE, B_ZERO, D, N1,
+                                   N2, R)
 from geoindex.samples import forced_top_system, worked_example_B
 
-from .corpus import jump_corpus
+from .corpus import jump_corpus, random_germ
 from .oracle import candidate_oracle, search_oracle, verify_jump_oracle
 
 CR = CertifiedReal
@@ -313,6 +316,18 @@ def test_strict_verification_raises_with_triple():
     with pytest.raises(IdentityViolation) as err:
         verify_jump(prob, tampered, 6, strict=True)
     assert err.value.triple[0] == "B"
+    # H, decided in closed form: (J=) holds at N = 29 and Delta = 1, but
+    # (J+) fails at m = 1, since 2m_i*beta = 60 is not 2N = 58; the
+    # raise is the point walk's, as the oracle forms it
+    prob = build_problem([H], DELTA, DELTA)
+    cert = JumpCertificate(N=29, m=(30,), chi=(0,), Delta=(1,), rho=(1,),
+                           delta=DELTA, epsilon=DELTA, M=1, M0=1,
+                           names=("H",))
+    with pytest.raises(IdentityViolation) as err:
+        verify_jump(prob, cert, 8, strict=True)
+    assert (err.value.triple, str(err.value)) == _oracle_strict(
+        prob, cert, 8) == (("H", 1, "jump-up"), "jump-up fails for curve "
+                           "'H' at m=1: {'got': 61, 'want': 59}")
 
 
 def test_scale_mismatch_on_tampered_certificate():
@@ -1027,3 +1042,156 @@ def test_rejected_candidates_build_no_certificate(monkeypatch):
     checked.clear()
     scaled = scale(problem, cert, 2, 8)
     assert checked == [cert, scaled.certificate]
+
+
+# Germs of every block kind.  All but the last have no interval row and
+# no undeclared angle, so the closed form of ``_jump_clauses`` decides
+# them wherever their closing periods divide 2m_i: N1 at +-1 with each
+# b class, a rational R, N2 at a rational angle, trivial and not, and a
+# trivial N2 at an irrational angle, which has neither row nor period;
+# the last, a nontrivial N2 at that angle, compares runs.
+IRRATIONAL = CR.parse("0.41421356237~9", irrational=True)
+EXACT_ANGLE_GERMS = (
+    H, HN,
+    *(IndexGerm(f"n1{e:+}{b}", 2, (N1(e, b), D(CR.rational(-2))))
+      for e in (1, -1) for b in (B_POSITIVE, B_ZERO, B_NEGATIVE)),
+    IndexGerm("r", 2, (R(CR.rational(Fraction(2, 5))), D(CR.rational(2)))),
+    IndexGerm("rr", -3, (R(CR.rational(Fraction(4, 3))),
+                         R(CR.rational(Fraction(1, 6))))),
+    IndexGerm("n2", 1, (N2(CR.rational(Fraction(1, 3)), nontrivial=True),)),
+    Z,
+    IndexGerm("zi", 2, (N2(IRRATIONAL, nontrivial=False),)),
+    IndexGerm("n2i", 3, (N2(IRRATIONAL, nontrivial=True),)),
+)
+
+
+def _jump_cases(germ, ms, m_bars):
+    """(problem, certificate, m_bar, kind) on the one-curve problem of
+    germ at each m_i of ms.  Kind 0 sets N so that (J+) holds at m = 1,
+    where that index is decided and N comes out positive, and Delta so
+    that (J=) holds; kind 1 moves N by one and keeps (J=), so that (J+)
+    and (J-) fail wherever the closed form applies; kind 2 moves Delta
+    by one, so that (J=) fails."""
+    delta = Fraction(1, 64)
+    problem = build_problem([germ], delta, delta)
+    curve = problem.curves[0]
+    k, rho = curve.kernel, curve.rho
+    for m_i in ms:
+        try:
+            N = rho * (_index(k, 2 * m_i + 1) - _index(k, 1)) // 2
+            top = _index(k, 2 * m_i)
+        except PrecisionInsufficient:
+            N, top = m_i, 0
+        N = max(N, 1)
+        for kind, n, bump in ((0, N, 0), (1, N + 1, 0), (2, N, 1)):
+            cert = JumpCertificate(
+                N=n, m=(m_i,), chi=(0,) * len(problem.v_rows),
+                Delta=((top + k.shift - 2 * rho * n) // 2 + bump,),
+                rho=(rho,), delta=delta, epsilon=delta, M=problem.M, M0=1,
+                names=(germ.name,))
+            for m_bar in m_bars:
+                yield problem, cert, m_bar, kind
+
+
+def _jump_verdicts(problem, cert, m_bar):
+    """verify_jump's verdict, the verdict of all its clauses, which the
+    point walk forms, the oracle's verdict, and the strict raise of the
+    library and of the oracle: each a value or what it raised."""
+    return (
+        _outcome(lambda: verify_jump(problem, cert, m_bar).ok),
+        _outcome(lambda: all([c.ok for c in verify_jump(
+            problem, cert, m_bar).clauses])),
+        _outcome(lambda: all([ok for _, ok, _ in verify_jump_oracle(
+            problem, cert, m_bar)])),
+        _outcome(_strict, problem, cert, m_bar),
+        _outcome(_oracle_strict, problem, cert, m_bar))
+
+
+def _check_jump_cases(germ, ms, m_bars, runs, seen):
+    """Every verdict of _jump_verdicts agrees on every case of germ;
+    seen counts the cases by how the library decided them, from the
+    curves runs were built for."""
+    for problem, cert, m_bar, kind in _jump_cases(germ, ms, m_bars):
+        del runs[:]
+        ok, walked, oracle, strict, oracle_strict = _jump_verdicts(
+            problem, cert, m_bar)
+        assert ok == walked == oracle, (germ, cert, m_bar)
+        assert strict == oracle_strict, (germ, cert, m_bar)
+        k, m_i = problem.curves[0].kernel, cert.m[0]
+        if 2 * m_i <= m_bar:
+            continue
+        if not runs:
+            seen["closed form", kind, ok, min(m_bar, 2)] += 1
+            seen["closed form", germ.name] += 1
+        elif any(2 * m_i % period for period, _ in k.closing):
+            seen["runs: a period off 2m_i", ok,
+                 "rows closed" if all(2 * m_i * p % q2 == 0
+                                      for p, q2 in k.exact)
+                 else "a row not closed"] += 1
+        else:
+            seen["runs: interval row", ok] += 1
+
+
+def test_closed_form_verdict_is_the_point_walks(monkeypatch):
+    """On curves decided in closed form and on their neighbours, the
+    verdict of verify_jump is that of its point-walked clauses and of
+    verify_jump_oracle, and a strict run raises the oracle's triple."""
+    runs, real = [], jump._runs
+    monkeypatch.setattr(jump, "_runs",
+                        lambda *args: runs.append(args) or real(*args))
+    seen = Counter()
+    germs = EXACT_ANGLE_GERMS + tuple(g for gs in jump_corpus(4) for g in gs)
+    for germ in germs:
+        M = _kernel(germ).M
+        ms = sorted({1, 4, 5, 21, 22, 25, M, 2 * M + 1, 7 * M, 11 * M + 1})
+        _check_jump_cases(germ, ms, (0, 1, 8, 40), runs, seen)
+    for germ in EXACT_ANGLE_GERMS[:-1]:
+        assert seen["closed form", germ.name] >= 10, (germ.name, seen)
+    for m_bar in (0, 1, 2):  # 2 stands for 8 and 40
+        assert seen["closed form", 0, True, m_bar] >= 10, seen
+        assert seen["closed form", 2, False, m_bar] >= 10, seen
+        if m_bar:  # (J=) holds and (J+-) fail
+            assert seen["closed form", 1, False, m_bar] >= 10, seen
+    for ok in (True, False):
+        assert seen["runs: interval row", ok] >= 5, seen
+        # Z, a trivial N2 at 1/3, has no row but the period 6
+        assert seen["runs: a period off 2m_i", ok, "rows closed"] >= 3, seen
+    assert seen["runs: a period off 2m_i", False, "a row not closed"] >= 5
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(0, 2 ** 32))
+def test_closed_form_verdict_is_the_point_walks_on_random_germs(seed):
+    rng = random.Random(seed)
+    germ = random_germ(rng, "g")
+    k = _kernel(germ)
+    try:
+        build_problem([germ], Fraction(1, 64), Fraction(1, 64))
+    except (ZeroMeanIndex, ValueError):
+        assume(False)
+    ms = {k.M * rng.randint(1, 12) for _ in range(3)}
+    ms |= {rng.randint(1, 60) for _ in range(3)}
+    _check_jump_cases(germ, sorted(ms), (0, 1, 8, 40), [], Counter())
+
+
+def test_exact_angle_curves_build_no_runs(monkeypatch):
+    # a hyperbolic curve and two at rational angles: every m_i that
+    # search, verify_jump and scale meet is a multiple of M, which
+    # closes every period up, so no curve builds a run
+    germs = (H, IndexGerm("r", 2, (R(CR.rational(Fraction(2, 5))),
+                                   D(CR.rational(2)))),
+             IndexGerm("rr", 3, (R(CR.rational(Fraction(4, 3))),
+                                 N1(-1, B_ZERO))))
+
+    def refuse(*args):
+        raise AssertionError("an exact-angle curve built its runs")
+
+    monkeypatch.setattr(jump, "_runs", refuse)
+    problem = build_problem(germs, Fraction(1, 128), Fraction(1, 128))
+    cert = search(problem, 1, 10 ** 6, m_bar=8)
+    assert verify_jump(problem, cert, 8, strict=True).ok
+    assert scale(problem, cert, 2, 8).checks[-1] == ("scaled-identities",
+                                                     True)
+    with pytest.raises(NotFound):  # every candidate below is rejected
+        search(problem, 1, cert.N - 1, m_bar=8)
+
